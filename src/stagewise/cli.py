@@ -45,7 +45,7 @@ from .search import (
     calibrate,
     run_strategy,
 )
-from .stages import DEFAULT_SCHEMA, parse_staged
+from .stages import DEFAULT_SCHEMA, StagedResponse, parse_staged
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -99,30 +99,34 @@ def _reject_unknown(data: dict, allowed: set, context: str) -> None:
         raise ConfigError(f"unknown {context} config keys: {sorted(unknown)}")
 
 
+def _override_stats(
+    search: SearchConfig, mean: Optional[float], std: Optional[float]
+) -> SearchConfig:
+    """``search`` with its reward mean and/or std replaced; None keeps a value."""
+    if mean is None and std is None:
+        return search
+    base = search.stats
+    try:
+        stats = CalibrationStats(
+            base.reward_mean if mean is None else mean,
+            base.reward_std if std is None else std,
+            base.sample_count,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid reward stats: {exc}") from exc
+    return replace(search, stats=stats)
+
+
 def _parse_search_section(data: dict) -> SearchConfig:
     _reject_unknown(data, _SEARCH_KEYS, "search")
     kwargs = dict(data)
-    stats_kwargs = {}
-    if "reward_mean" in kwargs:
-        stats_kwargs["reward_mean"] = float(kwargs.pop("reward_mean"))
-    if "reward_std" in kwargs:
-        stats_kwargs["reward_std"] = float(kwargs.pop("reward_std"))
+    stats = {k: float(kwargs.pop(k)) for k in ("reward_mean", "reward_std") if k in kwargs}
     if "strategy" in kwargs:
         kwargs["strategy"] = _parse_strategy(kwargs["strategy"])
     if "loop_semantics" in kwargs:
         kwargs["loop_semantics"] = _parse_loop_semantics(kwargs["loop_semantics"])
     cfg = SearchConfig(**kwargs)
-    if stats_kwargs:
-        base = cfg.stats
-        cfg = replace(
-            cfg,
-            stats=CalibrationStats(
-                stats_kwargs.get("reward_mean", base.reward_mean),
-                stats_kwargs.get("reward_std", base.reward_std),
-                base.sample_count,
-            ),
-        )
-    return cfg
+    return _override_stats(cfg, stats.get("reward_mean"), stats.get("reward_std"))
 
 
 def _parse_strategy(name: str) -> Strategy:
@@ -188,16 +192,7 @@ def apply_flags(cfg: AppConfig, args: argparse.Namespace) -> AppConfig:
         search = replace(search, retrace_limit=args.retraces)
     if args.z is not None:
         search = replace(search, cutoff_zscore=args.z)
-    if args.reward_mean is not None or args.reward_std is not None:
-        stats = search.stats
-        search = replace(
-            search,
-            stats=CalibrationStats(
-                args.reward_mean if args.reward_mean is not None else stats.reward_mean,
-                args.reward_std if args.reward_std is not None else stats.reward_std,
-                stats.sample_count,
-            ),
-        )
+    search = _override_stats(search, args.reward_mean, args.reward_std)
     if args.min_pass is not None:
         search = replace(search, min_pass_count=args.min_pass)
     if args.loop_semantics is not None:
@@ -227,6 +222,36 @@ def make_backends(cfg: AppConfig) -> tuple[Generator, RewardScorer]:
     if cfg.reward is None:
         raise ConfigError("http backend requires generator and reward endpoint configs")
     return make_generator(cfg), HttpRewardScorer(cfg.reward)
+
+
+def _read_input(loader, path):
+    """Run a file loader; a missing or malformed file becomes a ConfigError.
+
+    The loaders name the file and line of a malformed record in their
+    ValueError, which passes through as the message.
+    """
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _load_corpus(path) -> list[tuple[str, StagedResponse]]:
+    """Calibration corpus: JSON lines of {question, response}."""
+    corpus = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+                corpus.append((data["question"], parse_staged(data["response"], DEFAULT_SCHEMA)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
+    return corpus
 
 
 def _grader_for(cfg: AppConfig):
@@ -273,7 +298,7 @@ def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
-    items = load_items(args.items)
+    items = _read_input(load_items, args.items)
     categories = args.categories.split(",") if args.categories else None
     result = run_benchmark(
         items,
@@ -299,7 +324,7 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
-    items = load_items(args.items)
+    items = _read_input(load_items, args.items)
     points = scaling_experiment(
         items,
         *make_backends(cfg),
@@ -317,19 +342,7 @@ def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
     _, reward = make_backends(cfg)
-    corpus = []
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            try:
-                trajectory = parse_staged(data["response"], DEFAULT_SCHEMA)
-            except Exception as exc:
-                raise ConfigError(f"{args.corpus}:{lineno}: bad trajectory: {exc}") from exc
-            corpus.append((data["question"], trajectory))
-    stats = calibrate(reward, corpus)
+    stats = calibrate(reward, _read_input(_load_corpus, args.corpus))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(
@@ -357,7 +370,7 @@ def cmd_datagen(cfg: AppConfig, args: argparse.Namespace) -> int:
         judge = HttpGenerator(cfg.judge)
     else:
         judge = generator  # same endpoint serves both roles; sim judges via its oracle
-    sources = load_sources(args.sources)
+    sources = _read_input(load_sources, args.sources)
     counts = run_pipeline(sources, generator, judge, args.out, resume=not args.no_resume)
     _summary({"command": "datagen", **counts})
     return EXIT_OK

@@ -230,16 +230,38 @@ def judge_validity(judge: Generator, standard_answer: str, conclusion: str) -> b
 
 
 def read_existing_ids(path) -> set[str]:
+    """Ids of the records already written to ``path``.
+
+    An unterminated last line is a record cut short by a killed run; it
+    counts as absent, so its source is generated again.
+    """
     ids: set[str] = set()
     path = Path(path)
     if not path.exists():
         return ids
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
+            if not line.endswith(b"\n"):
+                break
             line = line.strip()
             if line:
                 ids.add(json.loads(line)["id"])
     return ids
+
+
+def _trim_partial_last_line(path) -> None:
+    """Cut an unterminated last line so the next append starts a fresh line."""
+    path = Path(path)
+    if not path.exists():
+        return
+    with open(path, "r+b") as fh:
+        complete = size = 0
+        for line in fh:
+            size += len(line)
+            if line.endswith(b"\n"):
+                complete = size
+        if complete < size:
+            fh.truncate(complete)
 
 
 def run_pipeline(
@@ -268,6 +290,7 @@ def run_pipeline(
         "skipped": 0,
     }
     flat = flatten_sources(sources)
+    _trim_partial_last_line(output_path)
     with open(output_path, "a", encoding="utf-8") as out:
         for record in flat:
             if record.id in existing:

@@ -41,13 +41,6 @@ from .stages import CANONICAL_ORDER, StagedResponse, StageKind
 MULTIPLE_CHOICE = "multiple_choice"
 FREE_FORM = "free_form"
 
-# Category tags counted as reasoning-intensive when filtering a benchmark
-# down to its reasoning subset.
-REASONING_CATEGORIES = frozenset(
-    {"instance reasoning", "logical reasoning", "math", "science & technology"}
-)
-
-
 class EmptyBenchmarkError(SearchError):
     """No items left to run (empty input or over-restrictive filter)."""
 

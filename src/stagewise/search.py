@@ -234,11 +234,7 @@ class Candidate:
     trajectory: StagedResponse
     stage_scores: dict[StageKind, float]
     birth: tuple[int, int]
-    lineage: Optional[tuple[int, int]] = None
     rendered: str = ""
-
-    def score_at(self, stage: StageKind) -> float:
-        return self.stage_scores[stage]
 
 
 _ROOT = Candidate(EMPTY_RESPONSE, {}, (-1, -1))
@@ -359,17 +355,20 @@ def select_top(cands: Sequence[Candidate], n: int, stage: StageKind) -> list[Can
     return ranked[:n]
 
 
-def _best(cands: Sequence[Candidate], stage: StageKind) -> Candidate:
-    return select_top(cands, 1, stage)[0]
-
-
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
 
 
 class _Engine:
-    """Shared per-search state: seeds, births, ledger, trace, concurrency."""
+    """Shared per-search state: seeds, births, ledger, trace, concurrency.
+
+    The three strategies are arrangements of the same steps: generate a batch
+    for a target (``expand_and_score``), keep the best (``select``), walk
+    stages once (``stage_steps``) and finish on the final batch
+    (``conclude``). A best-of-N engine targets the whole response in one
+    call; the stage searches target one stage per call.
+    """
 
     def __init__(
         self,
@@ -379,31 +378,28 @@ class _Engine:
         reward: RewardScorer,
         image_ref: Optional[str],
         run_seed: int,
-        trace: Optional[SearchTrace],
+        collect_trace: bool,
         parallelism: int,
     ):
+        cfg.validate()
+        self.started = time.perf_counter()
         self.question = question
         self.cfg = cfg
         self.generator = generator
         self.reward = reward
         self.image_ref = image_ref
         self.run_seed = run_seed
-        self.trace = trace
         self.parallelism = max(1, parallelism)
+        self.whole_response = cfg.strategy is Strategy.BEST_OF_N
         self.qdigest = text_digest(question)
-        self._seq = 0
-
+        self.trace = _make_trace(cfg, self.qdigest, run_seed) if collect_trace else None
         self.ledger = BudgetLedger()
+        self._seq = 0
 
     def call_seed(self, stage: StageKind, pass_index: int, slot: int) -> int:
         return stable_u64(
             str(self.run_seed), self.qdigest, stage.value, str(pass_index), str(slot)
         )
-
-    def next_birth(self, pass_index: int) -> tuple[int, int]:
-        birth = (pass_index, self._seq)
-        self._seq += 1
-        return birth
 
     def run_calls(self, fns: list[Callable]) -> list:
         if self.parallelism > 1 and len(fns) > 1:
@@ -411,42 +407,71 @@ class _Engine:
                 return list(pool.map(lambda f: f(), fns))
         return [fn() for fn in fns]
 
-    def sampling(self, stop: Optional[str]) -> SamplingParams:
-        return SamplingParams(self.cfg.temperature, self.cfg.max_new_tokens, stop)
+    def batch_plan(self, stage: StageKind, total: int) -> tuple[int, bool]:
+        """Batch size and whether to score it for a pass-0 pipeline stage.
 
-    # -- batched stage expansion -------------------------------------------
+        The summary stage generates ``summary_candidates`` and is scored only
+        when there are several; any other stage generates ``total``.
+        """
+        if stage is StageKind.SUMMARY:
+            total = self.cfg.summary_candidates
+            return total, total > 1
+        return total, True
+
+    # -- the one generate/parse/score step ---------------------------------
+
+    def _child(self, parent: Candidate, stages, raw: str, birth) -> Candidate:
+        """Parse one reply into a child of ``parent``; raises StageFormatError."""
+        schema = self.cfg.schema
+        if self.whole_response:
+            return Candidate(parse_complete_continuation(raw, stages, schema), {}, birth)
+        stage = stages[0]
+        block = parse_stage_continuation(raw, stage, schema)
+        wrapped = f"{schema.open(stage)}{block.text}{schema.close(stage)}"
+        return Candidate(
+            trajectory=parent.trajectory.append(block),
+            stage_scores=dict(parent.stage_scores),
+            birth=birth,
+            rendered=parent.rendered + "\n" + wrapped if parent.rendered else wrapped,
+        )
 
     def expand_and_score(
         self,
-        stage: StageKind,
+        stages: tuple[StageKind, ...],
         pass_index: int,
         parents: Sequence[Candidate],
         total: int,
         do_score: bool,
     ) -> list[Candidate]:
-        """Generate ``total`` children of ``parents`` at ``stage``, then score.
+        """Generate ``total`` children of ``parents`` for ``stages``, then score.
 
-        Children are assigned to parents evenly (earlier parents absorb any
-        remainder). Results are processed in slot order regardless of the
-        backend's concurrency, so traces and ledgers do not depend on thread
-        scheduling. Candidates whose continuation fails to parse are logged
-        with score -inf and dropped; they never reach the reward backend.
+        A best-of-N engine parses each reply as a complete response over
+        ``stages`` and logs and tallies it under ``"response"``; otherwise
+        ``stages`` is one stage and each reply is that stage's continuation.
+        Scores are stored at the last target stage. Children are assigned to
+        parents evenly (earlier parents absorb any remainder). Results are
+        processed in slot order regardless of the backend's concurrency, so
+        traces and ledgers do not depend on thread scheduling. Candidates
+        whose continuation fails to parse are logged with score -inf and
+        dropped; they never reach the reward backend.
         """
         assignments: list[Candidate] = []
         per_parent, remainder = divmod(total, len(parents))
         for rank, parent in enumerate(parents):
             assignments.extend([parent] * (per_parent + (1 if rank < remainder else 0)))
 
-        schema = self.cfg.schema
-        stop = schema.close(stage)
+        label = "response" if self.whole_response else stages[0].value
+        score_stage = stages[-1]
+        stop = self.cfg.schema.close(score_stage)
+        sampling = SamplingParams(self.cfg.temperature, self.cfg.max_new_tokens, stop)
         requests = [
             GeneratorRequest(
                 question=self.question,
-                target_stages=(stage,),
+                target_stages=stages,
                 prior_stages=parent.trajectory,
                 image_ref=self.image_ref,
-                sampling=self.sampling(stop),
-                seed=self.call_seed(stage, pass_index, slot),
+                sampling=sampling,
+                seed=self.call_seed(stages[0], pass_index, slot),
             )
             for slot, parent in enumerate(assignments)
         ]
@@ -456,29 +481,18 @@ class _Engine:
 
         produced: list[tuple[int, Optional[Candidate], Optional[str]]] = []
         for slot, (parent, raw) in enumerate(zip(assignments, raws)):
-            self.ledger.tally_generate(stage.value)
-            birth = self.next_birth(pass_index)
+            self.ledger.tally_generate(label)
+            birth = (pass_index, self._seq)
+            self._seq += 1
             parse_error: Optional[str] = None
             candidate: Optional[Candidate] = None
             try:
-                block = parse_stage_continuation(raw, stage, schema)
+                candidate = self._child(parent, stages, raw, birth)
             except StageFormatError as exc:
                 parse_error = f"{type(exc).__name__}: {exc}"
-            else:
-                wrapped = f"{schema.open(stage)}{block.text}{schema.close(stage)}"
-                rendered = (
-                    parent.rendered + "\n" + wrapped if parent.rendered else wrapped
-                )
-                candidate = Candidate(
-                    trajectory=parent.trajectory.append(block),
-                    stage_scores=dict(parent.stage_scores),
-                    birth=birth,
-                    lineage=parent.birth if parent is not _ROOT else None,
-                    rendered=rendered,
-                )
             if self.trace is not None:
                 event = {
-                    "stage": stage.value,
+                    "stage": label,
                     "pass": pass_index,
                     "slot": slot,
                     "birth": list(birth),
@@ -491,10 +505,10 @@ class _Engine:
                 self.trace.log("generate", event)
             produced.append((slot, candidate, parse_error))
 
-        if not do_score:
-            return [c for _, c, _ in produced if c is not None]
-
         scorable = [c for _, c, _ in produced if c is not None]
+        if not do_score:
+            return scorable
+
         values = self.run_calls(
             [
                 lambda c=cand: self.reward.score(
@@ -510,7 +524,7 @@ class _Engine:
                     self.trace.log(
                         "score",
                         {
-                            "stage": stage.value,
+                            "stage": label,
                             "pass": pass_index,
                             "slot": slot,
                             "score": NEG_INF,
@@ -520,13 +534,13 @@ class _Engine:
                 continue
             cand, value = next(scored)
             assert cand is candidate
-            self.ledger.tally_score(stage.value)
-            candidate.stage_scores[stage] = value
+            self.ledger.tally_score(label)
+            candidate.stage_scores[score_stage] = value
             if self.trace is not None:
                 self.trace.log(
                     "score",
                     {
-                        "stage": stage.value,
+                        "stage": label,
                         "pass": pass_index,
                         "slot": slot,
                         "birth": list(candidate.birth),
@@ -535,7 +549,13 @@ class _Engine:
                 )
         return scorable
 
-    def log_select(self, stage: StageKind, pass_index: int, kept: Sequence[Candidate]) -> None:
+    # -- steps the strategies are built from -------------------------------
+
+    def select(
+        self, stage: StageKind, pass_index: int, cands: Sequence[Candidate]
+    ) -> list[Candidate]:
+        """Keep the top ``beam_width`` (or all, if fewer) and log the choice."""
+        kept = select_top(cands, min(self.cfg.beam_width, len(cands)), stage)
         if self.trace is not None:
             self.trace.log(
                 "select",
@@ -545,28 +565,53 @@ class _Engine:
                     "kept": [list(c.birth) for c in kept],
                 },
             )
+        return kept
 
-    def finish(self, winner: Candidate, stage: StageKind, started: float) -> SearchResult:
-        self.ledger.wall_time_s = time.perf_counter() - started
+    def stage_steps(
+        self, stages: Sequence[StageKind], survivors: list[Candidate]
+    ) -> list[Candidate]:
+        """Pass-0 beam steps over ``stages``: generate, score, keep the top N."""
+        for stage in stages:
+            total, do_score = self.batch_plan(stage, self.cfg.candidates_per_stage)
+            batch = self.expand_and_score((stage,), 0, survivors, total, do_score)
+            if not batch:
+                raise SearchExhaustedError(f"all candidates failed to parse at {stage.name}")
+            survivors = self.select(stage, 0, batch) if do_score else batch
+        return survivors
+
+    def conclude(
+        self,
+        stages: tuple[StageKind, ...],
+        parents: Sequence[Candidate],
+        total: int,
+        do_score: bool = True,
+    ) -> SearchResult:
+        """Generate the final batch and return its best candidate as the answer."""
+        final = stages[-1]
+        batch = self.expand_and_score(stages, 0, parents, total, do_score)
+        if not batch:
+            if self.whole_response:
+                raise SearchExhaustedError("no complete response parsed")
+            raise SearchExhaustedError(f"all candidates failed to parse at {final.name}")
+        winner = select_top(batch, 1, final)[0] if do_score else batch[0]
+        self.ledger.wall_time_s = time.perf_counter() - self.started
         if self.trace is not None:
             self.trace.log(
                 "answer",
                 {
-                    "stage": stage.value,
+                    "stage": final.value,
                     "birth": list(winner.birth),
-                    "score": winner.stage_scores.get(stage),
+                    "score": winner.stage_scores.get(final),
                 },
             )
         return SearchResult(winner.trajectory, winner, self.ledger, self.trace)
 
 
-def _make_trace(cfg: SearchConfig, question: str, run_seed: int, collect: bool) -> Optional[SearchTrace]:
-    if not collect:
-        return None
+def _make_trace(cfg: SearchConfig, question_digest: str, run_seed: int) -> SearchTrace:
     return SearchTrace(
         {
             "strategy": cfg.strategy.value,
-            "question_digest": text_digest(question),
+            "question_digest": question_digest,
             "run_seed": run_seed,
             "config": {
                 "candidates_per_stage": cfg.candidates_per_stage,
@@ -582,17 +627,6 @@ def _make_trace(cfg: SearchConfig, question: str, run_seed: int, collect: bool) 
             },
         }
     )
-
-
-def _batch_size(cfg: SearchConfig, stage: StageKind, index: int, survivors: int) -> int:
-    last = index == len(cfg.pipeline) - 1
-    if stage is StageKind.SUMMARY:
-        return cfg.summary_candidates
-    if last and index > 0:
-        # The final stage extends each survivor exactly once; the winner is
-        # the argmax over those conclusions.
-        return survivors
-    return cfg.candidates_per_stage
 
 
 # ---------------------------------------------------------------------------
@@ -620,95 +654,8 @@ def best_of_n(
     if n < 1:
         raise ConfigError("best_of_n requires n >= 1")
     cfg = replace(cfg or SearchConfig(), strategy=Strategy.BEST_OF_N)
-    cfg.validate()
-    started = time.perf_counter()
-    trace = _make_trace(cfg, question, run_seed, collect_trace)
-    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, trace, parallelism)
-
-    pipeline = cfg.pipeline
-    schema = cfg.schema
-    stop = schema.close(pipeline[-1])
-    requests = [
-        GeneratorRequest(
-            question=question,
-            target_stages=pipeline,
-            image_ref=image_ref,
-            sampling=engine.sampling(stop),
-            seed=engine.call_seed(pipeline[0], 0, slot),
-        )
-        for slot in range(n)
-    ]
-    raws = engine.run_calls([lambda r=req: generator.generate(r) for req in requests])
-
-    produced: list[tuple[int, Optional[Candidate], Optional[str]]] = []
-    for slot, raw in enumerate(raws):
-        engine.ledger.tally_generate("response")
-        birth = engine.next_birth(0)
-        candidate: Optional[Candidate] = None
-        parse_error: Optional[str] = None
-        try:
-            traj = parse_complete_continuation(raw, pipeline, schema)
-        except StageFormatError as exc:
-            parse_error = f"{type(exc).__name__}: {exc}"
-        else:
-            candidate = Candidate(traj, {}, birth)
-        if trace is not None:
-            event = {
-                "stage": "response",
-                "pass": 0,
-                "slot": slot,
-                "birth": list(birth),
-                "parent": None,
-                "input_digest": text_digest(question + "\n"),
-                "output_digest": text_digest(raw),
-            }
-            if parse_error:
-                event["parse_error"] = parse_error
-            trace.log("generate", event)
-        produced.append((slot, candidate, parse_error))
-
-    final_stage = pipeline[-1]
-    scorable = [c for _, c, _ in produced if c is not None]
-    values = engine.run_calls(
-        [
-            lambda c=cand: reward.score(RewardRequest(question, c.trajectory, image_ref))
-            for cand in scorable
-        ]
-    )
-    scored = iter(zip(scorable, values))
-    for slot, candidate, parse_error in produced:
-        if candidate is None:
-            if trace is not None:
-                trace.log(
-                    "score",
-                    {
-                        "stage": "response",
-                        "pass": 0,
-                        "slot": slot,
-                        "score": NEG_INF,
-                        "parse_error": parse_error,
-                    },
-                )
-            continue
-        cand, value = next(scored)
-        engine.ledger.tally_score("response")
-        cand.stage_scores[final_stage] = value
-        if trace is not None:
-            trace.log(
-                "score",
-                {
-                    "stage": "response",
-                    "pass": 0,
-                    "slot": slot,
-                    "birth": list(cand.birth),
-                    "score": value,
-                },
-            )
-
-    if not scorable:
-        raise SearchExhaustedError("no complete response parsed")
-    winner = _best(scorable, final_stage)
-    return engine.finish(winner, final_stage, started)
+    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism)
+    return engine.conclude(cfg.pipeline, [_ROOT], n)
 
 
 def stage_wise_beam(
@@ -730,28 +677,14 @@ def stage_wise_beam(
     survivor once and the highest-scoring conclusion wins.
     """
     cfg = replace(cfg, strategy=Strategy.STAGE_BEAM)
-    cfg.validate()
-    started = time.perf_counter()
-    trace = _make_trace(cfg, question, run_seed, collect_trace)
-    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, trace, parallelism)
-
-    survivors = [_ROOT]
-    for index, stage in enumerate(cfg.pipeline):
-        last = index == len(cfg.pipeline) - 1
-        total = _batch_size(cfg, stage, index, len(survivors))
-        do_score = not (stage is StageKind.SUMMARY and total == 1)
-        batch = engine.expand_and_score(stage, 0, survivors, total, do_score)
-        if not batch:
-            raise SearchExhaustedError(f"all candidates failed to parse at {stage.name}")
-        if last:
-            winner = _best(batch, stage) if do_score else batch[0]
-            return engine.finish(winner, stage, started)
-        if do_score:
-            survivors = select_top(batch, min(cfg.beam_width, len(batch)), stage)
-            engine.log_select(stage, 0, survivors)
-        else:
-            survivors = batch
-    raise AssertionError("unreachable: empty pipeline rejected by validate()")
+    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism)
+    pipeline = cfg.pipeline
+    survivors = engine.stage_steps(pipeline[:-1], [_ROOT])
+    # After earlier stages the final one extends each survivor once; as the
+    # only stage it draws M candidates, which makes it best-of-M.
+    per_stage = len(survivors) if len(pipeline) > 1 else cfg.candidates_per_stage
+    total, do_score = engine.batch_plan(pipeline[-1], per_stage)
+    return engine.conclude(pipeline[-1:], survivors, total, do_score)
 
 
 def swires(
@@ -777,31 +710,14 @@ def swires(
     conclusion and the best-scoring conclusion is the answer.
     """
     cfg = replace(cfg, strategy=Strategy.SWIRES)
-    cfg.validate()
-    started = time.perf_counter()
-    trace = _make_trace(cfg, question, run_seed, collect_trace)
-    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, trace, parallelism)
-
+    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism)
     pipeline = cfg.pipeline
     start_index = pipeline.index(cfg.retrace_start)
-    prefix_stages = pipeline[:start_index]
     body = pipeline[start_index:-1]
-    final_stage = pipeline[-1]
     pool_stage = body[-1]
 
     # Fixed prefix: generated once, outside the retrace loop.
-    prefix_survivors = [_ROOT]
-    for index, stage in enumerate(prefix_stages):
-        total = _batch_size(cfg, stage, index, len(prefix_survivors))
-        do_score = not (stage is StageKind.SUMMARY and total == 1)
-        batch = engine.expand_and_score(stage, 0, prefix_survivors, total, do_score)
-        if not batch:
-            raise SearchExhaustedError(f"all candidates failed to parse at {stage.name}")
-        if do_score:
-            prefix_survivors = select_top(batch, min(cfg.beam_width, len(batch)), stage)
-            engine.log_select(stage, 0, prefix_survivors)
-        else:
-            prefix_survivors = batch
+    prefix_survivors = engine.stage_steps(pipeline[:start_index], [_ROOT])
 
     cutoff = cfg.cutoff
     pool: list[Candidate] = []
@@ -812,23 +728,22 @@ def swires(
         cleared = 0
         for stage in body[:-1]:
             batch = engine.expand_and_score(
-                stage, pass_index, parents, cfg.candidates_per_stage, True
+                (stage,), pass_index, parents, cfg.candidates_per_stage, True
             )
             if not batch:
                 parents = []
                 break
-            parents = select_top(batch, min(cfg.beam_width, len(batch)), stage)
-            engine.log_select(stage, pass_index, parents)
+            parents = engine.select(stage, pass_index, batch)
         if parents:
             additions = engine.expand_and_score(
-                pool_stage, pass_index, parents, cfg.candidates_per_stage, True
+                (pool_stage,), pass_index, parents, cfg.candidates_per_stage, True
             )
             pool.extend(additions)
             cleared = sum(1 for c in additions if c.stage_scores[pool_stage] > cutoff)
         if cleared >= cfg.min_pass_count:
             break
-        if pass_index + 1 < cfg.max_passes and trace is not None:
-            trace.log(
+        if pass_index + 1 < cfg.max_passes and engine.trace is not None:
+            engine.trace.log(
                 "retrace",
                 {
                     "stage": pool_stage.value,
@@ -843,14 +758,8 @@ def swires(
         raise SearchExhaustedError(
             f"all candidates failed to parse at {pool_stage.name} across all passes"
         )
-    kept = select_top(pool, min(cfg.beam_width, len(pool)), pool_stage)
-    engine.log_select(pool_stage, last_pass, kept)
-
-    conclusions = engine.expand_and_score(final_stage, 0, kept, len(kept), True)
-    if not conclusions:
-        raise SearchExhaustedError(f"all candidates failed to parse at {final_stage.name}")
-    winner = _best(conclusions, final_stage)
-    return engine.finish(winner, final_stage, started)
+    kept = engine.select(pool_stage, last_pass, pool)
+    return engine.conclude(pipeline[-1:], kept, len(kept))
 
 
 def run_strategy(

@@ -284,6 +284,41 @@ def test_datagen_on_sim(tmp_path, capsys):
     assert summary["valid"] == 0
 
 
+_GOOD_RESPONSE = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONING>"
+
+
+@pytest.mark.parametrize(
+    "command, flag, lines, where",
+    [
+        ("bench", "--items", None, "in.jsonl"),
+        ("bench", "--items", ['{"id": "a", "question": "q"}', "{not json"], "in.jsonl:2"),
+        ("scale", "--items", ['{"question": "q"}'], "in.jsonl:1"),
+        ("calibrate", "--corpus", [json.dumps({"response": _GOOD_RESPONSE})], "in.jsonl:1"),
+        ("calibrate", "--corpus", ["", "{not json"], "in.jsonl:2"),
+        ("datagen", "--sources", ['{"id": "s", "question": "q"}'], "in.jsonl:1"),
+        ("datagen", "--sources", None, "in.jsonl"),
+    ],
+)
+def test_bad_input_file_exits_2_naming_file_and_line(
+    tmp_path, capsys, command, flag, lines, where
+):
+    path = tmp_path / "in.jsonl"
+    if lines is not None:
+        path.write_text("\n".join(lines) + "\n")
+    argv = [command, flag, str(path)]
+    if command in ("scale", "datagen"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"{tmp_path / where}" in err
+
+
+def test_negative_reward_std_flag_exits_2(capsys):
+    assert main(["solve", "q", "--reward-std", "-1"]) == EXIT_CONFIG
+    assert "reward_std must be >= 0" in capsys.readouterr().err
+
+
 def test_simcheck_passes(capsys):
     code = main(["simcheck", "--trials", "2000", "--seed", "4"])
     assert code == EXIT_OK

@@ -259,6 +259,24 @@ def test_pipeline_resume_skips_existing_without_new_calls(tmp_path):
     assert len(rows) == 3  # every id appears exactly once
 
 
+def test_pipeline_resume_after_truncated_last_line(tmp_path):
+    # A run killed mid-write leaves an unterminated last line. Resuming
+    # treats that record as absent, regenerates it, and appends cleanly.
+    sources = [SourceRecord(f"s{i}", f"q{i}", "B") for i in range(3)]
+    out = tmp_path / "out.jsonl"
+    judge = ScriptedGenerator(["valid"])
+    run_pipeline(sources[:2], ScriptedGenerator([WELL_FORMED]), judge, out)
+    data = out.read_bytes()
+    out.write_bytes(data[: len(data) - 20])
+    gen = CountingGenerator(ScriptedGenerator([WELL_FORMED]))
+    counts = run_pipeline(sources, gen, judge, out)
+    assert counts["skipped"] == 1
+    assert counts[STATUS_VALID] == 2 == gen.calls
+    assert out.read_bytes().endswith(b"\n")
+    rows = _read_output(out)
+    assert [r["id"] for r in rows] == ["s0", "s1", "s2"]
+
+
 def test_pipeline_status_partition_unique_ids(tmp_path):
     replies = [WELL_FORMED, "junk", TransportError("down")]
     gen = ScriptedGenerator(replies)
