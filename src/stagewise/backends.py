@@ -11,15 +11,19 @@ that only the sim scorer and the oracle grader ever read.
 from __future__ import annotations
 
 import abc
+import http.client
+import json
 import math
+import os
+import select
+import ssl
 import threading
 import time
 from dataclasses import dataclass
 from hashlib import blake2b
 from statistics import NormalDist
 from typing import Mapping, Optional, Union
-
-import requests
+from urllib.parse import urlsplit
 
 from .stages import (
     CANONICAL_ORDER,
@@ -135,26 +139,112 @@ class EndpointConfig:
     backoff_s: float = 1.0
 
     def __post_init__(self) -> None:
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http(s) URL with a host: {self.base_url!r}")
+        url.port  # raises ValueError on a malformed port
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
 
 
-_thread_local = threading.local()
+class _ConnectionPool:
+    """Keep-alive connections to one endpoint, shared by the threads calling it.
+
+    A call takes an idle connection or opens one, so the pool never holds
+    more connections than there were concurrent calls. A connection goes
+    back after its reply is read in full, unless the server said it will
+    close it; any failure closes it.
+    """
+
+    def __init__(self, config: EndpointConfig):
+        url = urlsplit(config.base_url)
+        self.path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if url.scheme == "https":
+            context = ssl.create_default_context()
+            self._open = lambda: http.client.HTTPSConnection(
+                url.hostname, url.port, timeout=config.timeout_s, context=context
+            )
+        else:
+            self._open = lambda: http.client.HTTPConnection(
+                url.hostname, url.port, timeout=config.timeout_s
+            )
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _take(self) -> Optional[http.client.HTTPConnection]:
+        """An idle connection the server has not closed, or None."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    return None
+                conn = self._idle.pop()
+            if not _readable(conn.sock):
+                return conn
+            # An idle keep-alive socket only turns readable when the server
+            # closed it (or broke protocol); either way it cannot carry a request.
+            conn.close()
+
+    def post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        """Send one POST and return the reply's status and body."""
+        conn = self._take()
+        reused = conn is not None
+        if conn is None:
+            conn = self._open()
+        try:
+            try:
+                conn.request("POST", self.path, body, headers)
+                reply = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected is a ConnectionResetError. A reused
+                # connection that fails before any status line arrives was
+                # closed by the server before it read the request, so the
+                # request goes out once more on a fresh connection.
+                if not reused:
+                    raise
+                conn.close()
+                conn = self._open()
+                conn.request("POST", self.path, body, headers)
+                reply = conn.getresponse()
+            data = reply.read()
+        except BaseException:
+            conn.close()
+            raise
+        if reply.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return reply.status, data
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
-def _session() -> requests.Session:
-    session = getattr(_thread_local, "session", None)
-    if session is None:
-        session = requests.Session()
-        _thread_local.session = session
-    return session
+def _readable(sock) -> bool:
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
-def _post_json(config: EndpointConfig, body: dict) -> dict:
-    import os
+def _retryable(status: int) -> bool:
+    """Statuses a later attempt can pass: request timeout, rate limit, server error."""
+    return status in (408, 429) or status >= 500
 
+
+def _post_json(config: EndpointConfig, pool: _ConnectionPool, body: dict) -> dict:
+    try:
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise TransportError(
+            f"request body for {config.base_url} is not valid JSON: {exc}"
+        ) from exc
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(config.token_env, "")
     if token:
@@ -164,23 +254,20 @@ def _post_json(config: EndpointConfig, body: dict) -> dict:
         if attempt > 0:
             time.sleep(config.backoff_s * 4 ** (attempt - 1))
         try:
-            reply = _session().post(
-                config.base_url, json=body, headers=headers, timeout=config.timeout_s
-            )
-            if reply.status_code // 100 != 2:
-                last_error = TransportError(
-                    f"HTTP {reply.status_code} from {config.base_url}"
-                )
-                continue
+            status, reply = pool.post(data, headers)
+        except (OSError, http.client.HTTPException) as exc:
+            last_error = exc
+            continue
+        if status // 100 == 2:
             try:
-                return reply.json()
+                return json.loads(reply)
             except ValueError as exc:
                 raise MalformedReplyError(f"non-JSON reply: {exc}") from exc
-        except requests.RequestException as exc:
-            last_error = exc
+        last_error = TransportError(f"HTTP {status} from {config.base_url}")
+        if not _retryable(status):
+            break
     raise TransportError(
-        f"request to {config.base_url} failed after {config.retries + 1} attempts: "
-        f"{last_error}"
+        f"request to {config.base_url} failed after {attempt + 1} attempts: {last_error}"
     )
 
 
@@ -204,6 +291,11 @@ class HttpGenerator(Generator):
     def __init__(self, config: EndpointConfig, schema: TagSchema = DEFAULT_SCHEMA):
         self.config = config
         self.schema = schema
+        self._pool = _ConnectionPool(config)
+
+    def close(self) -> None:
+        """Close the client's idle keep-alive connections."""
+        self._pool.close()
 
     def generate(self, request: GeneratorRequest) -> str:
         body = {
@@ -217,7 +309,7 @@ class HttpGenerator(Generator):
         if request.seed is not None:
             # Endpoints expect a signed 64-bit value at most.
             body["seed"] = request.seed % (2**63)
-        reply = _post_json(self.config, body)
+        reply = _post_json(self.config, self._pool, body)
         try:
             choice = reply["choices"][0]
             text = choice["message"]["content"] if "message" in choice else choice["text"]
@@ -257,6 +349,11 @@ class HttpRewardScorer(RewardScorer):
     def __init__(self, config: EndpointConfig, schema: TagSchema = DEFAULT_SCHEMA):
         self.config = config
         self.schema = schema
+        self._pool = _ConnectionPool(config)
+
+    def close(self) -> None:
+        """Close the client's idle keep-alive connections."""
+        self._pool.close()
 
     def score(self, request: RewardRequest) -> RewardScore:
         body = {
@@ -264,7 +361,7 @@ class HttpRewardScorer(RewardScorer):
             "question": request.question,
             "response": render_staged(request.trajectory, self.schema),
         }
-        reply = _post_json(self.config, body)
+        reply = _post_json(self.config, self._pool, body)
         try:
             value = float(reply["score"])
         except (KeyError, TypeError, ValueError):

@@ -25,7 +25,7 @@ from .backends import (
     SimWorld,
     SimWorldConfig,
 )
-from .datagen import load_sources, run_pipeline
+from .datagen import load_sources, read_existing_ids, run_pipeline
 from .harness import (
     default_grid,
     grade,
@@ -371,6 +371,8 @@ def cmd_datagen(cfg: AppConfig, args: argparse.Namespace) -> int:
     else:
         judge = generator  # same endpoint serves both roles; sim judges via its oracle
     sources = _read_input(load_sources, args.sources)
+    if not args.no_resume:
+        _read_input(read_existing_ids, args.out)  # reject a corrupt output file before any call
     counts = run_pipeline(sources, generator, judge, args.out, resume=not args.no_resume)
     _summary({"command": "datagen", **counts})
     return EXIT_OK

@@ -233,19 +233,24 @@ def read_existing_ids(path) -> set[str]:
     """Ids of the records already written to ``path``.
 
     An unterminated last line is a record cut short by a killed run; it
-    counts as absent, so its source is generated again.
+    counts as absent, so its source is generated again. A complete line
+    that is not a record with an ``id`` raises ValueError naming its line.
     """
     ids: set[str] = set()
     path = Path(path)
     if not path.exists():
         return ids
     with open(path, "rb") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.endswith(b"\n"):
                 break
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 ids.add(json.loads(line)["id"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad output record: {exc}") from exc
     return ids
 
 

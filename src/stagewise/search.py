@@ -280,6 +280,10 @@ class BudgetLedger:
         return {**self.counts_dict(), "wall_time_s": self.wall_time_s}
 
 
+# Built once: json.dumps with any keyword argument builds a new encoder per call.
+_TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 class SearchTrace:
     """Ordered audit log of every generation, score, selection, and retrace.
 
@@ -298,14 +302,10 @@ class SearchTrace:
         self.events.append(record)
 
     def events_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.events
-        )
+        return "\n".join(map(_TRACE_ENCODER.encode, self.events))
 
     def to_jsonl(self) -> str:
-        head = json.dumps(
-            {"record": "header", **self.header}, sort_keys=True, separators=(",", ":")
-        )
+        head = _TRACE_ENCODER.encode({"record": "header", **self.header})
         body = self.events_jsonl()
         return head + ("\n" + body if body else "")
 

@@ -88,29 +88,56 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
-        self.server.requests.append(
-            {"path": self.path, "headers": dict(self.headers), "body": body}
-        )
         script = self.server.script
-        step = script[min(len(self.server.requests) - 1, len(script) - 1)]
-        status, payload = step
+        with self.server.lock:
+            self.server.requests.append(
+                {
+                    "path": self.path,
+                    "headers": dict(self.headers),
+                    "body": body,
+                    "port": self.client_address[1],
+                }
+            )
+            index = len(self.server.requests) - 1
+        if callable(script):
+            status, payload = script(body)
+        else:
+            status, payload = script[min(index, len(script) - 1)]
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+        if self.server.drop_after_reply:
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
 
 
-class StubServer:
-    """Scripted HTTP endpoint: a list of (status, json_payload) replies."""
+class _KeepAliveStubHandler(_StubHandler):
+    protocol_version = "HTTP/1.1"
 
-    def __init__(self, script):
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+
+class StubServer:
+    """Scripted HTTP endpoint.
+
+    ``script`` is a list of (status, json_payload) replies taken in request
+    order, or a function from the request body to one such reply. The
+    server speaks HTTP/1.0 and closes each connection after its reply;
+    with ``keep_alive`` it speaks HTTP/1.1 and keeps connections open, and
+    with ``drop_after_reply`` as well it closes each one after its reply
+    without announcing it. Each recorded request carries the client port,
+    which tells connections apart.
+    """
+
+    def __init__(self, script, keep_alive=False, drop_after_reply=False):
+        handler = _KeepAliveStubHandler if keep_alive else _StubHandler
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.server.script = script
+        self.server.drop_after_reply = drop_after_reply
+        self.server.lock = threading.Lock()
         self.server.requests = []
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
@@ -133,8 +160,8 @@ class StubServer:
 def stub_server():
     servers = []
 
-    def factory(script):
-        server = StubServer(script)
+    def factory(script, **kwargs):
+        server = StubServer(script, **kwargs)
         servers.append(server)
         return server
 

@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
+import stagewise
 from stagewise.backends import (
     CORRECT_MARK,
     INCORRECT_MARK,
@@ -253,6 +261,37 @@ def test_http_generator_retries_exactly_then_raises(stub_server):
     assert len(server.requests) == 3  # initial attempt + exactly two retries
 
 
+@pytest.mark.parametrize("status", [408, 429])
+def test_http_generator_retries_timeout_and_rate_limit(stub_server, status):
+    server = stub_server(
+        [(status, {"error": "later"}), (200, {"choices": [{"message": {"content": "fine"}}]})]
+    )
+    gen = HttpGenerator(_endpoint(server.url, retries=2))
+    assert gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,))) == "fine"
+    assert len(server.requests) == 2
+
+
+def test_http_generator_client_error_is_not_retried(stub_server):
+    server = stub_server([(404, {"error": "no route"})])
+    gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=5))
+    with pytest.raises(TransportError, match="HTTP 404"):
+        gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,)))
+    assert len(server.requests) == 1
+
+
+def test_http_generator_unencodable_body_is_transport_without_request(stub_server):
+    server = stub_server([(200, {"choices": [{"message": {"content": "ok"}}]})])
+    gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=5))
+    request = GeneratorRequest(
+        question="q",
+        target_stages=(StageKind.SUMMARY,),
+        sampling=SamplingParams(temperature=float("nan")),
+    )
+    with pytest.raises(TransportError, match="not valid JSON"):
+        gen.generate(request)
+    assert server.requests == []
+
+
 def test_http_generator_connection_error_is_transport():
     gen = HttpGenerator(
         EndpointConfig(base_url="http://127.0.0.1:9", retries=0, timeout_s=0.2)
@@ -299,3 +338,86 @@ def test_endpoint_config_validation():
         EndpointConfig(base_url="http://x", timeout_s=0)
     with pytest.raises(ValueError):
         EndpointConfig(base_url="http://x", retries=-1)
+    for url in ("ftp://x/v1", "localhost:8000/v1", "http:///v1", "http://x:port/v1"):
+        with pytest.raises(ValueError):
+            EndpointConfig(base_url=url)
+
+
+# ---------------------------------------------------------------------------
+# HTTP transport: keep-alive connections
+# ---------------------------------------------------------------------------
+
+
+def _echo_question(body):
+    return 200, {"choices": [{"message": {"content": body["messages"][0]["content"]}}]}
+
+
+def _ask(gen, question):
+    return gen.generate(GeneratorRequest(question=question, target_stages=(StageKind.SUMMARY,)))
+
+
+def test_http_sequential_calls_reuse_one_connection(stub_server):
+    server = stub_server(_echo_question, keep_alive=True)
+    gen = HttpGenerator(_endpoint(server.url))
+    try:
+        assert [_ask(gen, f"q{k}") for k in range(5)] == [f"q{k}" for k in range(5)]
+    finally:
+        gen.close()
+    assert len(server.requests) == 5
+    assert len({r["port"] for r in server.requests}) == 1
+
+
+def test_http_server_closing_idle_connections_costs_no_retry(stub_server):
+    # HTTP/1.1 without "Connection: close", yet the server hangs up after
+    # each reply: every reuse finds a dead connection, which must be
+    # replaced without a backoff and without a second request reaching it.
+    server = stub_server(_echo_question, keep_alive=True, drop_after_reply=True)
+    gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=5))
+    started = time.monotonic()
+    try:
+        assert [_ask(gen, f"q{k}") for k in range(3)] == ["q0", "q1", "q2"]
+    finally:
+        gen.close()
+    assert time.monotonic() - started < 2.5
+    assert [r["body"]["messages"][0]["content"] for r in server.requests] == ["q0", "q1", "q2"]
+
+
+def test_http_client_shared_by_threads_matches_each_reply(stub_server):
+    server = stub_server(_echo_question, keep_alive=True)
+    gen = HttpGenerator(_endpoint(server.url))
+    threads_n, calls_n = 8, 10
+    start = threading.Barrier(threads_n)
+    mismatches = []
+
+    def worker(t):
+        start.wait(timeout=10)
+        for k in range(calls_n):
+            question = f"t{t}-{k}"
+            reply = _ask(gen, question)
+            if reply != question:
+                mismatches.append((question, reply))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        gen.close()
+    assert mismatches == []
+    assert len(server.requests) == threads_n * calls_n
+    assert len({r["port"] for r in server.requests}) <= threads_n
+
+
+def test_import_does_not_load_requests():
+    env = {**os.environ, "PYTHONPATH": str(Path(stagewise.__file__).resolve().parents[1])}
+    probe = "import sys, stagewise; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"

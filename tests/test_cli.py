@@ -314,6 +314,19 @@ def test_bad_input_file_exits_2_naming_file_and_line(
     assert f"{tmp_path / where}" in err
 
 
+@pytest.mark.parametrize("bad_line", ['{"id":"s0"', '{"question": "q"}'])
+def test_datagen_resume_into_corrupt_middle_line_exits_2(tmp_path, capsys, bad_line):
+    sources = tmp_path / "sources.jsonl"
+    sources.write_text(json.dumps({"id": "s0", "question": "q", "gold_answer": "B"}) + "\n")
+    out = tmp_path / "generated.jsonl"
+    before = bad_line + "\n" + json.dumps({"id": "s1"}) + "\n"
+    out.write_text(before)
+    assert main(["datagen", "--sources", str(sources), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {out}:1: bad output record")
+    assert out.read_text() == before
+
+
 def test_negative_reward_std_flag_exits_2(capsys):
     assert main(["solve", "q", "--reward-std", "-1"]) == EXIT_CONFIG
     assert "reward_std must be >= 0" in capsys.readouterr().err
