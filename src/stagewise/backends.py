@@ -11,18 +11,15 @@ that only the sim scorer and the oracle grader ever read.
 from __future__ import annotations
 
 import abc
-import http.client
 import json
 import math
 import os
-import select
-import ssl
 import threading
 import time
 from dataclasses import dataclass
 from hashlib import blake2b
 from statistics import NormalDist
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
 from .stages import (
@@ -42,7 +39,13 @@ _STD_NORMAL = NormalDist()
 
 
 class BackendError(Exception):
-    """Base class for backend failures."""
+    """Base class for backend failures.
+
+    Raised out of a search, it carries that search's ``BudgetLedger`` as
+    ``ledger``: every backend call started before it, the failing one too.
+    """
+
+    ledger = None
 
 
 class TransportError(BackendError):
@@ -53,10 +56,33 @@ class MalformedReplyError(BackendError):
     """The endpoint replied but the reply carries no usable content."""
 
 
+def _seed_key(parts: Sequence[str]) -> bytes:
+    """The bytes a seed is hashed from: its parts joined by ``|``."""
+    return "|".join(parts).encode("utf-8")
+
+
 def stable_u64(*parts: str) -> int:
     """Keyed 64-bit value from a tuple of string parts; stable across runs."""
-    h = blake2b("|".join(parts).encode("utf-8"), digest_size=8)
+    h = blake2b(_seed_key(parts), digest_size=8)
     return int.from_bytes(h.digest(), "big")
+
+
+def stable_u64_prefix(*prefix: str) -> Callable[..., int]:
+    """``stable_u64`` with its leading parts fixed, for seeds derived in bulk.
+
+    ``stable_u64_prefix(*a)(*b) == stable_u64(*a, *b)`` for any non-empty
+    ``b``. The fixed parts are hashed once; each call copies that state and
+    hashes only its own parts.
+    """
+    # Keying an empty last part appends the separator that precedes ``b``.
+    head = blake2b(_seed_key(prefix + ("",)), digest_size=8)
+
+    def derive(*rest: str) -> int:
+        h = head.copy()
+        h.update(_seed_key(rest))
+        return int.from_bytes(h.digest(), "big")
+
+    return derive
 
 
 def text_digest(text: str) -> str:
@@ -159,9 +185,14 @@ class _ConnectionPool:
     """
 
     def __init__(self, config: EndpointConfig):
+        # The HTTP stack loads with the first client, so sim-only runs skip it.
+        import http.client
+
         url = urlsplit(config.base_url)
         self.path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         if url.scheme == "https":
+            import ssl
+
             context = ssl.create_default_context()
             self._open = lambda: http.client.HTTPSConnection(
                 url.hostname, url.port, timeout=config.timeout_s, context=context
@@ -226,6 +257,8 @@ class _ConnectionPool:
 
 
 def _readable(sock) -> bool:
+    import select
+
     if hasattr(select, "poll"):
         poller = select.poll()
         poller.register(sock, select.POLLIN)
@@ -239,6 +272,8 @@ def _retryable(status: int) -> bool:
 
 
 def _post_json(config: EndpointConfig, pool: _ConnectionPool, body: dict) -> dict:
+    import http.client
+
     try:
         data = json.dumps(body, allow_nan=False).encode("utf-8")
     except ValueError as exc:
@@ -447,6 +482,11 @@ class SimWorldConfig:
         return cls(**kwargs)
 
 
+def _unit(value: int) -> float:
+    """A 64-bit hash value as a uniform draw in (0, 1)."""
+    return (value + 0.5) / _TWO64
+
+
 class SimWorld(Generator, RewardScorer):
     """Deterministic generator + scorer over a latent-correctness world.
 
@@ -455,14 +495,16 @@ class SimWorld(Generator, RewardScorer):
     thread schedules reproduce identical bytes. A request with empty
     ``target_stages`` is treated as a judge-style completion and answers
     "valid"/"invalid" from the correctness mark embedded in the prompt.
+    The hash keys are built from ``config.rng_seed`` at construction, so
+    a world with another config is a new ``SimWorld``.
     """
 
     def __init__(self, config: SimWorldConfig = SimWorldConfig(), schema: TagSchema = DEFAULT_SCHEMA):
         self.config = config
         self.schema = schema
-
-    def _uniform(self, *parts: str) -> float:
-        return (stable_u64(str(self.config.rng_seed), *parts) + 0.5) / _TWO64
+        # Draws hash (rng_seed, "gen" or "score", ...); the first two parts are fixed.
+        self._gen_u64 = stable_u64_prefix(str(config.rng_seed), "gen")
+        self._score_u64 = stable_u64_prefix(str(config.rng_seed), "score")
 
     def generate(self, request: GeneratorRequest) -> str:
         if not request.target_stages:
@@ -474,15 +516,22 @@ class SimWorld(Generator, RewardScorer):
                 render_staged(request.prior_stages, self.schema),
                 request.target_stages[0].value,
             )
-        all_ok = all(oracle_correct(b.text) for b in request.prior_stages.blocks)
+        all_ok = True
+        for block in request.prior_stages.blocks:
+            if not oracle_correct(block.text):
+                all_ok = False
+                break
+        seed_text = str(seed)
+        seed_hex = f"{seed & 0xFFFFFFFFFFFFFFFF:016x}"
+        schema = self.schema
         parts = []
         for i, kind in enumerate(request.target_stages):
-            p = self.config.success[kind] if all_ok else self.config.recovery[kind]
-            stage_ok = self._uniform("gen", str(seed), str(i)) < p
+            p = (self.config.success if all_ok else self.config.recovery)[kind]
+            stage_ok = _unit(self._gen_u64(seed_text, str(i))) < p
             all_ok = all_ok and stage_ok
             mark = CORRECT_MARK if stage_ok else INCORRECT_MARK
-            text = f"{kind.value} {seed & 0xFFFFFFFFFFFFFFFF:016x}-{i} {mark}"
-            parts.append(f"{self.schema.open(kind)}{text}{self.schema.close(kind)}")
+            text = f"{kind.value} {seed_hex}-{i} {mark}"
+            parts.append(f"{schema.open(kind)}{text}{schema.close(kind)}")
         return _truncate_at_stop("\n".join(parts), request.sampling.stop)
 
     def score(self, request: RewardRequest) -> RewardScore:
@@ -495,6 +544,6 @@ class SimWorld(Generator, RewardScorer):
             else self.config.mean_incorrect
         )
         if self.config.noise_std > 0:
-            u = self._uniform("score", last.text)
+            u = _unit(self._score_u64(last.text))
             value += self.config.noise_std * _STD_NORMAL.inv_cdf(u)
         return value

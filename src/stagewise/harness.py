@@ -174,8 +174,9 @@ def run_benchmark(
     """Run every item under one strategy configuration and grade the answers.
 
     Per-item seeds derive from (run seed, item id), so results do not depend
-    on execution order. Backend failures are recorded per item and counted
-    incorrect; the run continues.
+    on execution order. Backend and search failures are recorded per item
+    and counted incorrect, with the calls the search made before it failed
+    in the record and the totals; the run continues.
     """
     selected = filter_items(items, categories)
     if not selected:
@@ -208,6 +209,12 @@ def run_benchmark(
             )
         except (BackendError, SearchError) as exc:
             record.error = f"{type(exc).__name__}: {exc}"
+            if exc.ledger is not None:
+                # The calls made before the failure still count.
+                record.generator_calls = exc.ledger.generator_calls
+                record.reward_calls = exc.ledger.reward_calls
+                record.wall_time_s = exc.ledger.wall_time_s
+                totals.add(exc.ledger)
             records.append(record)
             continue
         record.conclusion = result.final_text

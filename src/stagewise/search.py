@@ -19,19 +19,23 @@ from __future__ import annotations
 
 import enum
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from statistics import fmean, stdev
 from typing import Callable, Optional, Sequence
 
 from .backends import (
+    BackendError,
     Generator,
     GeneratorRequest,
     RewardRequest,
     RewardScorer,
     SamplingParams,
-    stable_u64,
+    stable_u64,  # noqa: F401  (perfbench's tracer patches search.stable_u64)
+    stable_u64_prefix,
     text_digest,
 )
 from .stages import (
@@ -50,7 +54,13 @@ NEG_INF = float("-inf")
 
 
 class SearchError(Exception):
-    """Base class for search failures."""
+    """Base class for search failures.
+
+    A failure raised while a search runs carries that search's
+    ``BudgetLedger`` as ``ledger``: every backend call started before it.
+    """
+
+    ledger = None
 
 
 class ConfigError(SearchError):
@@ -388,24 +398,34 @@ class _Engine:
         self.generator = generator
         self.reward = reward
         self.image_ref = image_ref
-        self.run_seed = run_seed
         self.parallelism = max(1, parallelism)
         self.whole_response = cfg.strategy is Strategy.BEST_OF_N
         self.qdigest = text_digest(question)
         self.trace = _make_trace(cfg, self.qdigest, run_seed) if collect_trace else None
         self.ledger = BudgetLedger()
+        self._tally_lock = threading.Lock()
         self._seq = 0
+        self._seed = stable_u64_prefix(str(run_seed), self.qdigest)
+
+    def __enter__(self) -> "_Engine":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """Attach the ledger so far to a failure, so its caller can record it."""
+        if isinstance(exc, (BackendError, SearchError)):
+            self.ledger.wall_time_s = time.perf_counter() - self.started
+            exc.ledger = self.ledger
 
     def call_seed(self, stage: StageKind, pass_index: int, slot: int) -> int:
-        return stable_u64(
-            str(self.run_seed), self.qdigest, stage.value, str(pass_index), str(slot)
-        )
+        """stable_u64(run seed, question digest, stage, pass, slot)."""
+        return self._seed(stage.value, str(pass_index), str(slot))
 
-    def run_calls(self, fns: list[Callable]) -> list:
-        if self.parallelism > 1 and len(fns) > 1:
-            with ThreadPoolExecutor(max_workers=min(self.parallelism, len(fns))) as pool:
-                return list(pool.map(lambda f: f(), fns))
-        return [fn() for fn in fns]
+    def run_calls(self, fn: Callable, items: list) -> list:
+        """``fn`` of each item, in item order; concurrently up to ``parallelism``."""
+        if self.parallelism > 1 and len(items) > 1:
+            with ThreadPoolExecutor(max_workers=min(self.parallelism, len(items))) as pool:
+                return list(pool.map(fn, items))
+        return [fn(item) for item in items]
 
     def batch_plan(self, stage: StageKind, total: int) -> tuple[int, bool]:
         """Batch size and whether to score it for a pass-0 pipeline stage.
@@ -417,6 +437,21 @@ class _Engine:
             total = self.cfg.summary_candidates
             return total, total > 1
         return total, True
+
+    # Each backend call is tallied as it starts, so the ledger of a search
+    # that fails partway still counts every call made, the failing one too.
+
+    def _generate(self, label: str, request: GeneratorRequest) -> str:
+        with self._tally_lock:
+            self.ledger.tally_generate(label)
+        return self.generator.generate(request)
+
+    def _score(self, label: str, candidate: Candidate) -> float:
+        with self._tally_lock:
+            self.ledger.tally_score(label)
+        return self.reward.score(
+            RewardRequest(self.question, candidate.trajectory, self.image_ref)
+        )
 
     # -- the one generate/parse/score step ---------------------------------
 
@@ -475,13 +510,10 @@ class _Engine:
             )
             for slot, parent in enumerate(assignments)
         ]
-        raws = self.run_calls(
-            [lambda r=req: self.generator.generate(r) for req in requests]
-        )
+        raws = self.run_calls(partial(self._generate, label), requests)
 
         produced: list[tuple[int, Optional[Candidate], Optional[str]]] = []
         for slot, (parent, raw) in enumerate(zip(assignments, raws)):
-            self.ledger.tally_generate(label)
             birth = (pass_index, self._seq)
             self._seq += 1
             parse_error: Optional[str] = None
@@ -509,14 +541,7 @@ class _Engine:
         if not do_score:
             return scorable
 
-        values = self.run_calls(
-            [
-                lambda c=cand: self.reward.score(
-                    RewardRequest(self.question, c.trajectory, self.image_ref)
-                )
-                for cand in scorable
-            ]
-        )
+        values = self.run_calls(partial(self._score, label), scorable)
         scored = iter(zip(scorable, values))
         for slot, candidate, parse_error in produced:
             if candidate is None:
@@ -534,7 +559,6 @@ class _Engine:
                 continue
             cand, value = next(scored)
             assert cand is candidate
-            self.ledger.tally_score(label)
             candidate.stage_scores[score_stage] = value
             if self.trace is not None:
                 self.trace.log(
@@ -634,6 +658,11 @@ def _make_trace(cfg: SearchConfig, question_digest: str, run_seed: int) -> Searc
 # ---------------------------------------------------------------------------
 
 
+def _with_strategy(cfg: SearchConfig, strategy: Strategy) -> SearchConfig:
+    """``cfg`` set to ``strategy``: the same object when it already is."""
+    return cfg if cfg.strategy is strategy else replace(cfg, strategy=strategy)
+
+
 def best_of_n(
     question: str,
     n: int,
@@ -653,9 +682,9 @@ def best_of_n(
     """
     if n < 1:
         raise ConfigError("best_of_n requires n >= 1")
-    cfg = replace(cfg or SearchConfig(), strategy=Strategy.BEST_OF_N)
-    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism)
-    return engine.conclude(cfg.pipeline, [_ROOT], n)
+    cfg = _with_strategy(cfg or SearchConfig(), Strategy.BEST_OF_N)
+    with _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism) as engine:
+        return engine.conclude(cfg.pipeline, [_ROOT], n)
 
 
 def stage_wise_beam(
@@ -676,15 +705,15 @@ def stage_wise_beam(
     distributed over the current survivors; the final stage extends each
     survivor once and the highest-scoring conclusion wins.
     """
-    cfg = replace(cfg, strategy=Strategy.STAGE_BEAM)
-    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism)
+    cfg = _with_strategy(cfg, Strategy.STAGE_BEAM)
     pipeline = cfg.pipeline
-    survivors = engine.stage_steps(pipeline[:-1], [_ROOT])
-    # After earlier stages the final one extends each survivor once; as the
-    # only stage it draws M candidates, which makes it best-of-M.
-    per_stage = len(survivors) if len(pipeline) > 1 else cfg.candidates_per_stage
-    total, do_score = engine.batch_plan(pipeline[-1], per_stage)
-    return engine.conclude(pipeline[-1:], survivors, total, do_score)
+    with _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism) as engine:
+        survivors = engine.stage_steps(pipeline[:-1], [_ROOT])
+        # After earlier stages the final one extends each survivor once; as
+        # the only stage it draws M candidates, which makes it best-of-M.
+        per_stage = len(survivors) if len(pipeline) > 1 else cfg.candidates_per_stage
+        total, do_score = engine.batch_plan(pipeline[-1], per_stage)
+        return engine.conclude(pipeline[-1:], survivors, total, do_score)
 
 
 def swires(
@@ -709,57 +738,57 @@ def swires(
     ``retrace_limit``. The top N pooled reasonings each generate one
     conclusion and the best-scoring conclusion is the answer.
     """
-    cfg = replace(cfg, strategy=Strategy.SWIRES)
-    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism)
-    pipeline = cfg.pipeline
-    start_index = pipeline.index(cfg.retrace_start)
-    body = pipeline[start_index:-1]
-    pool_stage = body[-1]
+    cfg = _with_strategy(cfg, Strategy.SWIRES)
+    with _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism) as engine:
+        pipeline = cfg.pipeline
+        start_index = pipeline.index(cfg.retrace_start)
+        body = pipeline[start_index:-1]
+        pool_stage = body[-1]
 
-    # Fixed prefix: generated once, outside the retrace loop.
-    prefix_survivors = engine.stage_steps(pipeline[:start_index], [_ROOT])
+        # Fixed prefix: generated once, outside the retrace loop.
+        prefix_survivors = engine.stage_steps(pipeline[:start_index], [_ROOT])
 
-    cutoff = cfg.cutoff
-    pool: list[Candidate] = []
-    last_pass = 0
-    for pass_index in range(cfg.max_passes):
-        last_pass = pass_index
-        parents = prefix_survivors
-        cleared = 0
-        for stage in body[:-1]:
-            batch = engine.expand_and_score(
-                (stage,), pass_index, parents, cfg.candidates_per_stage, True
-            )
-            if not batch:
-                parents = []
+        cutoff = cfg.cutoff
+        pool: list[Candidate] = []
+        last_pass = 0
+        for pass_index in range(cfg.max_passes):
+            last_pass = pass_index
+            parents = prefix_survivors
+            cleared = 0
+            for stage in body[:-1]:
+                batch = engine.expand_and_score(
+                    (stage,), pass_index, parents, cfg.candidates_per_stage, True
+                )
+                if not batch:
+                    parents = []
+                    break
+                parents = engine.select(stage, pass_index, batch)
+            if parents:
+                additions = engine.expand_and_score(
+                    (pool_stage,), pass_index, parents, cfg.candidates_per_stage, True
+                )
+                pool.extend(additions)
+                cleared = sum(1 for c in additions if c.stage_scores[pool_stage] > cutoff)
+            if cleared >= cfg.min_pass_count:
                 break
-            parents = engine.select(stage, pass_index, batch)
-        if parents:
-            additions = engine.expand_and_score(
-                (pool_stage,), pass_index, parents, cfg.candidates_per_stage, True
-            )
-            pool.extend(additions)
-            cleared = sum(1 for c in additions if c.stage_scores[pool_stage] > cutoff)
-        if cleared >= cfg.min_pass_count:
-            break
-        if pass_index + 1 < cfg.max_passes and engine.trace is not None:
-            engine.trace.log(
-                "retrace",
-                {
-                    "stage": pool_stage.value,
-                    "pass": pass_index,
-                    "threshold": cutoff,
-                    "cleared": cleared,
-                    "required": cfg.min_pass_count,
-                },
-            )
+            if pass_index + 1 < cfg.max_passes and engine.trace is not None:
+                engine.trace.log(
+                    "retrace",
+                    {
+                        "stage": pool_stage.value,
+                        "pass": pass_index,
+                        "threshold": cutoff,
+                        "cleared": cleared,
+                        "required": cfg.min_pass_count,
+                    },
+                )
 
-    if not pool:
-        raise SearchExhaustedError(
-            f"all candidates failed to parse at {pool_stage.name} across all passes"
-        )
-    kept = engine.select(pool_stage, last_pass, pool)
-    return engine.conclude(pipeline[-1:], kept, len(kept))
+        if not pool:
+            raise SearchExhaustedError(
+                f"all candidates failed to parse at {pool_stage.name} across all passes"
+            )
+        kept = engine.select(pool_stage, last_pass, pool)
+        return engine.conclude(pipeline[-1:], kept, len(kept))
 
 
 def run_strategy(

@@ -9,6 +9,7 @@ errors, never silently repaired.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -18,6 +19,10 @@ class StageKind(enum.Enum):
     CAPTION = "caption"
     REASONING = "reasoning"
     CONCLUSION = "conclusion"
+
+    # Members are singletons, so identity hashing is exact, and it skips the
+    # Python-level Enum.__hash__ on every enum-keyed dict lookup.
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -71,11 +76,17 @@ class TagSchema:
     """Open/close tag strings per stage.
 
     Defaults are the fixed-case tags the generation prompts use. No tag may
-    be a substring of another, which keeps the left-to-right scan unambiguous.
+    be a substring of another, which keeps the left-to-right scan unambiguous:
+    at most one tag matches at any offset. The parser's tables are built from
+    the tag dicts once, at construction, so the dicts must not be mutated
+    afterwards.
     """
 
     open_tags: dict[StageKind, str] = field(default_factory=_default_open_tags)
     close_tags: dict[StageKind, str] = field(default_factory=_default_close_tags)
+    # Open tag -> (stage, its close tag), and one pattern matching any tag.
+    _opening: dict[str, tuple[StageKind, str]] = field(init=False, repr=False, compare=False)
+    _scanner: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for mapping in (self.open_tags, self.close_tags):
@@ -90,6 +101,9 @@ class TagSchema:
             for b in tags:
                 if a != b and a in b:
                     raise ValueError(f"tag {a!r} is a substring of tag {b!r}")
+        opening = {self.open_tags[k]: (k, self.close_tags[k]) for k in CANONICAL_ORDER}
+        object.__setattr__(self, "_opening", opening)
+        object.__setattr__(self, "_scanner", re.compile("|".join(map(re.escape, tags))))
 
     def open(self, kind: StageKind) -> str:
         return self.open_tags[kind]
@@ -145,6 +159,9 @@ class StagedResponse:
 
 EMPTY_RESPONSE = StagedResponse()
 
+# str.isspace and the \s class agree on every code point.
+_NON_SPACE = re.compile(r"\S")
+
 
 def parse_staged(
     text: str,
@@ -167,8 +184,9 @@ def parse_staged(
         MissingStageError: require_complete and fewer blocks than expected.
     """
     order = tuple(expected_order)
-    opens = {schema.open(kind): kind for kind in CANONICAL_ORDER}
-    all_tags = schema.all_tags()
+    match_tag = schema._scanner.match
+    find_tag = schema._scanner.search
+    opening = schema._opening
 
     blocks: list[StageBlock] = []
     prev_pos = -1
@@ -176,28 +194,25 @@ def parse_staged(
     n = len(text)
     while i < n:
         if text[i].isspace():
-            i += 1
-            continue
-        kind = None
-        for tag, k in opens.items():
-            if text.startswith(tag, i):
-                kind = k
+            rest = _NON_SPACE.search(text, i)
+            if rest is None:
                 break
-        if kind is None:
+            i = rest.start()
+        # A block must open right here; a close tag here is stray text too.
+        tag = match_tag(text, i)
+        entry = opening.get(tag.group()) if tag is not None else None
+        if entry is None:
             snippet = text[i : i + 24]
             raise StrayTextError(f"stray text at offset {i}: {snippet!r}")
-        body_start = i + len(schema.open(kind))
-        close = schema.close(kind)
+        kind, close = entry
+        body_start = tag.end()
         # The matching close tag must be the next tag of any kind; an
-        # intervening tag means the block was never properly closed.
-        next_pos, next_tag = -1, ""
-        for tag in all_tags:
-            p = text.find(tag, body_start)
-            if p != -1 and (next_pos == -1 or p < next_pos):
-                next_pos, next_tag = p, tag
-        if next_pos == -1 or next_tag != close:
+        # intervening tag means the block was never properly closed. At most
+        # one tag matches at any offset, so the leftmost match is that tag.
+        next_tag = find_tag(text, body_start)
+        if next_tag is None or next_tag.group() != close:
             raise UnbalancedTagError(
-                f"{schema.open(kind)} at offset {i} has no matching {close}"
+                f"{tag.group()} at offset {i} has no matching {close}"
             )
         if kind not in order:
             raise OutOfOrderError(f"stage {kind.name} is not expected here")
@@ -207,8 +222,8 @@ def parse_staged(
                 f"stage {kind.name} repeats or appears after a later stage"
             )
         prev_pos = pos
-        blocks.append(StageBlock(kind, text[body_start:next_pos].strip()))
-        i = next_pos + len(close)
+        blocks.append(StageBlock(kind, text[body_start : next_tag.start()].strip()))
+        i = next_tag.end()
 
     if require_complete and len(blocks) < len(order):
         seen = {b.kind for b in blocks}

@@ -139,7 +139,10 @@ class StubServer:
         self.server.drop_after_reply = drop_after_reply
         self.server.lock = threading.Lock()
         self.server.requests = []
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # A short poll keeps shutdown() from waiting out the default 0.5 s.
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self.thread.start()
 
     @property

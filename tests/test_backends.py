@@ -23,6 +23,7 @@ from stagewise.backends import (
     TransportError,
     oracle_correct,
     stable_u64,
+    stable_u64_prefix,
 )
 from stagewise.stages import (
     CANONICAL_ORDER,
@@ -421,3 +422,19 @@ def test_import_does_not_load_requests():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_does_not_load_http_stack():
+    env = {**os.environ, "PYTHONPATH": str(Path(stagewise.__file__).resolve().parents[1])}
+    probe = "import sys, stagewise; print(sorted({'http.client', 'ssl'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_stable_u64_prefix_equals_stable_u64():
+    for prefix in [(), ("7",), ("7", "gen"), ("", "a|b"), ("é", "日本", "")]:
+        derive = stable_u64_prefix(*prefix)
+        for rest in [("x",), ("", ""), ("caption", "0", "3"), ("a|b",)]:
+            assert derive(*rest) == stable_u64(*prefix, *rest), (prefix, rest)

@@ -1,8 +1,9 @@
 import json
+import threading
 
 import pytest
 
-from stagewise.backends import SimWorld, SimWorldConfig, TransportError
+from stagewise.backends import Generator, RewardScorer, SimWorld, SimWorldConfig, TransportError
 from stagewise.harness import (
     BEAM_CANDIDATE_GRID,
     BEST_OF_N_GRID,
@@ -27,7 +28,7 @@ from stagewise.harness import (
     sample_calibration_corpus,
     scaling_experiment,
 )
-from stagewise.search import SearchConfig, Strategy, calibrate
+from stagewise.search import SearchConfig, SearchExhaustedError, Strategy, calibrate, swires
 from stagewise.stages import StageKind
 
 from conftest import ScriptedGenerator, ScriptedScorer
@@ -147,6 +148,97 @@ def test_run_benchmark_backend_failure_counts_incorrect():
     )
     assert result.accuracy == 0.0
     assert all(r.error for r in result.records)
+
+
+class _LockedCounter:
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def next(self) -> int:
+        with self._lock:
+            self.calls += 1
+            return self.calls
+
+
+class _CountingGenerator(Generator):
+    """Counts calls across threads; appends an unclosed tag at ``corrupt``."""
+
+    def __init__(self, inner, corrupt=None):
+        self.inner = inner
+        self.corrupt = corrupt
+        self.counter = _LockedCounter()
+
+    def generate(self, request):
+        self.counter.next()
+        raw = self.inner.generate(request)
+        if request.target_stages == (self.corrupt,):
+            raw += " <CAPTION>"
+        return raw
+
+
+class _FailingScorer(RewardScorer):
+    """Counts calls across threads and raises TransportError on call ``k``."""
+
+    def __init__(self, inner, k):
+        self.inner = inner
+        self.k = k
+        self.counter = _LockedCounter()
+
+    def score(self, request):
+        if self.counter.next() == self.k:
+            raise TransportError("scorer down")
+        return self.inner.score(request)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_run_benchmark_failed_search_records_calls_made(parallelism):
+    # Default SWIRES: 1 summary, then 4 captions generated and scored, then
+    # 4 reasonings generated; the 6th reward call is the 2nd reasoning score.
+    sim = SimWorld(SimWorldConfig())
+    gen = _CountingGenerator(sim)
+    scorer = _FailingScorer(sim, k=6)
+    result = run_benchmark(
+        make_sim_items(2), SearchConfig(), gen, scorer, grader=oracle_grade, parallelism=parallelism
+    )
+    failed, passed = result.records
+    assert failed.error == "TransportError: scorer down"
+    assert passed.error is None and passed.correct
+    assert failed.generator_calls == 9
+    if parallelism == 1:
+        assert failed.reward_calls == 6
+    else:
+        # The reasoning scores run together; each call that started counts.
+        assert 6 <= failed.reward_calls <= 8
+    assert failed.generator_calls + passed.generator_calls == gen.counter.calls
+    assert failed.reward_calls + passed.reward_calls == scorer.counter.calls
+    assert result.ledger.generator_calls == gen.counter.calls
+    assert result.ledger.reward_calls == scorer.counter.calls
+
+
+def test_run_benchmark_exhausted_search_records_calls_made():
+    # Every reasoning fails to parse, so each of the 3 passes generates and
+    # scores 4 captions and generates 4 reasonings, after 1 summary.
+    sim = SimWorld(SimWorldConfig())
+    gen = _CountingGenerator(sim, corrupt=StageKind.REASONING)
+    scorer = _FailingScorer(sim, k=0)
+    result = run_benchmark(make_sim_items(1), SearchConfig(), gen, scorer, grader=oracle_grade)
+    (record,) = result.records
+    assert record.error == (
+        "SearchExhaustedError: all candidates failed to parse at REASONING across all passes"
+    )
+    assert (record.generator_calls, record.reward_calls) == (25, 12)
+    assert (gen.counter.calls, scorer.counter.calls) == (25, 12)
+    assert (result.ledger.generator_calls, result.ledger.reward_calls) == (25, 12)
+
+    with pytest.raises(SearchExhaustedError) as info:
+        swires("q", SearchConfig(), _CountingGenerator(sim, corrupt=StageKind.REASONING), sim)
+    assert info.value.ledger.counts_dict() == {
+        "generator_calls": 25,
+        "reward_calls": 12,
+        "generator_by_stage": {"summary": 1, "caption": 12, "reasoning": 12},
+        "reward_by_stage": {"caption": 12},
+    }
 
 
 def test_run_benchmark_ungradable_flagged():

@@ -206,3 +206,133 @@ def test_staged_response_helpers():
     assert EMPTY_RESPONSE.final_text == ""
     grown = EMPTY_RESPONSE.append(StageBlock(StageKind.SUMMARY, "s"))
     assert grown.kinds == (StageKind.SUMMARY,)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the string-scanning parser the scanner replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_parse_staged(
+    text, schema=DEFAULT_SCHEMA, require_complete=False, expected_order=CANONICAL_ORDER
+):
+    """``parse_staged`` as it was before the precompiled scanner, kept verbatim."""
+    order = tuple(expected_order)
+    opens = {schema.open(kind): kind for kind in CANONICAL_ORDER}
+    all_tags = schema.all_tags()
+
+    blocks = []
+    prev_pos = -1
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        kind = None
+        for tag, k in opens.items():
+            if text.startswith(tag, i):
+                kind = k
+                break
+        if kind is None:
+            snippet = text[i : i + 24]
+            raise StrayTextError(f"stray text at offset {i}: {snippet!r}")
+        body_start = i + len(schema.open(kind))
+        close = schema.close(kind)
+        next_pos, next_tag = -1, ""
+        for tag in all_tags:
+            p = text.find(tag, body_start)
+            if p != -1 and (next_pos == -1 or p < next_pos):
+                next_pos, next_tag = p, tag
+        if next_pos == -1 or next_tag != close:
+            raise UnbalancedTagError(
+                f"{schema.open(kind)} at offset {i} has no matching {close}"
+            )
+        if kind not in order:
+            raise OutOfOrderError(f"stage {kind.name} is not expected here")
+        pos = order.index(kind)
+        if pos <= prev_pos:
+            raise OutOfOrderError(
+                f"stage {kind.name} repeats or appears after a later stage"
+            )
+        prev_pos = pos
+        blocks.append(StageBlock(kind, text[body_start:next_pos].strip()))
+        i = next_pos + len(close)
+
+    if require_complete and len(blocks) < len(order):
+        seen = {b.kind for b in blocks}
+        missing = ", ".join(k.name for k in order if k not in seen)
+        raise MissingStageError(f"incomplete response; missing {missing}")
+    return StagedResponse(tuple(blocks))
+
+
+_S, _C, _R, _F = CANONICAL_ORDER
+
+# Tags that do not start with "<" and carry regex metacharacters; and tags
+# that start with whitespace. Between blocks the scan skips whitespace
+# before it looks for an open tag, so a CAPTION block can never open here.
+_PUNCT_SCHEMA = TagSchema(
+    open_tags={_S: "{{S", _C: "(C)*", _R: "R+?|", _F: "$F^"},
+    close_tags={_S: "S}}", _C: "*(c)", _R: "|?+r", _F: "^f$"},
+)
+_SPACED_SCHEMA = TagSchema(
+    open_tags={_S: "@s", _C: " @c", _R: "@r", _F: "@f"},
+    close_tags={_S: "　s@", _C: "c@", _R: "\tr@", _F: "f@"},
+)
+
+_WHITESPACE = (" ", "\n", "\t", "\r\n", "\x0b", "\x1c", "\x85", "\xa0", " ", " ", "　")
+_STRAY = ("x", "abc", "<", ">", "</", "<<", "SUMMARY", "[[sim::ok]]", "é", "日本", "​", "{", "$")
+_ORDERS = (
+    CANONICAL_ORDER,
+    (_R,),
+    (_F,),
+    (_S, _F),
+    (_C, _R, _F),
+    (_F, _R, _C, _S),
+)
+
+
+def _fragment(rng: random.Random, schema: TagSchema) -> str:
+    tags = schema.all_tags()
+    roll = rng.random()
+    if roll < 0.3:
+        kind = rng.choice(CANONICAL_ORDER)
+        inner = "".join(rng.choice(("", "text ", "1.5", " ", "\n", " ")) for _ in range(rng.randint(0, 3)))
+        return f"{schema.open(kind)}{inner}{schema.close(kind)}"
+    if roll < 0.5:
+        return rng.choice(tags)
+    if roll < 0.65:
+        # Half of a tag; a later fragment may complete it across the join.
+        tag = rng.choice(tags)
+        cut = rng.randint(1, len(tag) - 1)
+        return tag[:cut] if rng.random() < 0.5 else tag[cut:]
+    if roll < 0.85:
+        return "".join(rng.choice(_WHITESPACE) for _ in range(rng.randint(1, 3)))
+    if roll < 0.95:
+        return rng.choice(_STRAY)
+    return rng.choice(tags).lower()
+
+
+def _outcome(parse, text, schema, require_complete, order):
+    try:
+        return ("ok", parse(text, schema, require_complete=require_complete, expected_order=order))
+    except StageFormatError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize(
+    "schema", [DEFAULT_SCHEMA, _PUNCT_SCHEMA, _SPACED_SCHEMA], ids=["default", "punct", "spaced"]
+)
+def test_parser_matches_reference_on_generated_corpus(schema):
+    rng = random.Random(20241)
+    seen = set()
+    for _ in range(2000):
+        text = "".join(_fragment(rng, schema) for _ in range(rng.randint(0, 8)))
+        for require_complete in (False, True):
+            for order in _ORDERS:
+                want = _outcome(_reference_parse_staged, text, schema, require_complete, order)
+                got = _outcome(parse_staged, text, schema, require_complete, order)
+                assert got == want, (text, require_complete, order)
+                seen.add(want[0])
+    # The corpus reaches every outcome, not just the easy ones.
+    assert seen == {"ok", StrayTextError, UnbalancedTagError, OutOfOrderError, MissingStageError}
