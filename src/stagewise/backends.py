@@ -154,7 +154,8 @@ class EndpointConfig:
     The auth token is read from the environment variable named by
     ``token_env``, never from configuration files. Retries back off at
     ``backoff_s`` seconds, quadrupling per attempt (1 s then 4 s at the
-    defaults).
+    defaults). A retried reply with ``Retry-After`` in whole seconds waits
+    that long instead, at most ``RETRY_AFTER_CAP_S``.
     """
 
     base_url: str
@@ -217,8 +218,8 @@ class _ConnectionPool:
             # closed it (or broke protocol); either way it cannot carry a request.
             conn.close()
 
-    def post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
-        """Send one POST and return the reply's status and body."""
+    def post(self, body: bytes, headers: dict) -> tuple[int, Mapping[str, str], bytes]:
+        """Send one POST and return the reply's status, headers and body."""
         conn = self._take()
         reused = conn is not None
         if conn is None:
@@ -247,7 +248,7 @@ class _ConnectionPool:
         else:
             with self._lock:
                 self._idle.append(conn)
-        return reply.status, data
+        return reply.status, reply.headers, data
 
     def close(self) -> None:
         with self._lock:
@@ -271,6 +272,23 @@ def _retryable(status: int) -> bool:
     return status in (408, 429) or status >= 500
 
 
+# Longest wait a Retry-After header can impose before the next attempt.
+RETRY_AFTER_CAP_S = 60
+
+
+def _retry_after_s(value: Optional[str]) -> Optional[int]:
+    """The capped wait a ``Retry-After`` value asks for, if it is delay-seconds.
+
+    An HTTP-date or any other form gives None, and the caller backs off as usual.
+    """
+    if value is None:
+        return None
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(int(value), RETRY_AFTER_CAP_S)
+
+
 def _post_json(config: EndpointConfig, pool: _ConnectionPool, body: dict) -> dict:
     import http.client
 
@@ -285,11 +303,13 @@ def _post_json(config: EndpointConfig, pool: _ConnectionPool, body: dict) -> dic
     if token:
         headers["Authorization"] = f"Bearer {token}"
     last_error: Optional[Exception] = None
+    wait: Optional[int] = None
     for attempt in range(config.retries + 1):
         if attempt > 0:
-            time.sleep(config.backoff_s * 4 ** (attempt - 1))
+            time.sleep(config.backoff_s * 4 ** (attempt - 1) if wait is None else wait)
+            wait = None
         try:
-            status, reply = pool.post(data, headers)
+            status, reply_headers, reply = pool.post(data, headers)
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             continue
@@ -301,6 +321,7 @@ def _post_json(config: EndpointConfig, pool: _ConnectionPool, body: dict) -> dic
         last_error = TransportError(f"HTTP {status} from {config.base_url}")
         if not _retryable(status):
             break
+        wait = _retry_after_s(reply_headers.get("Retry-After"))
     raise TransportError(
         f"request to {config.base_url} failed after {attempt + 1} attempts: {last_error}"
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -320,8 +321,23 @@ class SearchTrace:
         return head + ("\n" + body if body else "")
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl() + "\n")
+        """Write the trace to ``path``: over any file there, then cut to length.
+
+        Overwriting in place keeps the inode and skips the free-and-reallocate
+        of truncating to zero first, which costs more than the write itself
+        when a run rewrites the traces of an earlier run. A new file gets the
+        same mode as ``open(path, "w")`` gives.
+        """
+        data = (self.to_jsonl() + "\n").encode("utf-8")
+        # O_BINARY (Windows only) keeps the C runtime from translating newlines.
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
 
     @staticmethod
     def read(path) -> tuple[dict, list[dict]]:

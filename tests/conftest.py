@@ -99,12 +99,12 @@ class _StubHandler(BaseHTTPRequestHandler):
                 }
             )
             index = len(self.server.requests) - 1
-        if callable(script):
-            status, payload = script(body)
-        else:
-            status, payload = script[min(index, len(script) - 1)]
+        reply = script(body) if callable(script) else script[min(index, len(script) - 1)]
+        status, payload, *extra = reply
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -123,8 +123,9 @@ class _KeepAliveStubHandler(_StubHandler):
 class StubServer:
     """Scripted HTTP endpoint.
 
-    ``script`` is a list of (status, json_payload) replies taken in request
-    order, or a function from the request body to one such reply. The
+    ``script`` is a list of (status, json_payload) or (status, json_payload,
+    extra_headers) replies taken in request order, or a function from the
+    request body to one such reply. The
     server speaks HTTP/1.0 and closes each connection after its reply;
     with ``keep_alive`` it speaks HTTP/1.1 and keeps connections open, and
     with ``drop_after_reply`` as well it closes each one after its reply

@@ -280,6 +280,71 @@ def test_http_generator_client_error_is_not_retried(stub_server):
     assert len(server.requests) == 1
 
 
+def _record_sleeps(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("stagewise.backends.time.sleep", sleeps.append)
+    return sleeps
+
+
+@pytest.mark.parametrize(
+    "status, value, waited",
+    [(429, "2", 2), (503, "0", 0), (429, "9999", 60)],
+)
+def test_http_retry_after_seconds_replace_backoff(stub_server, monkeypatch, status, value, waited):
+    sleeps = _record_sleeps(monkeypatch)
+    server = stub_server(
+        [
+            (status, {"error": "later"}, {"Retry-After": value}),
+            (200, {"choices": [{"message": {"content": "fine"}}]}),
+        ]
+    )
+    gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=0.5))
+    assert gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,))) == "fine"
+    assert sleeps == [waited]
+    assert len(server.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "value", ["Wed, 21 Oct 2026 07:28:00 GMT", "-1", "1.5", "soon", ""]
+)
+def test_http_retry_after_not_seconds_falls_back_to_backoff(stub_server, monkeypatch, value):
+    sleeps = _record_sleeps(monkeypatch)
+    server = stub_server(
+        [
+            (503, {"error": "later"}, {"Retry-After": value}),
+            (503, {"error": "later"}),
+            (200, {"choices": [{"message": {"content": "fine"}}]}),
+        ]
+    )
+    gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=0.5))
+    assert gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,))) == "fine"
+    assert sleeps == [0.5, 2.0]
+
+
+def test_http_retry_after_applies_only_to_its_own_reply(stub_server, monkeypatch):
+    sleeps = _record_sleeps(monkeypatch)
+    server = stub_server(
+        [
+            (429, {"error": "later"}, {"Retry-After": "3"}),
+            (500, {"error": "boom"}),
+            (200, {"choices": [{"message": {"content": "fine"}}]}),
+        ]
+    )
+    gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=0.5))
+    assert gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,))) == "fine"
+    assert sleeps == [3, 2.0]
+
+
+def test_http_retry_after_on_client_error_is_not_retried(stub_server, monkeypatch):
+    sleeps = _record_sleeps(monkeypatch)
+    server = stub_server([(400, {"error": "bad"}, {"Retry-After": "1"})])
+    gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=0.5))
+    with pytest.raises(TransportError, match="HTTP 400"):
+        gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,)))
+    assert len(server.requests) == 1
+    assert sleeps == []
+
+
 def test_http_generator_unencodable_body_is_transport_without_request(stub_server):
     server = stub_server([(200, {"choices": [{"message": {"content": "ok"}}]})])
     gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=5))

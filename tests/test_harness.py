@@ -277,6 +277,28 @@ def test_run_benchmark_traces_persisted(tmp_path):
         assert record.trace_file and (tmp_path / record.trace_file.split("/")[-1]).exists()
 
 
+def test_run_benchmark_rewrites_traces_of_an_earlier_run(tmp_path):
+    # Item ids repeat, so the second run writes over the first run's trace
+    # files; each must end up byte-equal to the same run in a fresh directory.
+    sim = SimWorld(SimWorldConfig(success=0.6, noise_std=0.5, rng_seed=4))
+    items = make_sim_items(6)
+
+    def run(out_dir, run_seed):
+        run_benchmark(
+            items, SearchConfig(), sim, sim, out_dir=out_dir, grader=oracle_grade,
+            run_seed=run_seed, collect_traces=True,
+        )
+        return {p.name: p.read_bytes() for p in sorted(out_dir.glob("trace-*.jsonl"))}
+
+    first = run(tmp_path / "reused", run_seed=1)
+    second = run(tmp_path / "reused", run_seed=2)
+    fresh = run(tmp_path / "fresh", run_seed=2)
+    assert len(second) == len(items)
+    assert second == fresh
+    assert any(len(first[name]) > len(second[name]) for name in first)
+    assert second != first
+
+
 def test_ledger_totals_equal_sum_of_records():
     sim = SimWorld(SimWorldConfig(success=0.8, rng_seed=2))
     result = run_benchmark(make_sim_items(5), SearchConfig(), sim, sim, grader=oracle_grade)

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from stagewise.search import (
     LoopSemantics,
     SearchConfig,
     SearchExhaustedError,
+    SearchTrace,
     Strategy,
     backtrack_cutoff,
     best_of_n,
@@ -490,6 +492,45 @@ def test_trace_round_trips_through_file(tmp_path):
     assert header["strategy"] == "swires"
     assert len(events) == len(result.trace.events)
     assert events[0]["event"] == "generate"
+
+
+def _trace_of(events: int) -> SearchTrace:
+    trace = SearchTrace({"strategy": "swires", "run_seed": events})
+    for i in range(events):
+        trace.log("generate", {"stage": "caption", "text": "é" * 40 + str(i)})
+    return trace
+
+
+def test_trace_write_short_over_longer_file_cuts_to_length(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    _trace_of(30).write(path)
+    inode = path.stat().st_ino
+    short = _trace_of(2)
+    short.write(path)
+    assert path.read_bytes() == (short.to_jsonl() + "\n").encode("utf-8")
+    assert path.stat().st_ino == inode
+
+
+def test_trace_write_long_over_shorter_file(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"old bytes\n")
+    long = _trace_of(30)
+    long.write(path)
+    assert path.read_bytes() == (long.to_jsonl() + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_trace_write_new_file_mode_matches_open_w(tmp_path, umask):
+    trace = _trace_of(3)
+    old = os.umask(umask)
+    try:
+        trace.write(tmp_path / "trace.jsonl")
+        with open(tmp_path / "reference", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / "trace.jsonl").read_bytes() == (trace.to_jsonl() + "\n").encode("utf-8")
+    assert (tmp_path / "trace.jsonl").stat().st_mode == (tmp_path / "reference").stat().st_mode
 
 
 def test_trace_replay_reproduces_answer():
