@@ -276,17 +276,15 @@ def _retryable(status: int) -> bool:
 RETRY_AFTER_CAP_S = 60
 
 
-def _retry_after_s(value: Optional[str]) -> Optional[int]:
+def _retry_after_s(value: str) -> Optional[int]:
     """The capped wait a ``Retry-After`` value asks for, if it is delay-seconds.
 
     An HTTP-date or any other form gives None, and the caller backs off as usual.
     """
-    if value is None:
-        return None
     value = value.strip()
-    if not (value.isascii() and value.isdigit()):
-        return None
-    return min(int(value), RETRY_AFTER_CAP_S)
+    if value.isascii() and value.isdigit():
+        return min(int(value), RETRY_AFTER_CAP_S)
+    return None
 
 
 def _post_json(config: EndpointConfig, pool: _ConnectionPool, body: dict) -> dict:
@@ -321,7 +319,7 @@ def _post_json(config: EndpointConfig, pool: _ConnectionPool, body: dict) -> dic
         last_error = TransportError(f"HTTP {status} from {config.base_url}")
         if not _retryable(status):
             break
-        wait = _retry_after_s(reply_headers.get("Retry-After"))
+        wait = _retry_after_s(reply_headers.get("Retry-After", ""))
     raise TransportError(
         f"request to {config.base_url} failed after {attempt + 1} attempts: {last_error}"
     )

@@ -125,11 +125,10 @@ class StubServer:
 
     ``script`` is a list of (status, json_payload) or (status, json_payload,
     extra_headers) replies taken in request order, or a function from the
-    request body to one such reply. The
-    server speaks HTTP/1.0 and closes each connection after its reply;
-    with ``keep_alive`` it speaks HTTP/1.1 and keeps connections open, and
-    with ``drop_after_reply`` as well it closes each one after its reply
-    without announcing it. Each recorded request carries the client port,
+    request body to one such reply. The server speaks HTTP/1.0 and closes
+    each connection after its reply; with ``keep_alive`` it speaks HTTP/1.1
+    and keeps connections open, and with ``drop_after_reply`` as well it
+    closes each one after its reply without announcing it. Each recorded request carries the client port,
     which tells connections apart.
     """
 
