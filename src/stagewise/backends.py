@@ -28,7 +28,6 @@ from .stages import (
     EMPTY_RESPONSE,
     StagedResponse,
     StageKind,
-    TagSchema,
     render_staged,
 )
 
@@ -342,9 +341,8 @@ class HttpGenerator(Generator):
     optional ``seed``. The reply's first choice text is returned.
     """
 
-    def __init__(self, config: EndpointConfig, schema: TagSchema = DEFAULT_SCHEMA):
+    def __init__(self, config: EndpointConfig):
         self.config = config
-        self.schema = schema
         self._pool = _ConnectionPool(config)
 
     def close(self) -> None:
@@ -388,7 +386,7 @@ class HttpGenerator(Generator):
         messages.append({"role": "user", "content": content})
         if request.prior_stages.blocks:
             messages.append(
-                {"role": "assistant", "content": render_staged(request.prior_stages, self.schema)}
+                {"role": "assistant", "content": render_staged(request.prior_stages)}
             )
         return messages
 
@@ -400,9 +398,8 @@ class HttpRewardScorer(RewardScorer):
     trajectory). The reply must carry a single numeric ``score`` field.
     """
 
-    def __init__(self, config: EndpointConfig, schema: TagSchema = DEFAULT_SCHEMA):
+    def __init__(self, config: EndpointConfig):
         self.config = config
-        self.schema = schema
         self._pool = _ConnectionPool(config)
 
     def close(self) -> None:
@@ -413,7 +410,7 @@ class HttpRewardScorer(RewardScorer):
         body = {
             "model": self.config.model,
             "question": request.question,
-            "response": render_staged(request.trajectory, self.schema),
+            "response": render_staged(request.trajectory),
         }
         reply = _post_json(self.config, self._pool, body)
         try:
@@ -518,9 +515,8 @@ class SimWorld(Generator, RewardScorer):
     a world with another config is a new ``SimWorld``.
     """
 
-    def __init__(self, config: SimWorldConfig = SimWorldConfig(), schema: TagSchema = DEFAULT_SCHEMA):
+    def __init__(self, config: SimWorldConfig = SimWorldConfig()):
         self.config = config
-        self.schema = schema
         # Draws hash (rng_seed, "gen" or "score", ...); the first two parts are fixed.
         self._gen_u64 = stable_u64_prefix(str(config.rng_seed), "gen")
         self._score_u64 = stable_u64_prefix(str(config.rng_seed), "score")
@@ -532,7 +528,7 @@ class SimWorld(Generator, RewardScorer):
         if seed is None:
             seed = stable_u64(
                 request.question,
-                render_staged(request.prior_stages, self.schema),
+                render_staged(request.prior_stages),
                 request.target_stages[0].value,
             )
         all_ok = True
@@ -542,7 +538,6 @@ class SimWorld(Generator, RewardScorer):
                 break
         seed_text = str(seed)
         seed_hex = f"{seed & 0xFFFFFFFFFFFFFFFF:016x}"
-        schema = self.schema
         parts = []
         for i, kind in enumerate(request.target_stages):
             p = (self.config.success if all_ok else self.config.recovery)[kind]
@@ -550,7 +545,7 @@ class SimWorld(Generator, RewardScorer):
             all_ok = all_ok and stage_ok
             mark = CORRECT_MARK if stage_ok else INCORRECT_MARK
             text = f"{kind.value} {seed_hex}-{i} {mark}"
-            parts.append(f"{schema.open(kind)}{text}{schema.close(kind)}")
+            parts.append(f"{DEFAULT_SCHEMA.open(kind)}{text}{DEFAULT_SCHEMA.close(kind)}")
         return _truncate_at_stop("\n".join(parts), request.sampling.stop)
 
     def score(self, request: RewardRequest) -> RewardScore:

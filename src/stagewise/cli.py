@@ -45,7 +45,7 @@ from .search import (
     calibrate,
     run_strategy,
 )
-from .stages import DEFAULT_SCHEMA, StagedResponse, parse_staged
+from .stages import StagedResponse, parse_staged
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -89,7 +89,7 @@ _SEARCH_KEYS = {
     "max_new_tokens",
 }
 _ENDPOINT_KEYS = {f.name for f in fields(EndpointConfig)}
-_SIM_KEYS = {"success", "recovery", "mean_correct", "mean_incorrect", "noise_std", "rng_seed"}
+_SIM_KEYS = {f.name for f in fields(SimWorldConfig)}
 _TOP_KEYS = {"backend", "generator", "reward", "judge", "sim", "search", "run_seed", "parallelism"}
 
 
@@ -248,7 +248,7 @@ def _load_corpus(path) -> list[tuple[str, StagedResponse]]:
                 continue
             try:
                 data = json.loads(line)
-                corpus.append((data["question"], parse_staged(data["response"], DEFAULT_SCHEMA)))
+                corpus.append((data["question"], parse_staged(data["response"])))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
     return corpus
@@ -298,6 +298,8 @@ def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
+    if args.save_traces and args.out is None:
+        raise ConfigError("--save-traces needs --out")
     items = _read_input(load_items, args.items)
     categories = args.categories.split(",") if args.categories else None
     result = run_benchmark(
@@ -343,24 +345,15 @@ def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
 def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
     _, reward = make_backends(cfg)
     stats = calibrate(reward, _read_input(_load_corpus, args.corpus))
+    fitted = {
+        "reward_mean": stats.reward_mean,
+        "reward_std": stats.reward_std,
+        "sample_count": stats.sample_count,
+    }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "reward_mean": stats.reward_mean,
-                    "reward_std": stats.reward_std,
-                    "sample_count": stats.sample_count,
-                },
-                fh,
-            )
-    _summary(
-        {
-            "command": "calibrate",
-            "reward_mean": stats.reward_mean,
-            "reward_std": stats.reward_std,
-            "sample_count": stats.sample_count,
-        }
-    )
+            json.dump(fitted, fh)
+    _summary({"command": "calibrate", **fitted})
     return EXIT_OK
 
 
@@ -438,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True, help="benchmark items (JSON lines)")
     p.add_argument("--out", help="output directory for run records and traces")
     p.add_argument("--categories", help="comma-separated category filter")
-    p.add_argument("--save-traces", action="store_true", help="persist per-item traces")
+    p.add_argument("--save-traces", action="store_true", help="persist per-item traces (needs --out)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("scale", parents=[common], help="run the scaling grid")

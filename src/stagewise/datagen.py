@@ -24,13 +24,11 @@ from .backends import (
 )
 from .stages import (
     CANONICAL_ORDER,
-    DEFAULT_SCHEMA,
     StagedResponse,
     StageFormatError,
     StageKind,
-    TagSchema,
+    parse_staged,
 )
-from .stages import parse_staged
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +61,10 @@ A refusal means the assistant states it cannot recognize a specific person/objec
 Standard answer: {standard_answer}
 
 Assistant's response: {assistant_response}"""
+
+# Sampling for the four-stage generation call.
+GENERATION_TEMPERATURE = 1.0
+GENERATION_MAX_NEW_TOKENS = 2048
 
 STATUS_VALID = "valid"
 STATUS_FORMAT_INVALID = "format_invalid"
@@ -182,12 +184,10 @@ def build_generation_prompt(record: SourceRecord) -> str:
     return GENERATION_PROMPT + "\n\n" + build_user_content(record)
 
 
-def validate_and_extract(
-    raw: str, schema: TagSchema = DEFAULT_SCHEMA
-) -> tuple[StagedResponse, str]:
+def validate_and_extract(raw: str) -> tuple[StagedResponse, str]:
     """Parse a complete four-stage response and return it with its conclusion text."""
     try:
-        parsed = parse_staged(raw, schema, require_complete=True)
+        parsed = parse_staged(raw, require_complete=True)
     except StageFormatError as exc:
         raise FormatInvalidError(exc) from exc
     return parsed, parsed.text_of(StageKind.CONCLUSION) or ""
@@ -214,19 +214,24 @@ def parse_verdict(reply: str) -> bool:
     raise UnparseableVerdictError(reply)
 
 
-def _judge_request(prompt: str, seed: int) -> GeneratorRequest:
+def _judge_request(prompt: str) -> GeneratorRequest:
     return GeneratorRequest(
         question=prompt,
         target_stages=(),
         sampling=SamplingParams(temperature=0.0, max_new_tokens=16, stop=None),
-        seed=seed,
+        seed=stable_u64(prompt),
     )
+
+
+def _judge_reply(judge: Generator, standard_answer: str, conclusion: str) -> str:
+    """The judge's raw reply on whether the conclusion matches the gold answer."""
+    prompt = build_verification_prompt(standard_answer, conclusion)
+    return judge.generate(_judge_request(prompt))
 
 
 def judge_validity(judge: Generator, standard_answer: str, conclusion: str) -> bool:
     """Ask the judge whether the conclusion matches the gold answer."""
-    prompt = build_verification_prompt(standard_answer, conclusion)
-    return parse_verdict(judge.generate(_judge_request(prompt, stable_u64(prompt))))
+    return parse_verdict(_judge_reply(judge, standard_answer, conclusion))
 
 
 def read_existing_ids(path) -> set[str]:
@@ -275,10 +280,7 @@ def run_pipeline(
     judge: Generator,
     output_path,
     *,
-    schema: TagSchema = DEFAULT_SCHEMA,
     resume: bool = True,
-    temperature: float = 1.0,
-    max_new_tokens: int = 2048,
 ) -> dict[str, int]:
     """Generate, validate, judge, and persist one record per source.
 
@@ -302,9 +304,7 @@ def run_pipeline(
                 counts["skipped"] += 1
                 continue
             existing.add(record.id)
-            generated = _process_one(
-                record, generator, judge, schema, temperature, max_new_tokens
-            )
+            generated = _process_one(record, generator, judge)
             counts[generated.status] += 1
             out.write(generated.to_json() + "\n")
             out.flush()
@@ -315,9 +315,6 @@ def _process_one(
     record: SourceRecord,
     generator: Generator,
     judge: Generator,
-    schema: TagSchema,
-    temperature: float,
-    max_new_tokens: int,
 ) -> GeneratedRecord:
     out = GeneratedRecord(
         id=record.id,
@@ -332,7 +329,7 @@ def _process_one(
         target_stages=CANONICAL_ORDER,
         image_ref=record.image_ref,
         system_prompt=GENERATION_PROMPT,
-        sampling=SamplingParams(temperature, max_new_tokens, stop=None),
+        sampling=SamplingParams(GENERATION_TEMPERATURE, GENERATION_MAX_NEW_TOKENS, stop=None),
         seed=stable_u64("datagen", record.id),
     )
     try:
@@ -341,16 +338,15 @@ def _process_one(
         log.warning("generator failed for %s: %s", record.id, exc)
         return out
     try:
-        _, conclusion = validate_and_extract(out.raw_response, schema)
+        _, conclusion = validate_and_extract(out.raw_response)
     except FormatInvalidError as exc:
         out.status = STATUS_FORMAT_INVALID
         out.judge_verdict_raw = None
         log.debug("format-invalid response for %s: %s", record.id, exc)
         return out
     out.conclusion = conclusion
-    prompt = build_verification_prompt(record.gold_answer, conclusion)
     try:
-        out.judge_verdict_raw = judge.generate(_judge_request(prompt, stable_u64(prompt)))
+        out.judge_verdict_raw = _judge_reply(judge, record.gold_answer, conclusion)
     except BackendError as exc:
         log.warning("judge failed for %s: %s", record.id, exc)
         out.status = STATUS_RETRYABLE

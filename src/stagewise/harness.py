@@ -185,6 +185,8 @@ def run_benchmark(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
+    # A trace is built only to be written.
+    collect_trace = collect_traces and out_path is not None
     totals = BudgetLedger()
     records: list[RunRecord] = []
     for item in selected:
@@ -204,7 +206,7 @@ def run_benchmark(
                 reward,
                 image_ref=item.image_ref,
                 run_seed=item_seed,
-                collect_trace=collect_traces,
+                collect_trace=collect_trace,
                 parallelism=parallelism,
             )
         except (BackendError, SearchError) as exc:
@@ -227,7 +229,7 @@ def run_benchmark(
         except UngradableError:
             record.correct = False
             record.ungradable = True
-        if collect_traces and out_path is not None and result.trace is not None:
+        if result.trace is not None:
             trace_file = out_path / f"trace-{item.id}.jsonl"
             result.trace.write(trace_file)
             record.trace_file = str(trace_file)
@@ -575,19 +577,14 @@ def sample_calibration_corpus(
     generator: Generator,
     reward: RewardScorer,
     *,
-    cfg: Optional[SearchConfig] = None,
-    through: StageKind = StageKind.REASONING,
     run_seed: int = 0,
 ) -> list[tuple[str, StagedResponse]]:
-    """Single-rollout trajectories through ``through`` for reward calibration."""
-    base = cfg or SearchConfig()
-    pipeline = base.pipeline[: base.pipeline.index(through) + 1]
-    rollout_cfg = replace(
-        base,
+    """Single-rollout trajectories through the reasoning stage for reward calibration."""
+    rollout_cfg = SearchConfig(
         strategy=Strategy.STAGE_BEAM,
         candidates_per_stage=1,
         beam_width=1,
-        pipeline=pipeline,
+        pipeline=CANONICAL_ORDER[:3],
     )
     corpus = []
     for i, question in enumerate(questions):

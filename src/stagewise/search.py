@@ -46,7 +46,6 @@ from .stages import (
     StagedResponse,
     StageFormatError,
     StageKind,
-    TagSchema,
     parse_complete_continuation,
     parse_stage_continuation,
 )
@@ -180,7 +179,6 @@ class SearchConfig:
     pipeline: tuple[StageKind, ...] = CANONICAL_ORDER
     temperature: float = 1.0
     max_new_tokens: int = 1024
-    schema: TagSchema = DEFAULT_SCHEMA
 
     @property
     def cutoff(self) -> float:
@@ -473,12 +471,11 @@ class _Engine:
 
     def _child(self, parent: Candidate, stages, raw: str, birth) -> Candidate:
         """Parse one reply into a child of ``parent``; raises StageFormatError."""
-        schema = self.cfg.schema
         if self.whole_response:
-            return Candidate(parse_complete_continuation(raw, stages, schema), {}, birth)
+            return Candidate(parse_complete_continuation(raw, stages), {}, birth)
         stage = stages[0]
-        block = parse_stage_continuation(raw, stage, schema)
-        wrapped = f"{schema.open(stage)}{block.text}{schema.close(stage)}"
+        block = parse_stage_continuation(raw, stage)
+        wrapped = f"{DEFAULT_SCHEMA.open(stage)}{block.text}{DEFAULT_SCHEMA.close(stage)}"
         return Candidate(
             trajectory=parent.trajectory.append(block),
             stage_scores=dict(parent.stage_scores),
@@ -513,7 +510,7 @@ class _Engine:
 
         label = "response" if self.whole_response else stages[0].value
         score_stage = stages[-1]
-        stop = self.cfg.schema.close(score_stage)
+        stop = DEFAULT_SCHEMA.close(score_stage)
         sampling = SamplingParams(self.cfg.temperature, self.cfg.max_new_tokens, stop)
         requests = [
             GeneratorRequest(

@@ -182,6 +182,16 @@ def test_bench_summary(tmp_path, capsys):
     assert summary["accuracy"] == 1.0  # default sim world always correct
 
 
+def test_bench_save_traces_without_out_exits_2(tmp_path, capsys, monkeypatch):
+    items = _write_items(tmp_path, 2)
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--items", str(items), "--save-traces"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --save-traces needs --out\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["items.jsonl"]
+
+
 def test_scale_default_grid_row_count(tmp_path, capsys):
     items = _write_items(tmp_path, 2)
     table = tmp_path / "curve.csv"

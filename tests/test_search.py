@@ -1,11 +1,19 @@
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
 from stagewise.backends import (
     CORRECT_MARK,
     INCORRECT_MARK,
+    EndpointConfig,
+    Generator,
+    GeneratorRequest,
+    HttpGenerator,
+    HttpRewardScorer,
+    RewardRequest,
+    SamplingParams,
     SimWorld,
     SimWorldConfig,
     oracle_correct,
@@ -29,7 +37,14 @@ from stagewise.search import (
     stage_wise_beam,
     swires,
 )
-from stagewise.stages import StageBlock, StagedResponse, StageKind
+from stagewise.stages import (
+    CANONICAL_ORDER,
+    DEFAULT_SCHEMA,
+    StageBlock,
+    StagedResponse,
+    StageKind,
+    parse_staged,
+)
 
 from conftest import CountingGenerator, CountingScorer, ScriptedGenerator, ScriptedScorer
 
@@ -551,3 +566,65 @@ def test_collect_trace_false_keeps_ledger():
     result = run_strategy("q", SearchConfig(), sim, sim, run_seed=1, collect_trace=False)
     assert result.trace is None
     assert result.ledger.generator_calls >= 11
+
+
+# ---------------------------------------------------------------------------
+# Over HTTP
+# ---------------------------------------------------------------------------
+
+_CLOSING = {DEFAULT_SCHEMA.close(kind): kind for kind in CANONICAL_ORDER}
+
+
+def _sim_replies(sim):
+    """Generator and reward reply functions that rebuild each request from its body."""
+
+    def generate(body):
+        messages = body["messages"]
+        prefix = next((m["content"] for m in messages if m["role"] == "assistant"), "")
+        stop = body["stop"][0]
+        request = GeneratorRequest(
+            question=next(m["content"] for m in messages if m["role"] == "user"),
+            target_stages=(_CLOSING[stop],),
+            prior_stages=parse_staged(prefix),
+            sampling=SamplingParams(stop=stop),
+            seed=body["seed"],
+        )
+        return 200, {"choices": [{"message": {"content": sim.generate(request)}}]}
+
+    def score(body):
+        return 200, {"score": sim.score(RewardRequest(body["question"], parse_staged(body["response"])))}
+
+    return generate, score
+
+
+class _WireSeeds(Generator):
+    """``sim`` with each seed reduced mod 2**63, as ``HttpGenerator`` sends it."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def generate(self, request):
+        return self.sim.generate(replace(request, seed=request.seed % 2**63))
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_http_swires_equals_in_process_search(stub_server, parallelism):
+    sim = _world(success=0.7)  # a wrong summary too, so the prior stages matter
+    gen_server, reward_server = (stub_server(fn, keep_alive=True) for fn in _sim_replies(sim))
+    generator = HttpGenerator(EndpointConfig(gen_server.url, retries=0))
+    reward = HttpRewardScorer(EndpointConfig(reward_server.url, retries=0))
+    retraced = 0
+    try:
+        for question in ("a", "question 11"):
+            want = swires(question, SearchConfig(), _WireSeeds(sim), sim, run_seed=11)
+            got = swires(
+                question, SearchConfig(), generator, reward, run_seed=11, parallelism=parallelism
+            )
+            assert got.answer == want.answer
+            assert got.ledger.counts_dict() == want.ledger.counts_dict()
+            assert got.trace.events_jsonl() == want.trace.events_jsonl()
+            retraced += sum(e["event"] == "retrace" for e in want.trace.events)
+    finally:
+        generator.close()
+        reward.close()
+    assert retraced > 0  # the retrace path went over the wire too
