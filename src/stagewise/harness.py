@@ -250,9 +250,12 @@ def run_benchmark(
 
 @dataclass(frozen=True)
 class GridCell:
-    strategy: Strategy
     param: float
     config: SearchConfig
+
+    @property
+    def strategy(self) -> Strategy:
+        return self.config.strategy
 
 
 @dataclass
@@ -278,7 +281,6 @@ def default_grid(base: Optional[SearchConfig] = None) -> list[GridCell]:
     for n in BEST_OF_N_GRID:
         cells.append(
             GridCell(
-                Strategy.BEST_OF_N,
                 n,
                 replace(base, strategy=Strategy.BEST_OF_N, candidates_per_stage=n, beam_width=n),
             )
@@ -287,7 +289,6 @@ def default_grid(base: Optional[SearchConfig] = None) -> list[GridCell]:
         width = 2 if m % 2 == 0 else 1
         cells.append(
             GridCell(
-                Strategy.STAGE_BEAM,
                 m,
                 replace(base, strategy=Strategy.STAGE_BEAM, candidates_per_stage=m, beam_width=width),
             )
@@ -295,7 +296,6 @@ def default_grid(base: Optional[SearchConfig] = None) -> list[GridCell]:
     for retraces in RETRACE_GRID:
         cells.append(
             GridCell(
-                Strategy.SWIRES,
                 retraces,
                 replace(
                     base,
@@ -384,13 +384,11 @@ def make_sim_items(count: int, prefix: str = "sim") -> list[BenchmarkItem]:
 # Exact-accuracy oracles for small sim worlds
 # ---------------------------------------------------------------------------
 #
-# The enumerators below never call the search engine. They walk every
-# combination of latent correctness outcomes with its exact probability and
-# apply the documented selection rules by hand, under these restrictions:
-# beam width 1, recovery probability 0, zero reward noise (so selection
-# always prefers a correct candidate and ties break toward the earlier
-# candidate). Within those bounds they are exact for any per-stage success
-# probabilities, candidate count, and pass budget.
+# The oracles below never call the search engine. They are closed forms of
+# the documented selection rules under these restrictions: beam width 1,
+# recovery probability 0, zero reward noise (so selection always prefers a
+# correct candidate). Within those bounds they are exact for any per-stage
+# success probabilities, candidate count, and pass budget.
 
 
 def _chain_probability(world: SimWorldConfig) -> float:
@@ -413,41 +411,20 @@ def enumerate_best_of_n_accuracy(world: SimWorldConfig, n: int) -> float:
     return 1.0 - (1.0 - _chain_probability(world)) ** n
 
 
-def _outcomes(count: int, p: float):
-    """All (bits, probability) outcomes of ``count`` independent Bernoulli draws."""
-    for mask in range(2**count):
-        bits = [(mask >> i) & 1 == 1 for i in range(count)]
-        prob = 1.0
-        for bit in bits:
-            prob *= p if bit else (1.0 - p)
-        yield bits, prob
-
-
 def _pass_success_probability(world: SimWorldConfig, m: int) -> float:
     """P(one caption/reasoning pass yields a correct reasoning), beam width 1.
 
-    Enumerates the M caption draws, applies correct-first selection, then
-    enumerates the M reasoning draws conditional on the selected caption.
+    Correct-first selection keeps a correct caption when any of the M is
+    correct; with recovery 0 only its M reasonings can then be correct.
     """
     qc = world.success[StageKind.CAPTION]
     qr = world.success[StageKind.REASONING]
-    total = 0.0
-    for caption_bits, p_cap in _outcomes(m, qc):
-        selected_correct = any(caption_bits)
-        if not selected_correct:
-            continue  # recovery 0: every child reasoning is incorrect
-        for reasoning_bits, p_reas in _outcomes(m, qr):
-            if any(reasoning_bits):
-                total += p_cap * p_reas
-    return total
+    return (1.0 - (1.0 - qc) ** m) * (1.0 - (1.0 - qr) ** m)
 
 
 def enumerate_stage_beam_accuracy(world: SimWorldConfig, m: int) -> float:
-    """Exact beam-width-1 accuracy of stage-wise beam search."""
-    _require_oracle_world(world)
-    qs = world.success[StageKind.SUMMARY]
-    qco = world.success[StageKind.CONCLUSION]
-    return qs * _pass_success_probability(world, m) * qco
+    """Exact beam-width-1 accuracy of stage-wise beam search: one SWIRES pass."""
+    return enumerate_swires_accuracy(world, m, passes=1)
 
 
 def enumerate_swires_accuracy(world: SimWorldConfig, m: int, passes: int) -> float:

@@ -41,13 +41,14 @@ from .backends import (
 )
 from .stages import (
     CANONICAL_ORDER,
-    DEFAULT_SCHEMA,
     EMPTY_RESPONSE,
     StagedResponse,
     StageFormatError,
     StageKind,
     parse_complete_continuation,
     parse_stage_continuation,
+    render_staged,
+    stop_marker,
 )
 
 NEG_INF = float("-inf")
@@ -234,19 +235,19 @@ class SearchConfig:
 
 @dataclass
 class Candidate:
-    """A trajectory prefix plus the reward scores of its scored stages.
+    """A trajectory prefix plus the reward score of its newest stage.
 
     ``birth`` is (pass index, per-search generation sequence number); it is
     unique within a search and is the deterministic tie-break everywhere.
+    ``score`` is None until the newest stage is scored.
     """
 
     trajectory: StagedResponse
-    stage_scores: dict[StageKind, float]
     birth: tuple[int, int]
-    rendered: str = ""
+    score: Optional[float] = None
 
 
-_ROOT = Candidate(EMPTY_RESPONSE, {}, (-1, -1))
+_ROOT = Candidate(EMPTY_RESPONSE, (-1, -1))
 
 
 @dataclass
@@ -284,9 +285,6 @@ class BudgetLedger:
             "generator_by_stage": dict(self.generator_by_stage),
             "reward_by_stage": dict(self.reward_by_stage),
         }
-
-    def as_dict(self) -> dict:
-        return {**self.counts_dict(), "wall_time_s": self.wall_time_s}
 
 
 # Built once: json.dumps with any keyword argument builds a new encoder per call.
@@ -357,7 +355,6 @@ class SearchTrace:
 @dataclass
 class SearchResult:
     answer: StagedResponse
-    candidate: Candidate
     ledger: BudgetLedger
     trace: Optional[SearchTrace] = None
 
@@ -367,16 +364,17 @@ class SearchResult:
 
 
 def select_top(cands: Sequence[Candidate], n: int, stage: StageKind) -> list[Candidate]:
-    """Top-n candidates by score at ``stage``; ties go to the earlier birth."""
+    """Top-n candidates by score; ties go to the earlier birth.
+
+    ``stage`` is the stage just scored, the newest of every candidate.
+    """
     if n > len(cands):
         raise InsufficientCandidatesError(
             f"need {n} candidates at {stage.name}, have {len(cands)}"
         )
-    try:
-        ranked = sorted(cands, key=lambda c: (-c.stage_scores[stage], c.birth))
-    except KeyError:
-        raise SearchError(f"candidate not scored at stage {stage.name}") from None
-    return ranked[:n]
+    if any(c.score is None for c in cands):
+        raise SearchError(f"candidate not scored at stage {stage.name}")
+    return sorted(cands, key=lambda c: (-c.score, c.birth))[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +470,9 @@ class _Engine:
     def _child(self, parent: Candidate, stages, raw: str, birth) -> Candidate:
         """Parse one reply into a child of ``parent``; raises StageFormatError."""
         if self.whole_response:
-            return Candidate(parse_complete_continuation(raw, stages), {}, birth)
-        stage = stages[0]
-        block = parse_stage_continuation(raw, stage)
-        wrapped = f"{DEFAULT_SCHEMA.open(stage)}{block.text}{DEFAULT_SCHEMA.close(stage)}"
-        return Candidate(
-            trajectory=parent.trajectory.append(block),
-            stage_scores=dict(parent.stage_scores),
-            birth=birth,
-            rendered=parent.rendered + "\n" + wrapped if parent.rendered else wrapped,
-        )
+            return Candidate(parse_complete_continuation(raw, stages), birth)
+        block = parse_stage_continuation(raw, stages[0])
+        return Candidate(parent.trajectory.append(block), birth)
 
     def expand_and_score(
         self,
@@ -496,12 +487,12 @@ class _Engine:
         A best-of-N engine parses each reply as a complete response over
         ``stages`` and logs and tallies it under ``"response"``; otherwise
         ``stages`` is one stage and each reply is that stage's continuation.
-        Scores are stored at the last target stage. Children are assigned to
-        parents evenly (earlier parents absorb any remainder). Results are
-        processed in slot order regardless of the backend's concurrency, so
-        traces and ledgers do not depend on thread scheduling. Candidates
-        whose continuation fails to parse are logged with score -inf and
-        dropped; they never reach the reward backend.
+        Each child's score is the score of its newest stage. Children are
+        assigned to parents evenly (earlier parents absorb any remainder).
+        Results are processed in slot order regardless of the backend's
+        concurrency, so traces and ledgers do not depend on thread
+        scheduling. Candidates whose continuation fails to parse are logged
+        with score -inf and dropped; they never reach the reward backend.
         """
         assignments: list[Candidate] = []
         per_parent, remainder = divmod(total, len(parents))
@@ -509,8 +500,7 @@ class _Engine:
             assignments.extend([parent] * (per_parent + (1 if rank < remainder else 0)))
 
         label = "response" if self.whole_response else stages[0].value
-        score_stage = stages[-1]
-        stop = DEFAULT_SCHEMA.close(score_stage)
+        stop = stop_marker(stages[-1])
         sampling = SamplingParams(self.cfg.temperature, self.cfg.max_new_tokens, stop)
         requests = [
             GeneratorRequest(
@@ -525,6 +515,11 @@ class _Engine:
         ]
         raws = self.run_calls(partial(self._generate, label), requests)
 
+        if self.trace is not None:
+            input_digests = {
+                id(p): text_digest(self.question + "\n" + render_staged(p.trajectory))
+                for p in parents
+            }
         produced: list[tuple[int, Optional[Candidate], Optional[str]]] = []
         for slot, (parent, raw) in enumerate(zip(assignments, raws)):
             birth = (pass_index, self._seq)
@@ -542,7 +537,7 @@ class _Engine:
                     "slot": slot,
                     "birth": list(birth),
                     "parent": None if parent is _ROOT else list(parent.birth),
-                    "input_digest": text_digest(self.question + "\n" + parent.rendered),
+                    "input_digest": input_digests[id(parent)],
                     "output_digest": text_digest(raw),
                 }
                 if parse_error:
@@ -572,7 +567,7 @@ class _Engine:
                 continue
             cand, value = next(scored)
             assert cand is candidate
-            candidate.stage_scores[score_stage] = value
+            candidate.score = value
             if self.trace is not None:
                 self.trace.log(
                     "score",
@@ -638,10 +633,10 @@ class _Engine:
                 {
                     "stage": final.value,
                     "birth": list(winner.birth),
-                    "score": winner.stage_scores.get(final),
+                    "score": winner.score,
                 },
             )
-        return SearchResult(winner.trajectory, winner, self.ledger, self.trace)
+        return SearchResult(winner.trajectory, self.ledger, self.trace)
 
 
 def _make_trace(cfg: SearchConfig, question_digest: str, run_seed: int) -> SearchTrace:
@@ -781,7 +776,7 @@ def swires(
                     (pool_stage,), pass_index, parents, cfg.candidates_per_stage, True
                 )
                 pool.extend(additions)
-                cleared = sum(1 for c in additions if c.stage_scores[pool_stage] > cutoff)
+                cleared = sum(1 for c in additions if c.score > cutoff)
             if cleared >= cfg.min_pass_count:
                 break
             if pass_index + 1 < cfg.max_passes and engine.trace is not None:

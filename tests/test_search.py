@@ -26,6 +26,7 @@ from stagewise.search import (
     InsufficientCandidatesError,
     LoopSemantics,
     SearchConfig,
+    SearchError,
     SearchExhaustedError,
     SearchTrace,
     Strategy,
@@ -44,6 +45,7 @@ from stagewise.stages import (
     StagedResponse,
     StageKind,
     parse_staged,
+    render_staged,
 )
 
 from conftest import CountingGenerator, CountingScorer, ScriptedGenerator, ScriptedScorer
@@ -120,13 +122,13 @@ def test_calibrate_empty_corpus():
 
 def _cand(score, birth, stage=StageKind.CAPTION):
     traj = StagedResponse((StageBlock(stage, f"t{birth}"),))
-    return Candidate(traj, {stage: score}, birth)
+    return Candidate(traj, birth, score)
 
 
 def test_select_top_by_score():
     cands = [_cand(3.0, (0, 0)), _cand(1.0, (0, 1)), _cand(2.0, (0, 2))]
     kept = select_top(cands, 2, StageKind.CAPTION)
-    assert [c.stage_scores[StageKind.CAPTION] for c in kept] == [3.0, 2.0]
+    assert [c.score for c in kept] == [3.0, 2.0]
 
 
 def test_select_top_tie_breaks_by_birth():
@@ -147,15 +149,18 @@ def test_select_top_matches_sort_oracle():
         ]
         k = rng.randint(1, n_cands)
         kept = select_top(cands, k, StageKind.CAPTION)
-        oracle = sorted(
-            cands, key=lambda c: (-c.stage_scores[StageKind.CAPTION], c.birth)
-        )[:k]
+        oracle = sorted(cands, key=lambda c: (-c.score, c.birth))[:k]
         assert kept == oracle
 
 
 def test_select_top_insufficient():
     with pytest.raises(InsufficientCandidatesError):
         select_top([_cand(1.0, (0, 0))], 2, StageKind.CAPTION)
+
+
+def test_select_top_rejects_unscored_candidate():
+    with pytest.raises(SearchError, match="not scored"):
+        select_top([_cand(1.0, (0, 0)), _cand(None, (0, 1))], 1, StageKind.CAPTION)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +580,11 @@ def test_collect_trace_false_keeps_ledger():
 _CLOSING = {DEFAULT_SCHEMA.close(kind): kind for kind in CANONICAL_ORDER}
 
 
-def _sim_replies(sim):
-    """Generator and reward reply functions that rebuild each request from its body."""
+def _sim_replies(sim, scored):
+    """Generator and reward reply functions that rebuild each request from its body.
+
+    Each rebuilt reward request is appended to ``scored``.
+    """
 
     def generate(body):
         messages = body["messages"]
@@ -592,7 +600,9 @@ def _sim_replies(sim):
         return 200, {"choices": [{"message": {"content": sim.generate(request)}}]}
 
     def score(body):
-        return 200, {"score": sim.score(RewardRequest(body["question"], parse_staged(body["response"])))}
+        request = RewardRequest(body["question"], parse_staged(body["response"]))
+        scored.append(request)
+        return 200, {"score": sim.score(request)}
 
     return generate, score
 
@@ -610,13 +620,17 @@ class _WireSeeds(Generator):
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_http_swires_equals_in_process_search(stub_server, parallelism):
     sim = _world(success=0.7)  # a wrong summary too, so the prior stages matter
-    gen_server, reward_server = (stub_server(fn, keep_alive=True) for fn in _sim_replies(sim))
+    wire_scored = []
+    gen_server, reward_server = (
+        stub_server(fn, keep_alive=True) for fn in _sim_replies(sim, wire_scored)
+    )
     generator = HttpGenerator(EndpointConfig(gen_server.url, retries=0))
     reward = HttpRewardScorer(EndpointConfig(reward_server.url, retries=0))
+    local = CountingScorer(sim)
     retraced = 0
     try:
         for question in ("a", "question 11"):
-            want = swires(question, SearchConfig(), _WireSeeds(sim), sim, run_seed=11)
+            want = swires(question, SearchConfig(), _WireSeeds(sim), local, run_seed=11)
             got = swires(
                 question, SearchConfig(), generator, reward, run_seed=11, parallelism=parallelism
             )
@@ -628,3 +642,9 @@ def test_http_swires_equals_in_process_search(stub_server, parallelism):
         generator.close()
         reward.close()
     assert retraced > 0  # the retrace path went over the wire too
+    # SimWorld scores only the last block, so equal answers cannot show a
+    # client that sends less: compare the whole trajectories scored.
+    def sent(requests):
+        return sorted((r.question, render_staged(r.trajectory)) for r in requests)
+
+    assert sent(wire_scored) == sent(local.requests)
