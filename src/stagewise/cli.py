@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
+from enum import Enum
 from typing import Optional
 
 from .backends import (
@@ -36,12 +38,9 @@ from .harness import (
     scaling_experiment,
 )
 from .search import (
-    CalibrationStats,
     ConfigError,
-    LoopSemantics,
     SearchConfig,
     SearchExhaustedError,
-    Strategy,
     calibrate,
     run_strategy,
 )
@@ -52,14 +51,6 @@ EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_EXHAUSTED = 4
-
-_STRATEGY_ALIASES = {
-    "best_of_n": Strategy.BEST_OF_N,
-    "bon": Strategy.BEST_OF_N,
-    "beam": Strategy.STAGE_BEAM,
-    "stage_beam": Strategy.STAGE_BEAM,
-    "swires": Strategy.SWIRES,
-}
 
 
 @dataclass
@@ -74,73 +65,91 @@ class AppConfig:
     parallelism: int = 1
 
 
-_SEARCH_KEYS = {
-    "candidates_per_stage",
-    "beam_width",
-    "retrace_limit",
-    "cutoff_zscore",
-    "reward_mean",
-    "reward_std",
-    "min_pass_count",
-    "summary_candidates",
-    "strategy",
-    "loop_semantics",
-    "temperature",
-    "max_new_tokens",
+# Each search setting the config file takes, with the flag that overrides it
+# and the flag's help; None marks a setting only the config file sets. A
+# flag's parsed value is stored under its setting's name.
+_SEARCH_SETTINGS = {
+    "strategy": ("--strategy", "search strategy"),
+    "candidates_per_stage": ("--m", "candidates generated per stage"),
+    "beam_width": ("--n", "beam width (and best-of-N's N)"),
+    "retrace_limit": ("--retraces", "retrace budget C"),
+    "cutoff_zscore": ("--z", "cutoff z-score"),
+    "reward_mean": ("--reward-mean", "calibrated reward mean"),
+    "reward_std": ("--reward-std", "calibrated reward std"),
+    "min_pass_count": ("--min-pass", "reasonings that must clear the cutoff"),
+    "loop_semantics": ("--loop-semantics", "how the retrace budget counts passes"),
+    "summary_candidates": None,
+    "temperature": None,
+    "max_new_tokens": None,
 }
+_STATS_KEYS = ("reward_mean", "reward_std")
+_DEFAULT_SEARCH = SearchConfig()
 _ENDPOINT_KEYS = {f.name for f in fields(EndpointConfig)}
 _SIM_KEYS = {f.name for f in fields(SimWorldConfig)}
 _TOP_KEYS = {"backend", "generator", "reward", "judge", "sim", "search", "run_seed", "parallelism"}
 
 
-def _reject_unknown(data: dict, allowed: set, context: str) -> None:
-    unknown = set(data) - allowed
+def _reject_unknown(data: dict, allowed, context: str) -> None:
+    unknown = set(data).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown {context} config keys: {sorted(unknown)}")
 
 
-def _override_stats(
-    search: SearchConfig, mean: Optional[float], std: Optional[float]
-) -> SearchConfig:
-    """``search`` with its reward mean and/or std replaced; None keeps a value."""
-    if mean is None and std is None:
-        return search
-    base = search.stats
-    try:
-        stats = CalibrationStats(
-            base.reward_mean if mean is None else mean,
-            base.reward_std if std is None else std,
-            base.sample_count,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid reward stats: {exc}") from exc
-    return replace(search, stats=stats)
+def _section(data: dict, name: str, allowed) -> dict:
+    """The config file's ``name`` section: a JSON object of allowed keys."""
+    section = data[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} config must be a JSON object")
+    _reject_unknown(section, allowed, name)
+    return section
 
 
-def _parse_search_section(data: dict) -> SearchConfig:
-    _reject_unknown(data, _SEARCH_KEYS, "search")
-    kwargs = dict(data)
-    stats = {k: float(kwargs.pop(k)) for k in ("reward_mean", "reward_std") if k in kwargs}
-    if "strategy" in kwargs:
-        kwargs["strategy"] = _parse_strategy(kwargs["strategy"])
-    if "loop_semantics" in kwargs:
-        kwargs["loop_semantics"] = _parse_loop_semantics(kwargs["loop_semantics"])
-    cfg = SearchConfig(**kwargs)
-    return _override_stats(cfg, stats.get("reward_mean"), stats.get("reward_std"))
+def _default(key: str):
+    """The shipped value of a search setting."""
+    return getattr(_DEFAULT_SEARCH.stats if key in _STATS_KEYS else _DEFAULT_SEARCH, key)
 
 
-def _parse_strategy(name: str) -> Strategy:
-    try:
-        return _STRATEGY_ALIASES[str(name).lower()]
-    except KeyError:
-        raise ConfigError(f"unknown strategy: {name!r}") from None
+def _number(key: str, value, default):
+    """``value`` checked against the type of ``default``.
+
+    An integer setting takes an int; a real one takes any number but NaN
+    (which Python's JSON reader and ``float()`` accept), as a float. A bool
+    is neither.
+    """
+    integer = isinstance(default, int)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int if integer else (int, float))
+        or math.isnan(value)
+    ):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return value if integer else float(value)
 
 
-def _parse_loop_semantics(name: str) -> LoopSemantics:
-    try:
-        return LoopSemantics(str(name).lower())
-    except ValueError:
-        raise ConfigError(f"unknown loop semantics: {name!r}") from None
+def _search_config(base: SearchConfig, settings: dict) -> SearchConfig:
+    """``base`` with ``settings``, keyed as in ``_SEARCH_SETTINGS``, replaced.
+
+    Enum settings are read by their value in any case; the reward mean and
+    std replace those of ``base.stats``, which keeps its sample count.
+    """
+    kwargs = {}
+    for key, value in settings.items():
+        default = _default(key)
+        if isinstance(default, Enum):
+            try:
+                kwargs[key] = type(default)(str(value).lower())
+            except ValueError:
+                raise ConfigError(f"unknown {key.replace('_', ' ')}: {value!r}") from None
+        else:
+            kwargs[key] = _number(key, value, default)
+    stats = {key: kwargs.pop(key) for key in _STATS_KEYS if key in kwargs}
+    if stats:
+        try:
+            kwargs["stats"] = replace(base.stats, **stats)
+        except ValueError as exc:
+            raise ConfigError(f"invalid reward stats: {exc}") from exc
+    return replace(base, **kwargs)
 
 
 def load_config(path: Optional[str]) -> AppConfig:
@@ -162,42 +171,24 @@ def load_config(path: Optional[str]) -> AppConfig:
             cfg.backend = str(data["backend"])
         for side in ("generator", "reward", "judge"):
             if side in data:
-                _reject_unknown(data[side], _ENDPOINT_KEYS, side)
-                setattr(cfg, side, EndpointConfig(**data[side]))
+                setattr(cfg, side, EndpointConfig(**_section(data, side, _ENDPOINT_KEYS)))
         if "sim" in data:
-            _reject_unknown(data["sim"], _SIM_KEYS, "sim")
-            cfg.sim = SimWorldConfig.from_dict(data["sim"])
-        if "search" in data:
-            cfg.search = _parse_search_section(data["search"])
-        if "run_seed" in data:
-            cfg.run_seed = int(data["run_seed"])
-        if "parallelism" in data:
-            cfg.parallelism = int(data["parallelism"])
+            cfg.sim = SimWorldConfig.from_dict(_section(data, "sim", _SIM_KEYS))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
+    if "search" in data:
+        cfg.search = _search_config(cfg.search, _section(data, "search", _SEARCH_SETTINGS))
+    for key in ("run_seed", "parallelism"):
+        if key in data:
+            setattr(cfg, key, _number(key, data[key], 0))
     if cfg.backend not in ("sim", "http"):
         raise ConfigError(f"backend must be 'sim' or 'http', got {cfg.backend!r}")
     return cfg
 
 
 def apply_flags(cfg: AppConfig, args: argparse.Namespace) -> AppConfig:
-    search = cfg.search
-    if args.strategy is not None:
-        search = replace(search, strategy=_parse_strategy(args.strategy))
-    if args.m is not None:
-        search = replace(search, candidates_per_stage=args.m)
-    if args.n is not None:
-        search = replace(search, beam_width=args.n)
-    if args.retraces is not None:
-        search = replace(search, retrace_limit=args.retraces)
-    if args.z is not None:
-        search = replace(search, cutoff_zscore=args.z)
-    search = _override_stats(search, args.reward_mean, args.reward_std)
-    if args.min_pass is not None:
-        search = replace(search, min_pass_count=args.min_pass)
-    if args.loop_semantics is not None:
-        search = replace(search, loop_semantics=_parse_loop_semantics(args.loop_semantics))
-    cfg.search = search
+    given = {k: v for k, v in vars(args).items() if k in _SEARCH_SETTINGS and v is not None}
+    cfg.search = _search_config(cfg.search, given)
     if args.backend is not None:
         cfg.backend = args.backend
     if args.seed is not None:
@@ -399,23 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--backend", choices=["sim", "http"], help="backend kind")
-    common.add_argument(
-        "--strategy",
-        choices=sorted(_STRATEGY_ALIASES),
-        help="search strategy",
-    )
-    common.add_argument("--m", type=int, help="candidates generated per stage")
-    common.add_argument("--n", type=int, help="beam width (and best-of-N's N)")
-    common.add_argument("--retraces", type=int, help="retrace budget C")
-    common.add_argument("--z", type=float, help="cutoff z-score")
-    common.add_argument("--reward-mean", type=float, help="calibrated reward mean")
-    common.add_argument("--reward-std", type=float, help="calibrated reward std")
-    common.add_argument("--min-pass", type=int, help="reasonings that must clear the cutoff")
-    common.add_argument(
-        "--loop-semantics",
-        choices=[s.value for s in LoopSemantics],
-        help="how the retrace budget counts passes",
-    )
+    for key, flag in _SEARCH_SETTINGS.items():
+        if flag is not None:
+            default = _default(key)
+            if isinstance(default, Enum):
+                kind = {"choices": [member.value for member in type(default)]}
+            else:
+                kind = {"type": type(default)}
+            common.add_argument(flag[0], dest=key, help=flag[1], **kind)
     common.add_argument("--seed", type=int, help="run seed for full determinism on sim")
     common.add_argument("--parallelism", type=int, help="max concurrent backend calls")
 
@@ -469,6 +451,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = apply_flags(load_config(args.config), args)
         cfg.search.validate()
+        if cfg.parallelism < 1:
+            raise ConfigError("parallelism must be >= 1")
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -688,10 +688,11 @@ def best_of_n(
     Each response is parsed as a full pipeline; responses that fail to parse
     are recorded with score -inf and never scored by the reward backend.
     """
+    cfg = _with_strategy(cfg or SearchConfig(), Strategy.BEST_OF_N)
+    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism)
     if n < 1:
         raise ConfigError("best_of_n requires n >= 1")
-    cfg = _with_strategy(cfg or SearchConfig(), Strategy.BEST_OF_N)
-    with _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism) as engine:
+    with engine:
         return engine.conclude(cfg.pipeline, [_ROOT], n)
 
 
@@ -811,7 +812,6 @@ def run_strategy(
     parallelism: int = 1,
 ) -> SearchResult:
     """Dispatch to the configured strategy under one seeding discipline."""
-    cfg.validate()
     kwargs = dict(
         image_ref=image_ref,
         run_seed=run_seed,

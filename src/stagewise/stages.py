@@ -77,9 +77,10 @@ class TagSchema:
 
     Defaults are the fixed-case tags the generation prompts use. No tag may
     be a substring of another, which keeps the left-to-right scan unambiguous:
-    at most one tag matches at any offset. The parser's tables are built from
-    the tag dicts once, at construction, so the dicts must not be mutated
-    afterwards.
+    at most one tag matches at any offset. No open tag may start with
+    whitespace, which the parser skips before it looks for one. The parser's
+    tables are built from the tag dicts once, at construction, so the dicts
+    must not be mutated afterwards.
     """
 
     open_tags: dict[StageKind, str] = field(default_factory=_default_open_tags)
@@ -97,6 +98,9 @@ class TagSchema:
             raise ValueError("tags must be non-empty")
         if len(set(tags)) != len(tags):
             raise ValueError("tags must be distinct")
+        for tag in self.open_tags.values():
+            if tag[0].isspace():
+                raise ValueError(f"open tag {tag!r} starts with whitespace")
         for a in tags:
             for b in tags:
                 if a != b and a in b:

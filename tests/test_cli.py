@@ -100,6 +100,60 @@ def test_flags_override_config(tmp_path):
     assert cfg.parallelism == 2
 
 
+def test_config_file_search_section_equals_flags(tmp_path):
+    from stagewise.cli import _SEARCH_SETTINGS
+
+    settings = {
+        "strategy": ("BEAM", "beam"),
+        "candidates_per_stage": (6, "6"),
+        "beam_width": (3, "3"),
+        "retrace_limit": (2, "2"),
+        "cutoff_zscore": (1, "1"),
+        "reward_mean": (0.25, "0.25"),
+        "reward_std": (1.5, "1.5"),
+        "min_pass_count": (2, "2"),
+        "loop_semantics": ("main_text", "main_text"),
+    }
+    assert set(settings) == {k for k, flag in _SEARCH_SETTINGS.items() if flag}
+    path = _write_config(tmp_path, {"search": {k: v for k, (v, _) in settings.items()}})
+    from_file = load_config(path).search
+    argv = ["solve", "q"]
+    for key, (_, text) in settings.items():
+        argv += [_SEARCH_SETTINGS[key][0], text]
+    from_flags = apply_flags(load_config(None), build_parser().parse_args(argv)).search
+    assert repr(from_file) == repr(from_flags)
+    assert from_file.strategy is Strategy.STAGE_BEAM
+    assert from_file.cutoff_zscore == 1.0
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"search": {"candidates_per_stage": "4"}},
+        {"search": {"retrace_limit": 1.5}},
+        {"search": {"beam_width": True}},
+        {"search": {"reward_mean": "0.5"}},
+        {"search": {"cutoff_zscore": float("nan")}},
+        {"search": {"strategy": "bon"}},
+        {"search": []},
+        {"generator": "x"},
+        {"parallelism": 0},
+        ["--parallelism", "0"],
+        ["--reward-mean", "nan"],
+    ],
+    ids=["string-int", "float-int", "bool-int", "string-real", "nan-real", "alias",
+         "search-list", "generator-string", "parallelism-0", "parallelism-flag-0",
+         "nan-flag"],
+)
+def test_bad_setting_exits_2(tmp_path, capsys, setting):
+    if isinstance(setting, dict):
+        setting = ["--config", str(_write_config(tmp_path, setting))]
+    assert main(["solve", "q", *setting]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

@@ -264,6 +264,13 @@ def test_best_of_n_requires_positive_n():
         best_of_n("q", 0, _world(), _world())
 
 
+def test_run_strategy_best_of_n_reports_the_config_problem():
+    # The engine validates the config before best_of_n checks its own n.
+    cfg = SearchConfig(strategy=Strategy.BEST_OF_N, beam_width=0)
+    with pytest.raises(ConfigError, match="^beam_width must be >= 1$"):
+        run_strategy("q", cfg, _world(), _world())
+
+
 # ---------------------------------------------------------------------------
 # stage_wise_beam
 # ---------------------------------------------------------------------------

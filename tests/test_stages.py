@@ -186,6 +186,15 @@ def test_schema_rejects_substring_tags():
         )
 
 
+@pytest.mark.parametrize("lead", [" ", "\t", "\n", "　"])
+def test_schema_rejects_open_tag_starting_with_whitespace(lead):
+    # The parser skips whitespace before an open tag, so this one could never open a block.
+    open_tags = {k: f"<{k.name}>" for k in CANONICAL_ORDER}
+    open_tags[StageKind.CAPTION] = lead + "<CAPTION>"
+    with pytest.raises(ValueError, match="starts with whitespace"):
+        TagSchema(open_tags=open_tags)
+
+
 def test_parse_stage_continuation_with_and_without_open_tag():
     block = parse_stage_continuation("<REASONING>because", StageKind.REASONING)
     assert block == StageBlock(StageKind.REASONING, "because")
@@ -276,7 +285,7 @@ _PUNCT_SCHEMA = TagSchema(
     close_tags={_S: "S}}", _C: "*(c)", _R: "|?+r", _F: "^f$"},
 )
 _SPACED_SCHEMA = TagSchema(
-    open_tags={_S: "@s", _C: " @c", _R: "@r", _F: "@f"},
+    open_tags={_S: "@s", _C: "@c", _R: "@r", _F: "@f"},
     close_tags={_S: "　s@", _C: "c@", _R: "\tr@", _F: "f@"},
 )
 
