@@ -37,6 +37,7 @@ from .harness import (
     run_simcheck,
     scaling_experiment,
 )
+from .jsonl import read_jsonl
 from .search import (
     ConfigError,
     SearchConfig,
@@ -84,8 +85,6 @@ _SEARCH_SETTINGS = {
 }
 _STATS_KEYS = ("reward_mean", "reward_std")
 _DEFAULT_SEARCH = SearchConfig()
-_ENDPOINT_KEYS = {f.name for f in fields(EndpointConfig)}
-_SIM_KEYS = {f.name for f in fields(SimWorldConfig)}
 _TOP_KEYS = {"backend", "generator", "reward", "judge", "sim", "search", "run_seed", "parallelism"}
 
 
@@ -152,6 +151,26 @@ def _search_config(base: SearchConfig, settings: dict) -> SearchConfig:
     return replace(base, **kwargs)
 
 
+def _typed_section(data: dict, name: str, cls) -> dict:
+    """The ``name`` section with each value checked against its field of ``cls``.
+
+    A field with a numeric default takes a number of that kind (``_number``),
+    ``success`` and ``recovery`` an object of numbers too, any other a string.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    checked = {}
+    for key, value in _section(data, name, defaults).items():
+        label, default = f"{name}.{key}", defaults[key]
+        if key in ("success", "recovery") and isinstance(value, dict):
+            value = {stage: _number(f"{label}.{stage}", p, 0.0) for stage, p in value.items()}
+        elif isinstance(default, (int, float)):
+            value = _number(label, value, default)
+        elif not isinstance(value, str):
+            raise ConfigError(f"{label} must be a string, got {value!r}")
+        checked[key] = value
+    return checked
+
+
 def load_config(path: Optional[str]) -> AppConfig:
     if path is None:
         return AppConfig()
@@ -171,9 +190,9 @@ def load_config(path: Optional[str]) -> AppConfig:
             cfg.backend = str(data["backend"])
         for side in ("generator", "reward", "judge"):
             if side in data:
-                setattr(cfg, side, EndpointConfig(**_section(data, side, _ENDPOINT_KEYS)))
+                setattr(cfg, side, EndpointConfig(**_typed_section(data, side, EndpointConfig)))
         if "sim" in data:
-            cfg.sim = SimWorldConfig.from_dict(_section(data, "sim", _SIM_KEYS))
+            cfg.sim = SimWorldConfig.from_dict(_typed_section(data, "sim", SimWorldConfig))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if "search" in data:
@@ -231,18 +250,9 @@ def _read_input(loader, path):
 
 def _load_corpus(path) -> list[tuple[str, StagedResponse]]:
     """Calibration corpus: JSON lines of {question, response}."""
-    corpus = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                corpus.append((data["question"], parse_staged(data["response"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
-    return corpus
+    return read_jsonl(
+        path, "corpus record", lambda data: (data["question"], parse_staged(data["response"]))
+    )
 
 
 def _grader_for(cfg: AppConfig):
@@ -363,6 +373,8 @@ def cmd_datagen(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_simcheck(cfg: AppConfig, args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ConfigError("--trials must be >= 1")
     rows = run_simcheck(trials=args.trials, run_seed=cfg.run_seed)
     for row in rows:
         status = "ok" if row["ok"] else "FAIL"

@@ -22,6 +22,7 @@ from .backends import (
     SamplingParams,
     stable_u64,
 )
+from .jsonl import read_jsonl, trim_partial_last_line
 from .stages import (
     CANONICAL_ORDER,
     StagedResponse,
@@ -120,30 +121,20 @@ class GeneratedRecord:
         return json.dumps(self.__dict__, sort_keys=True, ensure_ascii=False)
 
 
+def _source(data: dict) -> SourceRecord:
+    return SourceRecord(
+        id=str(data["id"]),
+        question=data["question"],
+        gold_answer=str(data["gold_answer"]),
+        image_ref=data.get("image_ref"),
+        turns=tuple(
+            (turn["question"], str(turn["gold_answer"])) for turn in data.get("turns", [])
+        ),
+    )
+
+
 def load_sources(path) -> list[SourceRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                records.append(
-                    SourceRecord(
-                        id=str(data["id"]),
-                        question=data["question"],
-                        gold_answer=str(data["gold_answer"]),
-                        image_ref=data.get("image_ref"),
-                        turns=tuple(
-                            (turn["question"], str(turn["gold_answer"]))
-                            for turn in data.get("turns", [])
-                        ),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad source record: {exc}") from exc
-    return records
+    return read_jsonl(path, "source record", _source)
 
 
 def flatten_sources(sources: Iterable[SourceRecord]) -> list[SourceRecord]:
@@ -259,21 +250,6 @@ def read_existing_ids(path) -> set[str]:
     return ids
 
 
-def _trim_partial_last_line(path) -> None:
-    """Cut an unterminated last line so the next append starts a fresh line."""
-    path = Path(path)
-    if not path.exists():
-        return
-    with open(path, "r+b") as fh:
-        complete = size = 0
-        for line in fh:
-            size += len(line)
-            if line.endswith(b"\n"):
-                complete = size
-        if complete < size:
-            fh.truncate(complete)
-
-
 def run_pipeline(
     sources: Sequence[SourceRecord],
     generator: Generator,
@@ -297,7 +273,7 @@ def run_pipeline(
         "skipped": 0,
     }
     flat = flatten_sources(sources)
-    _trim_partial_last_line(output_path)
+    trim_partial_last_line(output_path)
     with open(output_path, "a", encoding="utf-8") as out:
         for record in flat:
             if record.id in existing:

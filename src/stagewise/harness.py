@@ -27,8 +27,10 @@ from .backends import (
     oracle_correct,
     stable_u64,
 )
+from .jsonl import read_jsonl, trim_partial_last_line
 from .search import (
     BudgetLedger,
+    ConfigError,
     LoopSemantics,
     SearchConfig,
     SearchError,
@@ -41,7 +43,7 @@ from .stages import CANONICAL_ORDER, StagedResponse, StageKind
 MULTIPLE_CHOICE = "multiple_choice"
 FREE_FORM = "free_form"
 
-class EmptyBenchmarkError(SearchError):
+class EmptyBenchmarkError(ConfigError):
     """No items left to run (empty input or over-restrictive filter)."""
 
 
@@ -68,29 +70,20 @@ class BenchmarkItem:
             raise ValueError(f"gold {self.gold!r} is not an option letter")
 
 
+def _item(data: dict) -> BenchmarkItem:
+    return BenchmarkItem(
+        id=str(data["id"]),
+        question=data["question"],
+        kind=data.get("kind", FREE_FORM),
+        options=dict(data.get("options", {})),
+        gold=str(data.get("gold", "")),
+        image_ref=data.get("image_ref"),
+        category=data.get("category"),
+    )
+
+
 def load_items(path) -> list[BenchmarkItem]:
-    items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                items.append(
-                    BenchmarkItem(
-                        id=str(data["id"]),
-                        question=data["question"],
-                        kind=data.get("kind", FREE_FORM),
-                        options=dict(data.get("options", {})),
-                        gold=str(data.get("gold", "")),
-                        image_ref=data.get("image_ref"),
-                        category=data.get("category"),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad benchmark item: {exc}") from exc
-    return items
+    return read_jsonl(path, "benchmark item", _item)
 
 
 _NON_WORD = re.compile(r"[^\w\s]")
@@ -198,6 +191,7 @@ def run_benchmark(
             correct=False,
         )
         item_seed = stable_u64(str(run_seed), item.id)
+        result = None
         try:
             result = run_strategy(
                 item.question,
@@ -209,35 +203,33 @@ def run_benchmark(
                 collect_trace=collect_trace,
                 parallelism=parallelism,
             )
+            ledger = result.ledger
         except (BackendError, SearchError) as exc:
             record.error = f"{type(exc).__name__}: {exc}"
-            if exc.ledger is not None:
-                # The calls made before the failure still count.
-                record.generator_calls = exc.ledger.generator_calls
-                record.reward_calls = exc.ledger.reward_calls
-                record.wall_time_s = exc.ledger.wall_time_s
-                totals.add(exc.ledger)
-            records.append(record)
-            continue
-        record.conclusion = result.final_text
-        record.generator_calls = result.ledger.generator_calls
-        record.reward_calls = result.ledger.reward_calls
-        record.wall_time_s = result.ledger.wall_time_s
-        totals.add(result.ledger)
-        try:
-            record.correct = grader(item, record.conclusion)
-        except UngradableError:
-            record.correct = False
-            record.ungradable = True
-        if result.trace is not None:
-            trace_file = out_path / f"trace-{item.id}.jsonl"
-            result.trace.write(trace_file)
-            record.trace_file = str(trace_file)
+            # The calls a failed search made before it failed still count.
+            ledger = exc.ledger
+        if ledger is not None:
+            record.generator_calls = ledger.generator_calls
+            record.reward_calls = ledger.reward_calls
+            record.wall_time_s = ledger.wall_time_s
+            totals.add(ledger)
+        if result is not None:
+            record.conclusion = result.final_text
+            try:
+                record.correct = grader(item, record.conclusion)
+            except UngradableError:
+                record.ungradable = True
+            if result.trace is not None:
+                trace_file = out_path / f"trace-{item.id}.jsonl"
+                result.trace.write(trace_file)
+                record.trace_file = str(trace_file)
         records.append(record)
 
     accuracy = sum(1 for r in records if r.correct) / len(records)
     if out_path is not None:
-        with open(out_path / "run_records.jsonl", "a", encoding="utf-8") as fh:
+        records_path = out_path / "run_records.jsonl"
+        trim_partial_last_line(records_path)
+        with open(records_path, "a", encoding="utf-8") as fh:
             for record in records:
                 fh.write(record.to_json() + "\n")
     return BenchmarkResult(accuracy, totals, records)

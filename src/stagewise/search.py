@@ -39,6 +39,7 @@ from .backends import (
     stable_u64_prefix,
     text_digest,
 )
+from .jsonl import read_jsonl
 from .stages import (
     CANONICAL_ORDER,
     EMPTY_RESPONSE,
@@ -76,7 +77,7 @@ class SearchExhaustedError(SearchError):
     """Every candidate of a stage failed to parse across all passes."""
 
 
-class EmptyCorpusError(SearchError):
+class EmptyCorpusError(ConfigError):
     """Calibration requires a non-empty corpus."""
 
 
@@ -337,19 +338,10 @@ class SearchTrace:
 
     @staticmethod
     def read(path) -> tuple[dict, list[dict]]:
-        header: dict = {}
-        events: list[dict] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("record") == "header":
-                    header = record
-                else:
-                    events.append(record)
-        return header, events
+        """The header and events of a trace; a bad line raises ValueError naming FILE:LINE."""
+        records = read_jsonl(path, "trace record", dict)
+        header = next((r for r in reversed(records) if r.get("record") == "header"), {})
+        return header, [r for r in records if r.get("record") != "header"]
 
 
 @dataclass
@@ -520,16 +512,16 @@ class _Engine:
                 id(p): text_digest(self.question + "\n" + render_staged(p.trajectory))
                 for p in parents
             }
-        produced: list[tuple[int, Optional[Candidate], Optional[str]]] = []
+        # Per slot: the parsed child, or the text of its parse error.
+        outcomes: list[Candidate | str] = []
         for slot, (parent, raw) in enumerate(zip(assignments, raws)):
             birth = (pass_index, self._seq)
             self._seq += 1
-            parse_error: Optional[str] = None
-            candidate: Optional[Candidate] = None
             try:
-                candidate = self._child(parent, stages, raw, birth)
+                outcome = self._child(parent, stages, raw, birth)
             except StageFormatError as exc:
-                parse_error = f"{type(exc).__name__}: {exc}"
+                outcome = f"{type(exc).__name__}: {exc}"
+            outcomes.append(outcome)
             if self.trace is not None:
                 event = {
                     "stage": label,
@@ -540,45 +532,24 @@ class _Engine:
                     "input_digest": input_digests[id(parent)],
                     "output_digest": text_digest(raw),
                 }
-                if parse_error:
-                    event["parse_error"] = parse_error
+                if isinstance(outcome, str):
+                    event["parse_error"] = outcome
                 self.trace.log("generate", event)
-            produced.append((slot, candidate, parse_error))
 
-        scorable = [c for _, c, _ in produced if c is not None]
+        scorable = [c for c in outcomes if not isinstance(c, str)]
         if not do_score:
             return scorable
-
         values = self.run_calls(partial(self._score, label), scorable)
-        scored = iter(zip(scorable, values))
-        for slot, candidate, parse_error in produced:
-            if candidate is None:
-                if self.trace is not None:
-                    self.trace.log(
-                        "score",
-                        {
-                            "stage": label,
-                            "pass": pass_index,
-                            "slot": slot,
-                            "score": NEG_INF,
-                            "parse_error": parse_error,
-                        },
-                    )
-                continue
-            cand, value = next(scored)
-            assert cand is candidate
+        for candidate, value in zip(scorable, values):
             candidate.score = value
-            if self.trace is not None:
-                self.trace.log(
-                    "score",
-                    {
-                        "stage": label,
-                        "pass": pass_index,
-                        "slot": slot,
-                        "birth": list(candidate.birth),
-                        "score": value,
-                    },
-                )
+        if self.trace is not None:
+            for slot, outcome in enumerate(outcomes):
+                event = {"stage": label, "pass": pass_index, "slot": slot}
+                if isinstance(outcome, str):
+                    event.update(score=NEG_INF, parse_error=outcome)
+                else:
+                    event.update(birth=list(outcome.birth), score=outcome.score)
+                self.trace.log("score", event)
         return scorable
 
     # -- steps the strategies are built from -------------------------------

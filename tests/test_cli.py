@@ -140,10 +140,16 @@ def test_config_file_search_section_equals_flags(tmp_path):
         {"parallelism": 0},
         ["--parallelism", "0"],
         ["--reward-mean", "nan"],
+        {"sim": {"rng_seed": 1.5}},
+        {"sim": {"success": "0.5"}},
+        {"sim": {"success": {"caption": "0.5"}}},
+        {"sim": {"noise_std": True}},
+        {"generator": {"base_url": "http://x", "model": 5}},
     ],
     ids=["string-int", "float-int", "bool-int", "string-real", "nan-real", "alias",
          "search-list", "generator-string", "parallelism-0", "parallelism-flag-0",
-         "nan-flag"],
+         "nan-flag", "sim-float-int", "sim-string-real", "sim-string-stage-map",
+         "sim-bool-real", "endpoint-int-string"],
 )
 def test_bad_setting_exits_2(tmp_path, capsys, setting):
     if isinstance(setting, dict):
@@ -152,6 +158,12 @@ def test_bad_setting_exits_2(tmp_path, capsys, setting):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_endpoint_type_error_names_the_key(tmp_path, capsys):
+    path = _write_config(tmp_path, {"generator": {"base_url": "http://x", "retries": "2"}})
+    assert main(["solve", "q", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: generator.retries must be an integer, got '2'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +388,29 @@ def test_bad_input_file_exits_2_naming_file_and_line(
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert f"{tmp_path / where}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--items", "EMPTY"],
+        ["bench", "--items", "ONE", "--categories", "nope"],
+        ["scale", "--items", "EMPTY", "--out", "c.csv"],
+        ["calibrate", "--corpus", "EMPTY"],
+        ["simcheck", "--trials", "0"],
+        ["simcheck", "--trials", "-3"],
+    ],
+    ids=["bench-empty", "bench-no-category", "scale-empty", "calibrate-empty",
+         "trials-0", "trials-negative"],
+)
+def test_nothing_to_run_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "EMPTY").write_text("\n")
+    (tmp_path / "ONE").write_text(json.dumps({"id": "a", "question": "q"}) + "\n")
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad_line", ['{"id":"s0"', '{"question": "q"}'])

@@ -130,6 +130,18 @@ def test_run_benchmark_perfect_world_accuracy_one(tmp_path):
     assert len(log) == 8
 
 
+def test_run_benchmark_cuts_a_cut_short_records_line_before_appending(tmp_path):
+    records = tmp_path / "run_records.jsonl"
+    whole = json.dumps({"item_id": "w"}) + "\n"
+    records.write_text(whole + '{"item_id": "x", "strategy"')
+    sim = _perfect_sim()
+    run_benchmark(make_sim_items(2), SearchConfig(), sim, sim, out_dir=tmp_path, grader=oracle_grade)
+    text = records.read_text()
+    assert text.startswith(whole)
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert [r["item_id"] for r in rows] == ["w", "sim-0", "sim-1"]
+
+
 def test_run_benchmark_category_filter_and_empty():
     items = [
         BenchmarkItem(id="a", question="q", category="math"),

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -519,6 +520,16 @@ def test_trace_round_trips_through_file(tmp_path):
     assert header["strategy"] == "swires"
     assert len(events) == len(result.trace.events)
     assert events[0]["event"] == "generate"
+
+
+@pytest.mark.parametrize("bad_line", ["{bad", "[1]"])
+def test_trace_read_names_file_and_line_of_a_bad_line(tmp_path, bad_line):
+    path = tmp_path / "trace.jsonl"
+    _trace_of(3).write(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: bad trace record: "):
+        SearchTrace.read(path)
 
 
 def _trace_of(events: int) -> SearchTrace:
