@@ -175,21 +175,22 @@ class EndpointConfig:
             raise ValueError("retries must be >= 0")
 
 
-class _ConnectionPool:
-    """Keep-alive connections to one endpoint, shared by the threads calling it.
+class _HttpClient:
+    """JSON POSTs to one endpoint over keep-alive connections shared by threads.
 
-    A call takes an idle connection or opens one, so the pool never holds
+    A call takes an idle connection or opens one, so the client never holds
     more connections than there were concurrent calls. A connection goes
     back after its reply is read in full, unless the server said it will
-    close it; any failure closes it.
+    close it; any failure closes it. ``_post`` makes every attempt of a call.
     """
 
     def __init__(self, config: EndpointConfig):
         # The HTTP stack loads with the first client, so sim-only runs skip it.
         import http.client
 
+        self.config = config
         url = urlsplit(config.base_url)
-        self.path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         if url.scheme == "https":
             import ssl
 
@@ -201,8 +202,17 @@ class _ConnectionPool:
             self._open = lambda: http.client.HTTPConnection(
                 url.hostname, url.port, timeout=config.timeout_s
             )
+        # What a failed attempt can raise, to be tried again.
+        self._attempt_errors = (OSError, http.client.HTTPException)
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the client's idle keep-alive connections."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def _take(self) -> Optional[http.client.HTTPConnection]:
         """An idle connection the server has not closed, or None."""
@@ -217,7 +227,7 @@ class _ConnectionPool:
             # closed it (or broke protocol); either way it cannot carry a request.
             conn.close()
 
-    def post(self, body: bytes, headers: dict) -> tuple[int, Mapping[str, str], bytes]:
+    def _send(self, data: bytes, headers: dict) -> tuple[int, Mapping[str, str], bytes]:
         """Send one POST and return the reply's status, headers and body."""
         conn = self._take()
         reused = conn is not None
@@ -225,7 +235,7 @@ class _ConnectionPool:
             conn = self._open()
         try:
             try:
-                conn.request("POST", self.path, body, headers)
+                conn.request("POST", self._path, data, headers)
                 reply = conn.getresponse()
             except (ConnectionResetError, BrokenPipeError):
                 # RemoteDisconnected is a ConnectionResetError. A reused
@@ -236,9 +246,9 @@ class _ConnectionPool:
                     raise
                 conn.close()
                 conn = self._open()
-                conn.request("POST", self.path, body, headers)
+                conn.request("POST", self._path, data, headers)
                 reply = conn.getresponse()
-            data = reply.read()
+            reply_data = reply.read()
         except BaseException:
             conn.close()
             raise
@@ -247,13 +257,44 @@ class _ConnectionPool:
         else:
             with self._lock:
                 self._idle.append(conn)
-        return reply.status, reply.headers, data
+        return reply.status, reply.headers, reply_data
 
-    def close(self) -> None:
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+    def _post(self, body: dict) -> dict:
+        """POST ``body``, after the ``model`` key, and return the decoded JSON reply."""
+        config = self.config
+        try:
+            data = json.dumps({"model": config.model, **body}, allow_nan=False).encode("utf-8")
+        except ValueError as exc:
+            raise TransportError(
+                f"request body for {config.base_url} is not valid JSON: {exc}"
+            ) from exc
+        headers = {"Content-Type": "application/json"}
+        token = os.environ.get(config.token_env, "")
+        if token:
+            headers["Authorization"] = f"Bearer {token}"
+        last_error: Optional[Exception] = None
+        wait: Optional[int] = None
+        for attempt in range(config.retries + 1):
+            if attempt > 0:
+                time.sleep(config.backoff_s * 4 ** (attempt - 1) if wait is None else wait)
+                wait = None
+            try:
+                status, reply_headers, reply = self._send(data, headers)
+            except self._attempt_errors as exc:
+                last_error = exc
+                continue
+            if status // 100 == 2:
+                try:
+                    return json.loads(reply)
+                except ValueError as exc:
+                    raise MalformedReplyError(f"non-JSON reply: {exc}") from exc
+            last_error = TransportError(f"HTTP {status} from {config.base_url}")
+            if not _retryable(status):
+                break
+            wait = _retry_after_s(reply_headers.get("Retry-After", ""))
+        raise TransportError(
+            f"request to {config.base_url} failed after {attempt + 1} attempts: {last_error}"
+        )
 
 
 def _readable(sock) -> bool:
@@ -286,44 +327,6 @@ def _retry_after_s(value: str) -> Optional[int]:
     return None
 
 
-def _post_json(config: EndpointConfig, pool: _ConnectionPool, body: dict) -> dict:
-    import http.client
-
-    try:
-        data = json.dumps(body, allow_nan=False).encode("utf-8")
-    except ValueError as exc:
-        raise TransportError(
-            f"request body for {config.base_url} is not valid JSON: {exc}"
-        ) from exc
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(config.token_env, "")
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    last_error: Optional[Exception] = None
-    wait: Optional[int] = None
-    for attempt in range(config.retries + 1):
-        if attempt > 0:
-            time.sleep(config.backoff_s * 4 ** (attempt - 1) if wait is None else wait)
-            wait = None
-        try:
-            status, reply_headers, reply = pool.post(data, headers)
-        except (OSError, http.client.HTTPException) as exc:
-            last_error = exc
-            continue
-        if status // 100 == 2:
-            try:
-                return json.loads(reply)
-            except ValueError as exc:
-                raise MalformedReplyError(f"non-JSON reply: {exc}") from exc
-        last_error = TransportError(f"HTTP {status} from {config.base_url}")
-        if not _retryable(status):
-            break
-        wait = _retry_after_s(reply_headers.get("Retry-After", ""))
-    raise TransportError(
-        f"request to {config.base_url} failed after {attempt + 1} attempts: {last_error}"
-    )
-
-
 def _truncate_at_stop(text: str, stop: Optional[str]) -> str:
     if stop:
         cut = text.find(stop)
@@ -332,7 +335,7 @@ def _truncate_at_stop(text: str, stop: Optional[str]) -> str:
     return text
 
 
-class HttpGenerator(Generator):
+class HttpGenerator(_HttpClient, Generator):
     """Chat-completions-style generator client.
 
     Request body: ``model``, ``messages`` (optional system, user carrying the
@@ -341,17 +344,8 @@ class HttpGenerator(Generator):
     optional ``seed``. The reply's first choice text is returned.
     """
 
-    def __init__(self, config: EndpointConfig):
-        self.config = config
-        self._pool = _ConnectionPool(config)
-
-    def close(self) -> None:
-        """Close the client's idle keep-alive connections."""
-        self._pool.close()
-
     def generate(self, request: GeneratorRequest) -> str:
         body = {
-            "model": self.config.model,
             "messages": self._messages(request),
             "temperature": request.sampling.temperature,
             "max_tokens": request.sampling.max_new_tokens,
@@ -361,7 +355,7 @@ class HttpGenerator(Generator):
         if request.seed is not None:
             # Endpoints expect a signed 64-bit value at most.
             body["seed"] = request.seed % (2**63)
-        reply = _post_json(self.config, self._pool, body)
+        reply = self._post(body)
         try:
             choice = reply["choices"][0]
             text = choice["message"]["content"] if "message" in choice else choice["text"]
@@ -391,28 +385,19 @@ class HttpGenerator(Generator):
         return messages
 
 
-class HttpRewardScorer(RewardScorer):
+class HttpRewardScorer(_HttpClient, RewardScorer):
     """Reward endpoint client.
 
     Request body: ``model``, ``question``, ``response`` (the rendered
-    trajectory). The reply must carry a single numeric ``score`` field.
+    trajectory) and ``image_ref`` when the request has one. The reply must
+    carry a single numeric ``score`` field.
     """
 
-    def __init__(self, config: EndpointConfig):
-        self.config = config
-        self._pool = _ConnectionPool(config)
-
-    def close(self) -> None:
-        """Close the client's idle keep-alive connections."""
-        self._pool.close()
-
     def score(self, request: RewardRequest) -> RewardScore:
-        body = {
-            "model": self.config.model,
-            "question": request.question,
-            "response": render_staged(request.trajectory),
-        }
-        reply = _post_json(self.config, self._pool, body)
+        body = {"question": request.question, "response": render_staged(request.trajectory)}
+        if request.image_ref:
+            body["image_ref"] = request.image_ref
+        reply = self._post(body)
         try:
             value = float(reply["score"])
         except (KeyError, TypeError, ValueError):

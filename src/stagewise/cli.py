@@ -37,7 +37,7 @@ from .harness import (
     run_simcheck,
     scaling_experiment,
 )
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, string_field
 from .search import (
     ConfigError,
     SearchConfig,
@@ -225,13 +225,12 @@ def make_generator(cfg: AppConfig) -> Generator:
     return HttpGenerator(cfg.generator)
 
 
-def make_backends(cfg: AppConfig) -> tuple[Generator, RewardScorer]:
+def make_reward(cfg: AppConfig) -> RewardScorer:
     if cfg.backend == "sim":
-        sim = SimWorld(cfg.sim)
-        return sim, sim
+        return SimWorld(cfg.sim)
     if cfg.reward is None:
-        raise ConfigError("http backend requires generator and reward endpoint configs")
-    return make_generator(cfg), HttpRewardScorer(cfg.reward)
+        raise ConfigError("http backend requires a reward endpoint config")
+    return HttpRewardScorer(cfg.reward)
 
 
 def _read_input(loader, path):
@@ -251,7 +250,7 @@ def _read_input(loader, path):
 def _load_corpus(path) -> list[tuple[str, StagedResponse]]:
     """Calibration corpus: JSON lines of {question, response}."""
     return read_jsonl(
-        path, "corpus record", lambda data: (data["question"], parse_staged(data["response"]))
+        path, "corpus record", lambda d: (string_field(d, "question"), parse_staged(d["response"]))
     )
 
 
@@ -269,12 +268,11 @@ def _summary(payload: dict) -> None:
 
 
 def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
-    generator, reward = make_backends(cfg)
     result = run_strategy(
         args.question,
         cfg.search,
-        generator,
-        reward,
+        make_generator(cfg),
+        make_reward(cfg),
         image_ref=args.image,
         run_seed=cfg.run_seed,
         collect_trace=True,
@@ -306,7 +304,8 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
     result = run_benchmark(
         items,
         cfg.search,
-        *make_backends(cfg),
+        make_generator(cfg),
+        make_reward(cfg),
         out_dir=args.out,
         grader=_grader_for(cfg),
         run_seed=cfg.run_seed,
@@ -330,7 +329,8 @@ def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
     items = _read_input(load_items, args.items)
     points = scaling_experiment(
         items,
-        *make_backends(cfg),
+        make_generator(cfg),
+        make_reward(cfg),
         grid=default_grid(cfg.search),
         out_csv=args.out,
         out_dir=args.log_dir,
@@ -344,8 +344,7 @@ def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
-    _, reward = make_backends(cfg)
-    stats = calibrate(reward, _read_input(_load_corpus, args.corpus))
+    stats = calibrate(make_reward(cfg), _read_input(_load_corpus, args.corpus))
     fitted = {
         "reward_mean": stats.reward_mean,
         "reward_std": stats.reward_std,

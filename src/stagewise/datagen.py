@@ -22,7 +22,7 @@ from .backends import (
     SamplingParams,
     stable_u64,
 )
-from .jsonl import read_jsonl, trim_partial_last_line
+from .jsonl import read_jsonl, string_field, trim_partial_last_line
 from .stages import (
     CANONICAL_ORDER,
     StagedResponse,
@@ -124,11 +124,11 @@ class GeneratedRecord:
 def _source(data: dict) -> SourceRecord:
     return SourceRecord(
         id=str(data["id"]),
-        question=data["question"],
+        question=string_field(data, "question"),
         gold_answer=str(data["gold_answer"]),
         image_ref=data.get("image_ref"),
         turns=tuple(
-            (turn["question"], str(turn["gold_answer"])) for turn in data.get("turns", [])
+            (string_field(turn, "question"), str(turn["gold_answer"])) for turn in data.get("turns", [])
         ),
     )
 

@@ -27,7 +27,7 @@ from .backends import (
     oracle_correct,
     stable_u64,
 )
-from .jsonl import read_jsonl, trim_partial_last_line
+from .jsonl import read_jsonl, string_field, trim_partial_last_line
 from .search import (
     BudgetLedger,
     ConfigError,
@@ -73,7 +73,7 @@ class BenchmarkItem:
 def _item(data: dict) -> BenchmarkItem:
     return BenchmarkItem(
         id=str(data["id"]),
-        question=data["question"],
+        question=string_field(data, "question"),
         kind=data.get("kind", FREE_FORM),
         options=dict(data.get("options", {})),
         gold=str(data.get("gold", "")),
@@ -85,6 +85,9 @@ def _item(data: dict) -> BenchmarkItem:
 def load_items(path) -> list[BenchmarkItem]:
     return read_jsonl(path, "benchmark item", _item)
 
+
+# Percent-encodes what an item id cannot carry into a file name, "%" too, so ids stay distinct.
+_FILE_NAME_ESCAPES = str.maketrans({c: f"%{ord(c):02X}" for c in "%/\\\0"})
 
 _NON_WORD = re.compile(r"[^\w\s]")
 
@@ -220,7 +223,7 @@ def run_benchmark(
             except UngradableError:
                 record.ungradable = True
             if result.trace is not None:
-                trace_file = out_path / f"trace-{item.id}.jsonl"
+                trace_file = out_path / f"trace-{item.id.translate(_FILE_NAME_ESCAPES)}.jsonl"
                 result.trace.write(trace_file)
                 record.trace_file = str(trace_file)
         records.append(record)

@@ -31,6 +31,14 @@ def read_jsonl(path, what: str, build: Callable[[dict], object]) -> list:
     return built
 
 
+def string_field(data: dict, key: str) -> str:
+    """``data[key]``, rejected with TypeError unless it is a string."""
+    value = data[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def trim_partial_last_line(path) -> None:
     """Cut an unterminated last line, left by a killed run, before an append.
 

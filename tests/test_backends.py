@@ -389,6 +389,19 @@ def test_http_reward_wire_format_and_value(stub_server):
     }
 
 
+def test_http_reward_sends_image_ref(stub_server):
+    server = stub_server([(200, {"score": 0.5})])
+    scorer = HttpRewardScorer(_endpoint(server.url))
+    traj = StagedResponse((StageBlock(StageKind.SUMMARY, "s"),))
+    assert scorer.score(RewardRequest("why?", traj, image_ref="img://7")) == 0.5
+    assert server.requests[0]["body"] == {
+        "model": "test-model",
+        "question": "why?",
+        "response": "<SUMMARY>s</SUMMARY>",
+        "image_ref": "img://7",
+    }
+
+
 def test_http_reward_rejects_nonfinite_and_missing(stub_server):
     traj = StagedResponse((StageBlock(StageKind.SUMMARY, "s"),))
     server = stub_server([(200, {"score": "NaN"})])
@@ -414,17 +427,35 @@ def test_endpoint_config_validation():
 # ---------------------------------------------------------------------------
 
 
+def _sent_question(body):
+    """The question a generator or a reward request carries."""
+    return body["question"] if "question" in body else body["messages"][0]["content"]
+
+
 def _echo_question(body):
-    return 200, {"choices": [{"message": {"content": body["messages"][0]["content"]}}]}
+    """The question back: as a generator's text, or "q<k>" as a reward score of k."""
+    if "question" in body:
+        return 200, {"score": float(body["question"][1:])}
+    return 200, {"choices": [{"message": {"content": _sent_question(body)}}]}
 
 
-def _ask(gen, question):
-    return gen.generate(GeneratorRequest(question=question, target_stages=(StageKind.SUMMARY,)))
+def _ask(client, question):
+    """The question through either client, a reward score read back as "q<score>"."""
+    if isinstance(client, HttpRewardScorer):
+        traj = StagedResponse((StageBlock(StageKind.SUMMARY, "s"),))
+        return f"q{client.score(RewardRequest(question, traj)):g}"
+    return client.generate(GeneratorRequest(question=question, target_stages=(StageKind.SUMMARY,)))
 
 
-def test_http_sequential_calls_reuse_one_connection(stub_server):
+_CLIENTS = pytest.mark.parametrize(
+    "client_cls", [HttpGenerator, HttpRewardScorer], ids=["generator", "reward"]
+)
+
+
+@_CLIENTS
+def test_http_sequential_calls_reuse_one_connection(stub_server, client_cls):
     server = stub_server(_echo_question, keep_alive=True)
-    gen = HttpGenerator(_endpoint(server.url))
+    gen = client_cls(_endpoint(server.url))
     try:
         assert [_ask(gen, f"q{k}") for k in range(5)] == [f"q{k}" for k in range(5)]
     finally:
@@ -433,19 +464,20 @@ def test_http_sequential_calls_reuse_one_connection(stub_server):
     assert len({r["port"] for r in server.requests}) == 1
 
 
-def test_http_server_closing_idle_connections_costs_no_retry(stub_server):
+@_CLIENTS
+def test_http_server_closing_idle_connections_costs_no_retry(stub_server, client_cls):
     # HTTP/1.1 without "Connection: close", yet the server hangs up after
     # each reply: every reuse finds a dead connection, which must be
     # replaced without a backoff and without a second request reaching it.
     server = stub_server(_echo_question, keep_alive=True, drop_after_reply=True)
-    gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=5))
+    gen = client_cls(_endpoint(server.url, retries=2, backoff=5))
     started = time.monotonic()
     try:
         assert [_ask(gen, f"q{k}") for k in range(3)] == ["q0", "q1", "q2"]
     finally:
         gen.close()
     assert time.monotonic() - started < 2.5
-    assert [r["body"]["messages"][0]["content"] for r in server.requests] == ["q0", "q1", "q2"]
+    assert [_sent_question(r["body"]) for r in server.requests] == ["q0", "q1", "q2"]
 
 
 def test_http_client_shared_by_threads_matches_each_reply(stub_server):

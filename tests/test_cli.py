@@ -286,7 +286,10 @@ def test_scale_reruns_identical_bytes(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_calibrate_fixture_corpus(tmp_path, capsys, stub_server):
+@pytest.mark.parametrize(
+    "endpoints", [("generator", "reward"), ("reward",)], ids=["both-endpoints", "reward-only"]
+)
+def test_calibrate_fixture_corpus(tmp_path, capsys, stub_server, endpoints):
     server = stub_server([(200, {"score": 1.0}), (200, {"score": 2.0}), (200, {"score": 3.0})])
     corpus = tmp_path / "corpus.jsonl"
     rows = [
@@ -295,12 +298,7 @@ def test_calibrate_fixture_corpus(tmp_path, capsys, stub_server):
     ]
     corpus.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     config = _write_config(
-        tmp_path,
-        {
-            "backend": "http",
-            "generator": {"base_url": server.url},
-            "reward": {"base_url": server.url},
-        },
+        tmp_path, {"backend": "http", **{side: {"base_url": server.url} for side in endpoints}}
     )
     stats_out = tmp_path / "stats.json"
     code = main(
@@ -373,6 +371,16 @@ _GOOD_RESPONSE = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONIN
         ("calibrate", "--corpus", ["", "{not json"], "in.jsonl:2"),
         ("datagen", "--sources", ['{"id": "s", "question": "q"}'], "in.jsonl:1"),
         ("datagen", "--sources", None, "in.jsonl"),
+        ("bench", "--items", ['{"id": "a", "question": 5}'], "in.jsonl:1"),
+        ("datagen", "--sources", ['{"id": "s", "question": ["x"], "gold_answer": "B"}'], "in.jsonl:1"),
+        (
+            "datagen",
+            "--sources",
+            ['{"id": "s", "question": "q", "gold_answer": "B", '
+             '"turns": [{"question": 3, "gold_answer": "C"}]}'],
+            "in.jsonl:1",
+        ),
+        ("calibrate", "--corpus", [json.dumps({"question": 7, "response": _GOOD_RESPONSE})], "in.jsonl:1"),
     ],
 )
 def test_bad_input_file_exits_2_naming_file_and_line(

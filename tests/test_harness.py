@@ -1,9 +1,17 @@
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
-from stagewise.backends import Generator, RewardScorer, SimWorld, SimWorldConfig, TransportError
+from stagewise.backends import (
+    Generator,
+    RewardScorer,
+    SimWorld,
+    SimWorldConfig,
+    TransportError,
+    text_digest,
+)
 from stagewise.harness import (
     BEAM_CANDIDATE_GRID,
     BEST_OF_N_GRID,
@@ -28,7 +36,14 @@ from stagewise.harness import (
     sample_calibration_corpus,
     scaling_experiment,
 )
-from stagewise.search import SearchConfig, SearchExhaustedError, Strategy, calibrate, swires
+from stagewise.search import (
+    SearchConfig,
+    SearchExhaustedError,
+    SearchTrace,
+    Strategy,
+    calibrate,
+    swires,
+)
 from stagewise.stages import StageKind
 
 from conftest import ScriptedGenerator, ScriptedScorer
@@ -287,6 +302,21 @@ def test_run_benchmark_traces_persisted(tmp_path):
     )
     for record in result.records:
         assert record.trace_file and (tmp_path / record.trace_file.split("/")[-1]).exists()
+
+
+def test_run_benchmark_trace_files_of_ids_that_are_not_file_names(tmp_path):
+    items = [BenchmarkItem(id=i, question=f"question {i}") for i in ("a/b", "../x", "a%2Fb")]
+    sim = _perfect_sim()
+    out = tmp_path / "out"
+    result = run_benchmark(
+        items, SearchConfig(), sim, sim, out_dir=out, grader=oracle_grade, collect_traces=True
+    )
+    files = [Path(record.trace_file) for record in result.records]
+    assert sorted(files) == sorted(out.glob("trace-*.jsonl"))
+    assert len(set(files)) == len(items)
+    for item, path in zip(items, files):
+        header, events = SearchTrace.read(path)
+        assert header["question_digest"] == text_digest(item.question) and events
 
 
 def test_run_benchmark_rewrites_traces_of_an_earlier_run(tmp_path):
