@@ -71,7 +71,7 @@ class AppConfig:
 # flag's parsed value is stored under its setting's name.
 _SEARCH_SETTINGS = {
     "strategy": ("--strategy", "search strategy"),
-    "candidates_per_stage": ("--m", "candidates generated per stage"),
+    "candidates_per_stage": ("--m", "candidates generated per stage (best-of-N ignores it)"),
     "beam_width": ("--n", "beam width (and best-of-N's N)"),
     "retrace_limit": ("--retraces", "retrace budget C"),
     "cutoff_zscore": ("--z", "cutoff z-score"),

@@ -126,7 +126,7 @@ def _source(data: dict) -> SourceRecord:
         id=str(data["id"]),
         question=string_field(data, "question"),
         gold_answer=str(data["gold_answer"]),
-        image_ref=data.get("image_ref"),
+        image_ref=string_field(data, "image_ref", optional=True),
         turns=tuple(
             (string_field(turn, "question"), str(turn["gold_answer"])) for turn in data.get("turns", [])
         ),

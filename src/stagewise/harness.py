@@ -26,10 +26,12 @@ from .backends import (
     SimWorldConfig,
     oracle_correct,
     stable_u64,
+    text_digest,
 )
 from .jsonl import read_jsonl, string_field, trim_partial_last_line
 from .search import (
     BudgetLedger,
+    CalibrationStats,
     ConfigError,
     LoopSemantics,
     SearchConfig,
@@ -77,8 +79,8 @@ def _item(data: dict) -> BenchmarkItem:
         kind=data.get("kind", FREE_FORM),
         options=dict(data.get("options", {})),
         gold=str(data.get("gold", "")),
-        image_ref=data.get("image_ref"),
-        category=data.get("category"),
+        image_ref=string_field(data, "image_ref", optional=True),
+        category=string_field(data, "category", optional=True),
     )
 
 
@@ -88,8 +90,18 @@ def load_items(path) -> list[BenchmarkItem]:
 
 # Percent-encodes what an item id cannot carry into a file name, "%" too, so ids stay distinct.
 _FILE_NAME_ESCAPES = str.maketrans({c: f"%{ord(c):02X}" for c in "%/\\\0"})
-
+_NAME_MAX = 255  # bytes in one file name on common file systems
 _NON_WORD = re.compile(r"[^\w\s]")
+
+
+def _trace_file_name(item_id: str) -> str:
+    """``trace-<id>.jsonl``; past ``_NAME_MAX`` bytes the id is cut on a character
+    boundary and ``-<text_digest(id)>`` keeps distinct ids apart."""
+    stem, suffix = "trace-" + item_id.translate(_FILE_NAME_ESCAPES), ".jsonl"
+    if len((stem + suffix).encode("utf-8")) > _NAME_MAX:
+        suffix = f"-{text_digest(item_id)}.jsonl"
+        stem = stem.encode("utf-8")[: _NAME_MAX - len(suffix)].decode("utf-8", "ignore")
+    return stem + suffix
 
 
 def grade(item: BenchmarkItem, conclusion: str) -> bool:
@@ -180,6 +192,8 @@ def run_benchmark(
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        records_path = out_path / "run_records.jsonl"
+        trim_partial_last_line(records_path)
 
     # A trace is built only to be written.
     collect_trace = collect_traces and out_path is not None
@@ -223,19 +237,16 @@ def run_benchmark(
             except UngradableError:
                 record.ungradable = True
             if result.trace is not None:
-                trace_file = out_path / f"trace-{item.id.translate(_FILE_NAME_ESCAPES)}.jsonl"
+                trace_file = out_path / _trace_file_name(item.id)
                 result.trace.write(trace_file)
                 record.trace_file = str(trace_file)
         records.append(record)
-
-    accuracy = sum(1 for r in records if r.correct) / len(records)
-    if out_path is not None:
-        records_path = out_path / "run_records.jsonl"
-        trim_partial_last_line(records_path)
-        with open(records_path, "a", encoding="utf-8") as fh:
-            for record in records:
+        # Appended as each item finishes, so a run that dies keeps the records before it.
+        if out_path is not None:
+            with open(records_path, "a", encoding="utf-8") as fh:
                 fh.write(record.to_json() + "\n")
-    return BenchmarkResult(accuracy, totals, records)
+
+    return BenchmarkResult(sum(1 for r in records if r.correct) / len(records), totals, records)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +285,7 @@ def default_grid(base: Optional[SearchConfig] = None) -> list[GridCell]:
     base = base or SearchConfig()
     cells: list[GridCell] = []
     for n in BEST_OF_N_GRID:
-        cells.append(
-            GridCell(
-                n,
-                replace(base, strategy=Strategy.BEST_OF_N, candidates_per_stage=n, beam_width=n),
-            )
-        )
+        cells.append(GridCell(n, replace(base, strategy=Strategy.BEST_OF_N, beam_width=n)))
     for m in BEAM_CANDIDATE_GRID:
         width = 2 if m % 2 == 0 else 1
         cells.append(
@@ -486,8 +492,6 @@ SIMCHECK_WORLD = SimWorldConfig(
 
 
 def _simcheck_config(**overrides) -> SearchConfig:
-    from .search import CalibrationStats
-
     base = SearchConfig(
         candidates_per_stage=2,
         beam_width=1,
@@ -509,7 +513,7 @@ def run_simcheck(trials: int = 20_000, run_seed: int = 0) -> list[dict]:
         (
             "best_of_n(n=2)",
             enumerate_best_of_n_accuracy(world, 2),
-            _simcheck_config(strategy=Strategy.BEST_OF_N, candidates_per_stage=2, beam_width=2),
+            _simcheck_config(strategy=Strategy.BEST_OF_N, beam_width=2),
         ),
         (
             "beam(m=2,n=1)",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
-from typing import Callable
+from typing import Callable, Optional
 
 
 def read_jsonl(path, what: str, build: Callable[[dict], object]) -> list:
@@ -31,10 +31,10 @@ def read_jsonl(path, what: str, build: Callable[[dict], object]) -> list:
     return built
 
 
-def string_field(data: dict, key: str) -> str:
-    """``data[key]``, rejected with TypeError unless it is a string."""
-    value = data[key]
-    if not isinstance(value, str):
+def string_field(data: dict, key: str, optional: bool = False) -> Optional[str]:
+    """``data[key]``, TypeError unless a string; ``optional`` lets it be absent or null (None)."""
+    value = data.get(key) if optional else data[key]
+    if not isinstance(value, str) and not (optional and value is None):
         raise TypeError(f"{key} must be a string, got {value!r}")
     return value
 

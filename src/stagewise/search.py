@@ -162,8 +162,9 @@ class SearchConfig:
     ``candidates_per_stage`` (M) is how many candidates each searched stage
     generates; ``beam_width`` (N) how many survive selection, and it must
     divide M; ``retrace_limit`` (C) bounds retracing; the retrace cutoff is
-    ``stats.reward_mean + cutoff_zscore * stats.reward_std``. Best-of-N uses
-    ``beam_width`` as its N. ``pipeline`` may be any canonical-order
+    ``stats.reward_mean + cutoff_zscore * stats.reward_std``. Best-of-N
+    samples ``beam_width`` responses and ignores ``candidates_per_stage``,
+    so there N need not divide M. ``pipeline`` may be any canonical-order
     subsequence of the four stages, which keeps degenerate single-stage
     searches expressible for oracle tests.
     """
@@ -198,7 +199,7 @@ class SearchConfig:
             problems.append("candidates_per_stage must be >= 1")
         if self.beam_width < 1:
             problems.append("beam_width must be >= 1")
-        elif self.candidates_per_stage % self.beam_width != 0:
+        elif self.strategy is not Strategy.BEST_OF_N and self.candidates_per_stage % self.beam_width:
             problems.append("beam_width must divide candidates_per_stage")
         if self.retrace_limit < 0:
             problems.append("retrace_limit must be >= 0")
@@ -644,27 +645,23 @@ def _with_strategy(cfg: SearchConfig, strategy: Strategy) -> SearchConfig:
 
 def best_of_n(
     question: str,
-    n: int,
+    cfg: SearchConfig,
     generator: Generator,
     reward: RewardScorer,
     *,
-    cfg: Optional[SearchConfig] = None,
     image_ref: Optional[str] = None,
     run_seed: int = 0,
     collect_trace: bool = True,
     parallelism: int = 1,
 ) -> SearchResult:
-    """Generate n complete responses in one call each and keep the best.
+    """Generate N (``beam_width``) complete responses, one call each; keep the best.
 
     Each response is parsed as a full pipeline; responses that fail to parse
     are recorded with score -inf and never scored by the reward backend.
     """
-    cfg = _with_strategy(cfg or SearchConfig(), Strategy.BEST_OF_N)
-    engine = _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism)
-    if n < 1:
-        raise ConfigError("best_of_n requires n >= 1")
-    with engine:
-        return engine.conclude(cfg.pipeline, [_ROOT], n)
+    cfg = _with_strategy(cfg, Strategy.BEST_OF_N)
+    with _Engine(question, cfg, generator, reward, image_ref, run_seed, collect_trace, parallelism) as engine:
+        return engine.conclude(cfg.pipeline, [_ROOT], cfg.beam_width)
 
 
 def stage_wise_beam(
@@ -783,16 +780,13 @@ def run_strategy(
     parallelism: int = 1,
 ) -> SearchResult:
     """Dispatch to the configured strategy under one seeding discipline."""
-    kwargs = dict(
-        image_ref=image_ref,
-        run_seed=run_seed,
-        collect_trace=collect_trace,
-        parallelism=parallelism,
-    )
-    if cfg.strategy is Strategy.BEST_OF_N:
-        return best_of_n(question, cfg.beam_width, generator, reward, cfg=cfg, **kwargs)
-    if cfg.strategy is Strategy.STAGE_BEAM:
-        return stage_wise_beam(question, cfg, generator, reward, **kwargs)
-    if cfg.strategy is Strategy.SWIRES:
-        return swires(question, cfg, generator, reward, **kwargs)
-    raise ConfigError(f"unknown strategy: {cfg.strategy!r}")
+    # Looked up at call time: perfbench's tracer patches these module names.
+    search = {
+        Strategy.BEST_OF_N: best_of_n,
+        Strategy.STAGE_BEAM: stage_wise_beam,
+        Strategy.SWIRES: swires,
+    }.get(cfg.strategy)
+    if search is None:
+        raise ConfigError(f"unknown strategy: {cfg.strategy!r}")
+    return search(question, cfg, generator, reward, image_ref=image_ref, run_seed=run_seed,
+                  collect_trace=collect_trace, parallelism=parallelism)

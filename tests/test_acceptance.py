@@ -11,6 +11,7 @@ import math
 import os
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -270,7 +271,7 @@ def test_a6_equivalences():
                 "one", cfg, single, single, run_seed=seed, collect_trace=False
             )
             rn = best_of_n(
-                "one", 4, single, single, cfg=cfg, run_seed=seed, collect_trace=False
+                "one", replace(cfg, beam_width=4), single, single, run_seed=seed, collect_trace=False
             )
             assert rb.answer == rn.answer
             assert render_staged(rb.answer) == render_staged(rn.answer)

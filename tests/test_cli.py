@@ -11,7 +11,7 @@ from stagewise.cli import (
     load_config,
     main,
 )
-from stagewise.search import LoopSemantics, Strategy
+from stagewise.search import LoopSemantics, SearchTrace, Strategy
 
 
 def _last_json_line(capsys):
@@ -209,6 +209,12 @@ def test_solve_config_error_exits_2(capsys):
     assert main(["solve", "q", "--m", "4", "--n", "3"]) == EXIT_CONFIG
 
 
+def test_solve_best_of_n_spends_n_whatever_m(capsys):
+    assert main(["solve", "q", "--strategy", "best_of_n", "--n", "3"]) == EXIT_OK
+    summary, _ = _last_json_line(capsys)
+    assert summary["generator_calls"] == 3
+
+
 def test_solve_search_exhausted_exits_4(tmp_path, stub_server):
     from stagewise.cli import EXIT_EXHAUSTED
 
@@ -256,6 +262,21 @@ def test_bench_save_traces_without_out_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.err == "config error: --save-traces needs --out\n"
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["items.jsonl"]
+
+
+def test_bench_save_traces_of_ids_too_long_for_a_file_name(tmp_path, capsys):
+    # 1 + 279 two-byte characters: the cut lands inside a character.
+    shared = "x" + "\u00e9" * 279
+    items = tmp_path / "items.jsonl"
+    items.write_text("".join(json.dumps({"id": shared + c * 20, "question": "q"}) + "\n" for c in "ab"))
+    out = tmp_path / "out"
+    assert main(["bench", "--items", str(items), "--out", str(out), "--save-traces"]) == EXIT_OK
+    files = sorted(out.glob("trace-*.jsonl"))
+    assert len(files) == 2
+    for path in files:
+        assert len(path.name.encode("utf-8")) <= 255
+        header, events = SearchTrace.read(path)
+        assert header["strategy"] == "swires" and events
 
 
 def test_scale_default_grid_row_count(tmp_path, capsys):
@@ -381,6 +402,9 @@ _GOOD_RESPONSE = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONIN
             "in.jsonl:1",
         ),
         ("calibrate", "--corpus", [json.dumps({"question": 7, "response": _GOOD_RESPONSE})], "in.jsonl:1"),
+        ("bench", "--items", ['{"id": "a", "question": "q", "category": 5}'], "in.jsonl:1"),
+        ("bench", "--items", ['{"id": "a", "question": "q", "image_ref": 7}'], "in.jsonl:1"),
+        ("datagen", "--sources", ['{"id": "s", "question": "q", "gold_answer": "B", "image_ref": 5}'], "in.jsonl:1"),
     ],
 )
 def test_bad_input_file_exits_2_naming_file_and_line(

@@ -27,7 +27,7 @@ from stagewise.search import (
 )
 from stagewise.stages import StageKind
 
-GOLDEN_SHA256 = "07831a7f2f1353c118df18e2220fed5f5cdb9cf95556b4cf9f51fccb67e53d04"
+GOLDEN_SHA256 = "a468cb705b156fabeccd28cd3f13e834866142956d7c997adc143138c71a8585"
 
 S, C, R, F = (
     StageKind.SUMMARY,
@@ -103,25 +103,21 @@ class CorruptingGenerator(Generator):
 def _runs():
     for name, overrides in VARIANTS.items():
         cfg = replace(BASE, **overrides)
-        runners = [(s.value, replace(cfg, strategy=s), None) for s in Strategy]
-        runners.append(("best_of_3", cfg, 3))
-        for label, run_cfg, n in runners:
+        runners = [(s.value, replace(cfg, strategy=s), run_strategy) for s in Strategy]
+        runners.append(("best_of_3", replace(cfg, beam_width=3), best_of_n))
+        for label, run_cfg, search in runners:
             for parallelism in (1, 4):
                 for k, stage in CORRUPTION:
                     for question in ("q-a", "q-b", "q-c"):
                         where = stage.value if stage else "all"
                         tag = f"{name}|{label}|p{parallelism}|k{k}@{where}|{question}"
-                        yield tag, run_cfg, n, parallelism, (k, stage), question
+                        yield tag, run_cfg, search, parallelism, (k, stage), question
 
 
-def _record(run_cfg, n, parallelism, corruption, question) -> str:
+def _record(run_cfg, search, parallelism, corruption, question) -> str:
     gen = CorruptingGenerator(WORLD, *corruption)
-    kwargs = dict(run_seed=5, parallelism=parallelism)
     try:
-        if n is None:
-            result = run_strategy(question, run_cfg, gen, WORLD, **kwargs)
-        else:
-            result = best_of_n(question, n, gen, WORLD, cfg=run_cfg, **kwargs)
+        result = search(question, run_cfg, gen, WORLD, run_seed=5, parallelism=parallelism)
     except SearchError as exc:
         return f"error {type(exc).__name__}: {exc}"
     return "\n".join(

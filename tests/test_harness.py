@@ -157,6 +157,19 @@ def test_run_benchmark_cuts_a_cut_short_records_line_before_appending(tmp_path):
     assert [r["item_id"] for r in rows] == ["w", "sim-0", "sim-1"]
 
 
+def test_run_benchmark_appends_each_record_as_its_item_finishes(tmp_path):
+    # A directory at item 2's trace path makes the run raise after item 1.
+    items = make_sim_items(2)
+    (tmp_path / f"trace-{items[1].id}.jsonl").mkdir()
+    sim = _perfect_sim()
+    with pytest.raises(IsADirectoryError):
+        run_benchmark(
+            items, SearchConfig(), sim, sim, out_dir=tmp_path, grader=oracle_grade, collect_traces=True
+        )
+    rows = [json.loads(line) for line in (tmp_path / "run_records.jsonl").read_text().splitlines()]
+    assert [r["item_id"] for r in rows] == [items[0].id]
+
+
 def test_run_benchmark_category_filter_and_empty():
     items = [
         BenchmarkItem(id="a", question="q", category="math"),

@@ -1,3 +1,4 @@
+import inspect
 import os
 import random
 import re
@@ -208,7 +209,7 @@ def test_config_max_passes_semantics():
 def test_best_of_one_single_calls():
     sim = _world()
     gen, rew = CountingGenerator(sim), CountingScorer(sim)
-    result = best_of_n("q", 1, gen, rew, run_seed=1)
+    result = best_of_n("q", SearchConfig(beam_width=1), gen, rew, run_seed=1)
     assert gen.calls == 1 and rew.calls == 1
     assert result.ledger.generator_calls == 1
     assert result.ledger.reward_calls == 1
@@ -218,9 +219,19 @@ def test_best_of_one_single_calls():
 def test_best_of_n_ledger_counts_exact():
     sim = _world()
     gen, rew = CountingGenerator(sim), CountingScorer(sim)
-    result = best_of_n("q", 5, gen, rew, run_seed=1)
+    result = best_of_n("q", SearchConfig(beam_width=5), gen, rew, run_seed=1)
     assert (gen.calls, rew.calls) == (5, 5)
     assert (result.ledger.generator_calls, result.ledger.reward_calls) == (5, 5)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_best_of_n_spends_and_records_beam_width(n):
+    # N is beam_width whether or not it divides the default M=4.
+    sim = _world()
+    gen = CountingGenerator(sim)
+    result = best_of_n("q", SearchConfig(beam_width=n), gen, sim, run_seed=1)
+    assert gen.calls == result.ledger.generator_calls == n
+    assert result.trace.header["config"]["beam_width"] == n
 
 
 def test_best_of_n_constant_reward_returns_first():
@@ -235,8 +246,8 @@ def test_best_of_n_constant_reward_returns_first():
         )
     )
     for i in range(40):
-        many = best_of_n(f"q{i}", 6, sim, sim, run_seed=i, collect_trace=False)
-        one = best_of_n(f"q{i}", 1, sim, sim, run_seed=i, collect_trace=False)
+        many = best_of_n(f"q{i}", SearchConfig(beam_width=6), sim, sim, run_seed=i, collect_trace=False)
+        one = best_of_n(f"q{i}", SearchConfig(beam_width=1), sim, sim, run_seed=i, collect_trace=False)
         assert many.final_text == one.final_text
 
 
@@ -247,7 +258,7 @@ def test_best_of_n_parse_failure_scores_neg_inf():
     ]
     gen = ScriptedGenerator(replies)
     rew = ScriptedScorer([0.5])
-    result = best_of_n("q", 2, gen, rew)
+    result = best_of_n("q", SearchConfig(), gen, rew)
     assert result.final_text == "good"
     assert rew.calls == 1  # the unparseable candidate never reaches the scorer
     failures = [e for e in result.trace.events if e.get("parse_error")]
@@ -257,16 +268,15 @@ def test_best_of_n_parse_failure_scores_neg_inf():
 def test_best_of_n_all_parse_failures_exhausts():
     gen = ScriptedGenerator(["junk"])
     with pytest.raises(SearchExhaustedError):
-        best_of_n("q", 3, gen, ScriptedScorer([0.0]))
+        best_of_n("q", SearchConfig(beam_width=3), gen, ScriptedScorer([0.0]))
 
 
 def test_best_of_n_requires_positive_n():
     with pytest.raises(ConfigError):
-        best_of_n("q", 0, _world(), _world())
+        best_of_n("q", SearchConfig(beam_width=0), _world(), _world())
 
 
 def test_run_strategy_best_of_n_reports_the_config_problem():
-    # The engine validates the config before best_of_n checks its own n.
     cfg = SearchConfig(strategy=Strategy.BEST_OF_N, beam_width=0)
     with pytest.raises(ConfigError, match="^beam_width must be >= 1$"):
         run_strategy("q", cfg, _world(), _world())
@@ -351,7 +361,7 @@ def test_beam_reduced_pipeline_single_stage_equals_best_of_m():
     cfg = SearchConfig(candidates_per_stage=4, beam_width=1, pipeline=pipe)
     for seed in range(25):
         rb = stage_wise_beam("single", cfg, sim, sim, run_seed=seed, collect_trace=False)
-        rn = best_of_n("single", 4, sim, sim, cfg=cfg, run_seed=seed, collect_trace=False)
+        rn = best_of_n("single", replace(cfg, beam_width=4), sim, sim, run_seed=seed, collect_trace=False)
         assert rb.answer == rn.answer
 
 
@@ -488,10 +498,14 @@ def test_swires_main_text_semantics_pass_budget():
     assert result.ledger.generator_calls == 1 + 2 * 8 + 2
 
 
+def test_searches_share_one_signature():
+    assert inspect.signature(best_of_n) == inspect.signature(stage_wise_beam) == inspect.signature(swires)
+
+
 def test_run_strategy_dispatch_and_seeding_discipline():
     sim = _world()
     cfg = SearchConfig(strategy=Strategy.BEST_OF_N, candidates_per_stage=2, beam_width=2)
-    direct = best_of_n("q", 2, sim, sim, cfg=cfg, run_seed=3)
+    direct = best_of_n("q", cfg, sim, sim, run_seed=3)
     routed = run_strategy("q", cfg, sim, sim, run_seed=3)
     assert direct.answer == routed.answer
     assert direct.trace.events_jsonl() == routed.trace.events_jsonl()
