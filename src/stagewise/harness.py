@@ -14,6 +14,7 @@ import json
 import math
 import re
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -72,9 +73,19 @@ class BenchmarkItem:
             raise ValueError(f"gold {self.gold!r} is not an option letter")
 
 
+def _item_id(data: dict) -> str:
+    """The item's ``id``: a JSON string, or a JSON integer read as its decimal text."""
+    value = data["id"]
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, str):
+        raise TypeError(f"id must be a string or an integer, got {value!r}")
+    return string_field(data, "id")
+
+
 def _item(data: dict) -> BenchmarkItem:
     return BenchmarkItem(
-        id=str(data["id"]),
+        id=_item_id(data),
         question=string_field(data, "question"),
         kind=data.get("kind", FREE_FORM),
         options=dict(data.get("options", {})),
@@ -85,7 +96,17 @@ def _item(data: dict) -> BenchmarkItem:
 
 
 def load_items(path) -> list[BenchmarkItem]:
-    return read_jsonl(path, "benchmark item", _item)
+    """The items of ``path``; two items whose ids read the same (``5`` and ``"5"``) are an error."""
+    seen: set[str] = set()
+
+    def build(data: dict) -> BenchmarkItem:
+        item = _item(data)
+        if item.id in seen:
+            raise ValueError(f"id {item.id!r} repeats an earlier item's id")
+        seen.add(item.id)
+        return item
+
+    return read_jsonl(path, "benchmark item", build)
 
 
 # Percent-encodes what an item id cannot carry into a file name, "%" too, so ids stay distinct.
@@ -130,6 +151,9 @@ def oracle_grade(item: BenchmarkItem, conclusion: str) -> bool:
 
 GraderFn = Callable[[BenchmarkItem, str], bool]
 
+# Built once: json.dumps with any keyword argument builds a new encoder per call.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
 
 @dataclass
 class RunRecord:
@@ -146,7 +170,7 @@ class RunRecord:
     trace_file: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, ensure_ascii=False)
+        return _RECORD_ENCODER.encode(self.__dict__)
 
 
 @dataclass
@@ -199,52 +223,53 @@ def run_benchmark(
     collect_trace = collect_traces and out_path is not None
     totals = BudgetLedger()
     records: list[RunRecord] = []
-    for item in selected:
-        record = RunRecord(
-            item_id=item.id,
-            strategy=cfg.strategy.value,
-            param=param,
-            conclusion="",
-            correct=False,
-        )
-        item_seed = stable_u64(str(run_seed), item.id)
-        result = None
-        try:
-            result = run_strategy(
-                item.question,
-                cfg,
-                generator,
-                reward,
-                image_ref=item.image_ref,
-                run_seed=item_seed,
-                collect_trace=collect_trace,
-                parallelism=parallelism,
+    # Each record is flushed as its item finishes, so a run that dies keeps the records before it.
+    with open(records_path, "a", encoding="utf-8") if out_path is not None else nullcontext() as records_file:
+        for item in selected:
+            record = RunRecord(
+                item_id=item.id,
+                strategy=cfg.strategy.value,
+                param=param,
+                conclusion="",
+                correct=False,
             )
-            ledger = result.ledger
-        except (BackendError, SearchError) as exc:
-            record.error = f"{type(exc).__name__}: {exc}"
-            # The calls a failed search made before it failed still count.
-            ledger = exc.ledger
-        if ledger is not None:
-            record.generator_calls = ledger.generator_calls
-            record.reward_calls = ledger.reward_calls
-            record.wall_time_s = ledger.wall_time_s
-            totals.add(ledger)
-        if result is not None:
-            record.conclusion = result.final_text
+            item_seed = stable_u64(str(run_seed), item.id)
+            result = None
             try:
-                record.correct = grader(item, record.conclusion)
-            except UngradableError:
-                record.ungradable = True
-            if result.trace is not None:
-                trace_file = out_path / _trace_file_name(item.id)
-                result.trace.write(trace_file)
-                record.trace_file = str(trace_file)
-        records.append(record)
-        # Appended as each item finishes, so a run that dies keeps the records before it.
-        if out_path is not None:
-            with open(records_path, "a", encoding="utf-8") as fh:
-                fh.write(record.to_json() + "\n")
+                result = run_strategy(
+                    item.question,
+                    cfg,
+                    generator,
+                    reward,
+                    image_ref=item.image_ref,
+                    run_seed=item_seed,
+                    collect_trace=collect_trace,
+                    parallelism=parallelism,
+                )
+                ledger = result.ledger
+            except (BackendError, SearchError) as exc:
+                record.error = f"{type(exc).__name__}: {exc}"
+                # The calls a failed search made before it failed still count.
+                ledger = exc.ledger
+            if ledger is not None:
+                record.generator_calls = ledger.generator_calls
+                record.reward_calls = ledger.reward_calls
+                record.wall_time_s = ledger.wall_time_s
+                totals.add(ledger)
+            if result is not None:
+                record.conclusion = result.final_text
+                try:
+                    record.correct = grader(item, record.conclusion)
+                except UngradableError:
+                    record.ungradable = True
+                if result.trace is not None:
+                    trace_file = out_path / _trace_file_name(item.id)
+                    result.trace.write(trace_file)
+                    record.trace_file = str(trace_file)
+            records.append(record)
+            if records_file is not None:
+                records_file.write(record.to_json() + "\n")
+                records_file.flush()
 
     return BenchmarkResult(sum(1 for r in records if r.correct) / len(records), totals, records)
 

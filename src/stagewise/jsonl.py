@@ -32,10 +32,19 @@ def read_jsonl(path, what: str, build: Callable[[dict], object]) -> list:
 
 
 def string_field(data: dict, key: str, optional: bool = False) -> Optional[str]:
-    """``data[key]``, TypeError unless a string; ``optional`` lets it be absent or null (None)."""
+    """``data[key]``, TypeError unless a string; ``optional`` lets it be absent or null (None).
+
+    A string that does not encode as UTF-8 (a lone surrogate escape such as
+    ``"\\ud800"``) raises ValueError: every text is hashed and written as UTF-8.
+    """
     value = data.get(key) if optional else data[key]
     if not isinstance(value, str) and not (optional and value is None):
         raise TypeError(f"{key} must be a string, got {value!r}")
+    if value is not None and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{key} is not valid UTF-8 text: {value!r}") from None
     return value
 
 

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from statistics import fmean, stdev
 from typing import Callable, Optional, Sequence
 
@@ -293,25 +295,85 @@ class BudgetLedger:
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+def _number(value) -> str:
+    """``value`` as ``_TRACE_ENCODER`` writes it; finite floats without the encoder."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _TRACE_ENCODER.encode(value)
+
+
+# A generate or score event is logged as a tuple: its formatter, then the
+# values that formatter needs. Each formatter writes its line exactly as
+# ``_TRACE_ENCODER`` would write the event's dict, keys in sorted order.
+
+
+def _generate_line(seq: int, entry: tuple) -> str:
+    _, label, pass_index, slot, birth, parent, input_digest, raw, parse_error = entry
+    parent_json = "null" if parent is None else f"[{parent[0]},{parent[1]}]"
+    error_json = "" if parse_error is None else f'"parse_error":{_quote(parse_error)},'
+    return (
+        f'{{"birth":[{birth[0]},{birth[1]}],"event":"generate",'
+        f'"input_digest":{_quote(input_digest)},"output_digest":{_quote(text_digest(raw))},'
+        f'"parent":{parent_json},{error_json}"pass":{pass_index},"seq":{seq},'
+        f'"slot":{slot},"stage":{_quote(label)}}}'
+    )
+
+
+def _score_line(seq: int, entry: tuple) -> str:
+    _, label, pass_index, slot, birth, score, parse_error = entry
+    birth_json = "" if birth is None else f'"birth":[{birth[0]},{birth[1]}],'
+    error_json = "" if parse_error is None else f'"parse_error":{_quote(parse_error)},'
+    return (
+        f'{{{birth_json}"event":"score",{error_json}"pass":{pass_index},'
+        f'"score":{_number(score)},"seq":{seq},"slot":{slot},"stage":{_quote(label)}}}'
+    )
+
+
+def _record_line(seq: int, entry: tuple) -> str:
+    return _TRACE_ENCODER.encode(entry[1])
+
+
 class SearchTrace:
     """Ordered audit log of every generation, score, selection, and retrace.
 
     Serializes to line-delimited JSON: one header record followed by one
     record per event. Events carry no wall-clock data, so two runs with the
-    same seeds produce byte-identical event records.
+    same seeds produce byte-identical event records. Events are kept as
+    tuples and formatted only when the trace is serialized, after the
+    search has stopped its clock.
     """
 
     def __init__(self, header: Optional[dict] = None):
         self.header: dict = dict(header or {})
-        self.events: list[dict] = []
+        self._entries: list[tuple] = []
+
+    @property
+    def events(self) -> list[dict]:
+        """The event records, decoded from their serialized lines."""
+        if not self._entries:
+            return []
+        return [json.loads(line) for line in self.events_jsonl().split("\n")]
 
     def log(self, event: str, fields: dict) -> None:
-        record = {"seq": len(self.events), "event": event}
+        record = {"seq": len(self._entries), "event": event}
         record.update(fields)
-        self.events.append(record)
+        self._entries.append((_record_line, record))
+
+    def log_generate(self, label: str, pass_index: int, slot: int, birth: tuple[int, int],
+                     parent: Optional[tuple[int, int]], input_digest: str, raw: str,
+                     parse_error: Optional[str]) -> None:
+        """A ``generate`` event; its ``output_digest`` is ``text_digest(raw)``, taken when written."""
+        self._entries.append(
+            (_generate_line, label, pass_index, slot, birth, parent, input_digest, raw, parse_error)
+        )
+
+    def log_score(self, label: str, pass_index: int, slot: int, birth: Optional[tuple[int, int]],
+                  score, parse_error: Optional[str]) -> None:
+        """A ``score`` event; a slot whose reply failed to parse has no birth."""
+        self._entries.append((_score_line, label, pass_index, slot, birth, score, parse_error))
 
     def events_jsonl(self) -> str:
-        return "\n".join(map(_TRACE_ENCODER.encode, self.events))
+        return "\n".join([entry[0](seq, entry) for seq, entry in enumerate(self._entries)])
 
     def to_jsonl(self) -> str:
         head = _TRACE_ENCODER.encode({"record": "header", **self.header})
@@ -508,7 +570,8 @@ class _Engine:
         ]
         raws = self.run_calls(partial(self._generate, label), requests)
 
-        if self.trace is not None:
+        trace = self.trace
+        if trace is not None:
             input_digests = {
                 id(p): text_digest(self.question + "\n" + render_staged(p.trajectory))
                 for p in parents
@@ -523,19 +586,13 @@ class _Engine:
             except StageFormatError as exc:
                 outcome = f"{type(exc).__name__}: {exc}"
             outcomes.append(outcome)
-            if self.trace is not None:
-                event = {
-                    "stage": label,
-                    "pass": pass_index,
-                    "slot": slot,
-                    "birth": list(birth),
-                    "parent": None if parent is _ROOT else list(parent.birth),
-                    "input_digest": input_digests[id(parent)],
-                    "output_digest": text_digest(raw),
-                }
-                if isinstance(outcome, str):
-                    event["parse_error"] = outcome
-                self.trace.log("generate", event)
+            if trace is not None:
+                trace.log_generate(
+                    label, pass_index, slot, birth,
+                    None if parent is _ROOT else parent.birth,
+                    input_digests[id(parent)], raw,
+                    outcome if isinstance(outcome, str) else None,
+                )
 
         scorable = [c for c in outcomes if not isinstance(c, str)]
         if not do_score:
@@ -543,14 +600,12 @@ class _Engine:
         values = self.run_calls(partial(self._score, label), scorable)
         for candidate, value in zip(scorable, values):
             candidate.score = value
-        if self.trace is not None:
+        if trace is not None:
             for slot, outcome in enumerate(outcomes):
-                event = {"stage": label, "pass": pass_index, "slot": slot}
                 if isinstance(outcome, str):
-                    event.update(score=NEG_INF, parse_error=outcome)
+                    trace.log_score(label, pass_index, slot, None, NEG_INF, outcome)
                 else:
-                    event.update(birth=list(outcome.birth), score=outcome.score)
-                self.trace.log("score", event)
+                    trace.log_score(label, pass_index, slot, outcome.birth, outcome.score, None)
         return scorable
 
     # -- steps the strategies are built from -------------------------------

@@ -405,6 +405,16 @@ _GOOD_RESPONSE = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONIN
         ("bench", "--items", ['{"id": "a", "question": "q", "category": 5}'], "in.jsonl:1"),
         ("bench", "--items", ['{"id": "a", "question": "q", "image_ref": 7}'], "in.jsonl:1"),
         ("datagen", "--sources", ['{"id": "s", "question": "q", "gold_answer": "B", "image_ref": 5}'], "in.jsonl:1"),
+        ("bench", "--items", ['{"id": null, "question": "q"}'], "in.jsonl:1"),
+        ("bench", "--items", ['{"id": true, "question": "q"}'], "in.jsonl:1"),
+        ("bench", "--items", ['{"id": 5.0, "question": "q"}'], "in.jsonl:1"),
+        ("bench", "--items", ['{"id": ["a"], "question": "q"}'], "in.jsonl:1"),
+        ("bench", "--items", ['{"id": {"a": 1}, "question": "q"}'], "in.jsonl:1"),
+        ("bench", "--items", ['{"id": 5, "question": "q1"}', '{"id": "5", "question": "q2"}'], "in.jsonl:2"),
+        ("bench", "--items", ['{"id": "a", "question": "q1"}', '{"id": "a", "question": "q2"}'], "in.jsonl:2"),
+        ("bench", "--items", [r'{"id": "a", "question": "q \ud800"}'], "in.jsonl:1"),
+        ("datagen", "--sources", [r'{"id": "s", "question": "\ud800", "gold_answer": "B"}'], "in.jsonl:1"),
+        ("calibrate", "--corpus", [json.dumps({"question": "q \ud800", "response": _GOOD_RESPONSE})], "in.jsonl:1"),
     ],
 )
 def test_bad_input_file_exits_2_naming_file_and_line(

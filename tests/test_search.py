@@ -1,4 +1,5 @@
 import inspect
+import json
 import os
 import random
 import re
@@ -19,7 +20,9 @@ from stagewise.backends import (
     SimWorld,
     SimWorldConfig,
     oracle_correct,
+    text_digest,
 )
+from stagewise import search
 from stagewise.search import (
     CalibrationStats,
     Candidate,
@@ -45,6 +48,7 @@ from stagewise.stages import (
     DEFAULT_SCHEMA,
     StageBlock,
     StagedResponse,
+    StageFormatError,
     StageKind,
     parse_staged,
     render_staged,
@@ -523,6 +527,77 @@ def test_results_are_bit_identical_across_runs():
         assert a.answer == b.answer
         assert a.trace.to_jsonl() == b.trace.to_jsonl()
         assert a.ledger.counts_dict() == b.ledger.counts_dict()
+
+
+# Non-ASCII text, a quote, a backslash, control characters and a lone surrogate.
+_BAD_REPLY = '!bad \u00e9"\\ \x00\x1f\x7f\u2028 \ud800'
+_WHOLE_REPLY = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONING><CONCLUSION>good"
+
+
+class _AwkwardGenerator(Generator):
+    """Every third reply is ``_BAD_REPLY``; the rest parse."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def generate(self, request):
+        self.calls += 1
+        if self.calls % 3 == 2:
+            return _BAD_REPLY
+        return _WHOLE_REPLY if len(request.target_stages) > 1 else f"text {self.calls}"
+
+
+class _AwkwardScorer(ScriptedScorer):
+    """Cycles through scores of every JSON number form the trace may hold."""
+
+    def score(self, request):
+        self.calls += 1
+        return self.scores[self.calls % len(self.scores)]
+
+
+def _quoting_errors(parse):
+    """``parse``, except that a reply starting "!" fails with an error quoting it verbatim."""
+
+    def wrapped(raw, *args):
+        if raw.startswith("!"):
+            raise StageFormatError(raw)
+        return parse(raw, *args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SearchConfig(strategy=Strategy.BEST_OF_N, beam_width=6),
+        SearchConfig(strategy=Strategy.STAGE_BEAM),
+        SearchConfig(strategy=Strategy.SWIRES, stats=NEVER_PASS),
+    ],
+    ids=["best_of_n", "beam", "swires"],
+)
+def test_trace_lines_are_canonical_json_of_their_events(monkeypatch, cfg):
+    # The parse error quotes the reply as it came, lone surrogate included,
+    # so the digest of the reply is taken over its UTF-8 bytes with surrogates passed.
+    monkeypatch.setattr(search, "parse_stage_continuation", _quoting_errors(search.parse_stage_continuation))
+    monkeypatch.setattr(search, "parse_complete_continuation", _quoting_errors(search.parse_complete_continuation))
+    monkeypatch.setattr(
+        search, "text_digest", lambda text: text_digest(text.encode("utf-8", "surrogatepass").decode("latin-1"))
+    )
+    scores = [-0.0, 1e300, 7, True, 0.1, -1e-300, float("inf"), float("nan"), 0]
+    result = run_strategy("q \u00e9", cfg, _AwkwardGenerator(), _AwkwardScorer(scores), run_seed=3)
+    trace = result.trace
+    lines = trace.events_jsonl().split("\n")
+    assert trace.to_jsonl().split("\n")[1:] == lines
+    for line in lines:
+        assert search._TRACE_ENCODER.encode(json.loads(line)) == line
+    events = trace.events
+    assert events == [json.loads(line) for line in trace.events_jsonl().splitlines()]
+    assert [e["seq"] for e in events] == list(range(len(events)))
+    errors = {e["parse_error"] for e in events if "parse_error" in e}
+    assert errors == {"StageFormatError: " + _BAD_REPLY}
+    assert {e["event"] for e in events} >= {"generate", "score", "answer"}
+    if cfg.strategy is Strategy.SWIRES:
+        assert any(e["event"] == "retrace" for e in events)
 
 
 def test_trace_round_trips_through_file(tmp_path):
