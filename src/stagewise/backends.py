@@ -341,7 +341,8 @@ class HttpGenerator(_HttpClient, Generator):
     Request body: ``model``, ``messages`` (optional system, user carrying the
     question and optional image reference, optional assistant prefix holding
     the rendered prior stages), ``stop``, ``temperature``, ``max_tokens`` and
-    optional ``seed``. The reply's first choice text is returned.
+    optional ``seed``. The reply's first choice text is returned; text that
+    does not encode as UTF-8 (a lone surrogate escape) is a malformed reply.
     """
 
     def generate(self, request: GeneratorRequest) -> str:
@@ -363,6 +364,13 @@ class HttpGenerator(_HttpClient, Generator):
             raise MalformedReplyError("reply lacks choices[0] text content") from None
         if not isinstance(text, str):
             raise MalformedReplyError("reply text content is not a string")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # JSON can escape a lone surrogate, which no trace or record can write.
+            raise MalformedReplyError(
+                f"reply text content is not valid UTF-8 text: {exc.reason}"
+            ) from None
         return _truncate_at_stop(text, request.sampling.stop)
 
     def _messages(self, request: GeneratorRequest) -> list[dict]:

@@ -296,14 +296,16 @@ _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _number(value) -> str:
-    """``value`` as ``_TRACE_ENCODER`` writes it; finite floats without the encoder."""
+    """``value`` as ``_TRACE_ENCODER`` writes it; finite floats and ints without the encoder."""
     if type(value) is float and math.isfinite(value):
         return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
     return _TRACE_ENCODER.encode(value)
 
 
-# A generate or score event is logged as a tuple: its formatter, then the
-# values that formatter needs. Each formatter writes its line exactly as
+# Each event the engine logs is a tuple: its formatter, then the values that
+# formatter needs. Each formatter writes its line exactly as
 # ``_TRACE_ENCODER`` would write the event's dict, keys in sorted order.
 
 
@@ -326,6 +328,32 @@ def _score_line(seq: int, entry: tuple) -> str:
     return (
         f'{{{birth_json}"event":"score",{error_json}"pass":{pass_index},'
         f'"score":{_number(score)},"seq":{seq},"slot":{slot},"stage":{_quote(label)}}}'
+    )
+
+
+def _select_line(seq: int, entry: tuple) -> str:
+    _, label, pass_index, kept = entry
+    kept_json = ",".join([f"[{birth[0]},{birth[1]}]" for birth in kept])
+    return (
+        f'{{"event":"select","kept":[{kept_json}],"pass":{pass_index},"seq":{seq},'
+        f'"stage":{_quote(label)}}}'
+    )
+
+
+def _retrace_line(seq: int, entry: tuple) -> str:
+    _, label, pass_index, threshold, cleared, required = entry
+    return (
+        f'{{"cleared":{cleared},"event":"retrace","pass":{pass_index},'
+        f'"required":{_number(required)},"seq":{seq},"stage":{_quote(label)},'
+        f'"threshold":{_number(threshold)}}}'
+    )
+
+
+def _answer_line(seq: int, entry: tuple) -> str:
+    _, label, birth, score = entry
+    return (
+        f'{{"birth":[{birth[0]},{birth[1]}],"event":"answer","score":{_number(score)},'
+        f'"seq":{seq},"stage":{_quote(label)}}}'
     )
 
 
@@ -355,6 +383,7 @@ class SearchTrace:
         return [json.loads(line) for line in self.events_jsonl().split("\n")]
 
     def log(self, event: str, fields: dict) -> None:
+        """An event of any kind from its fields, encoded by ``_TRACE_ENCODER`` when written."""
         record = {"seq": len(self._entries), "event": event}
         record.update(fields)
         self._entries.append((_record_line, record))
@@ -371,6 +400,18 @@ class SearchTrace:
                   score, parse_error: Optional[str]) -> None:
         """A ``score`` event; a slot whose reply failed to parse has no birth."""
         self._entries.append((_score_line, label, pass_index, slot, birth, score, parse_error))
+
+    def log_select(self, label: str, pass_index: int, kept: list[tuple[int, int]]) -> None:
+        """A ``select`` event: the births of the candidates kept, best first."""
+        self._entries.append((_select_line, label, pass_index, kept))
+
+    def log_retrace(self, label: str, pass_index: int, threshold, cleared: int, required) -> None:
+        """A ``retrace`` event: ``cleared`` candidates beat ``threshold``, fewer than ``required``."""
+        self._entries.append((_retrace_line, label, pass_index, threshold, cleared, required))
+
+    def log_answer(self, label: str, birth: tuple[int, int], score) -> None:
+        """The ``answer`` event: the winner's birth and score (None if unscored)."""
+        self._entries.append((_answer_line, label, birth, score))
 
     def events_jsonl(self) -> str:
         return "\n".join([entry[0](seq, entry) for seq, entry in enumerate(self._entries)])
@@ -471,6 +512,8 @@ class _Engine:
         self.trace = _make_trace(cfg, self.qdigest, run_seed) if collect_trace else None
         self.ledger = BudgetLedger()
         self._tally_lock = threading.Lock()
+        # The helper threads of run_calls, made by the first concurrent batch.
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._seq = 0
         self._seed = stable_u64_prefix(str(run_seed), self.qdigest)
 
@@ -478,7 +521,9 @@ class _Engine:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        """Attach the ledger so far to a failure, so its caller can record it."""
+        """Stop the helper pool; attach the ledger so far to a failure, for its caller to record."""
+        if self._pool is not None:
+            self._pool.shutdown()
         if isinstance(exc, (BackendError, SearchError)):
             self.ledger.wall_time_s = time.perf_counter() - self.started
             exc.ledger = self.ledger
@@ -488,11 +533,43 @@ class _Engine:
         return self._seed(stage.value, str(pass_index), str(slot))
 
     def run_calls(self, fn: Callable, items: list) -> list:
-        """``fn`` of each item, in item order; concurrently up to ``parallelism``."""
-        if self.parallelism > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=min(self.parallelism, len(items))) as pool:
-                return list(pool.map(fn, items))
-        return [fn(item) for item in items]
+        """``fn`` of each item, in item order; at most ``parallelism`` calls in flight.
+
+        At parallelism 1, or for one item, the calls run inline in order.
+        Otherwise the calling thread and ``min(parallelism, len(items)) - 1``
+        threads of the search's helper pool each take the next item not yet
+        taken until none is left. Once a call has raised, no runner takes
+        another item of the batch: the calls already running finish, then
+        the exception of the earliest failed item is raised.
+        """
+        if self.parallelism == 1 or len(items) < 2:
+            return [fn(item) for item in items]
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self.parallelism - 1)
+        results = [None] * len(items)
+        errors: dict[int, BaseException] = {}
+        untaken = iter(range(len(items)))
+        lock = threading.Lock()
+
+        def runner() -> None:
+            while True:
+                with lock:
+                    index = None if errors else next(untaken, None)
+                if index is None:
+                    return
+                try:
+                    results[index] = fn(items[index])
+                except BaseException as exc:
+                    with lock:
+                        errors[index] = exc
+
+        helpers = [self._pool.submit(runner) for _ in range(min(self.parallelism, len(items)) - 1)]
+        runner()
+        for helper in helpers:
+            helper.result()
+        if errors:
+            raise errors[min(errors)]
+        return results
 
     def batch_plan(self, stage: StageKind, total: int) -> tuple[int, bool]:
         """Batch size and whether to score it for a pass-0 pipeline stage.
@@ -616,14 +693,7 @@ class _Engine:
         """Keep the top ``beam_width`` (or all, if fewer) and log the choice."""
         kept = select_top(cands, min(self.cfg.beam_width, len(cands)), stage)
         if self.trace is not None:
-            self.trace.log(
-                "select",
-                {
-                    "stage": stage.value,
-                    "pass": pass_index,
-                    "kept": [list(c.birth) for c in kept],
-                },
-            )
+            self.trace.log_select(stage.value, pass_index, [c.birth for c in kept])
         return kept
 
     def stage_steps(
@@ -655,14 +725,7 @@ class _Engine:
         winner = select_top(batch, 1, final)[0] if do_score else batch[0]
         self.ledger.wall_time_s = time.perf_counter() - self.started
         if self.trace is not None:
-            self.trace.log(
-                "answer",
-                {
-                    "stage": final.value,
-                    "birth": list(winner.birth),
-                    "score": winner.score,
-                },
-            )
+            self.trace.log_answer(final.value, winner.birth, winner.score)
         return SearchResult(winner.trajectory, self.ledger, self.trace)
 
 
@@ -804,15 +867,8 @@ def swires(
             if cleared >= cfg.min_pass_count:
                 break
             if pass_index + 1 < cfg.max_passes and engine.trace is not None:
-                engine.trace.log(
-                    "retrace",
-                    {
-                        "stage": pool_stage.value,
-                        "pass": pass_index,
-                        "threshold": cutoff,
-                        "cleared": cleared,
-                        "required": cfg.min_pass_count,
-                    },
+                engine.trace.log_retrace(
+                    pool_stage.value, pass_index, cutoff, cleared, cfg.min_pass_count
                 )
 
         if not pool:

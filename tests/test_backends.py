@@ -373,6 +373,13 @@ def test_http_generator_malformed_reply(stub_server):
         gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,)))
 
 
+def test_http_generator_reply_that_is_not_utf8_is_malformed(stub_server):
+    server = stub_server([(200, {"choices": [{"message": {"content": "a \ud800 b"}}]})])
+    gen = HttpGenerator(_endpoint(server.url))
+    with pytest.raises(MalformedReplyError, match="not valid UTF-8 text"):
+        gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,)))
+
+
 def test_http_reward_wire_format_and_value(stub_server):
     server = stub_server([(200, {"score": -0.25})])
     scorer = HttpRewardScorer(_endpoint(server.url))

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from stagewise.backends import (
+    EndpointConfig,
     Generator,
+    HttpGenerator,
     RewardScorer,
     SimWorld,
     SimWorldConfig,
@@ -254,6 +256,33 @@ def test_run_benchmark_failed_search_records_calls_made(parallelism):
     assert failed.reward_calls + passed.reward_calls == scorer.counter.calls
     assert result.ledger.generator_calls == gen.counter.calls
     assert result.ledger.reward_calls == scorer.counter.calls
+
+
+@pytest.mark.parametrize("collect_traces", [False, True], ids=["untraced", "traced"])
+def test_run_benchmark_records_a_generator_reply_that_is_not_utf8(stub_server, tmp_path, collect_traces):
+    # JSON can escape a lone surrogate; every reply to the first item's question carries one.
+    def reply(body):
+        question = next(m["content"] for m in body["messages"] if m["role"] == "user")
+        text = "text \ud800" if question == "sim question 0" else "text"
+        return 200, {"choices": [{"message": {"content": text}}]}
+
+    generator = HttpGenerator(EndpointConfig(stub_server(reply, keep_alive=True).url, retries=0))
+    try:
+        result = run_benchmark(
+            make_sim_items(2), SearchConfig(), generator, ScriptedScorer([1.0]),
+            out_dir=tmp_path, grader=lambda item, text: text == "text", collect_traces=collect_traces,
+        )
+    finally:
+        generator.close()
+    failed, passed = result.records
+    assert failed.error == (
+        "MalformedReplyError: reply text content is not valid UTF-8 text: surrogates not allowed"
+    )
+    assert (failed.generator_calls, failed.reward_calls, failed.trace_file) == (1, 0, None)
+    assert passed.error is None and passed.correct
+    assert (passed.trace_file is not None) == collect_traces
+    lines = (tmp_path / "run_records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["item_id"] for line in lines] == ["sim-0", "sim-1"]
 
 
 def test_run_benchmark_exhausted_search_records_calls_made():

@@ -3,6 +3,8 @@ import json
 import os
 import random
 import re
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -16,9 +18,11 @@ from stagewise.backends import (
     HttpGenerator,
     HttpRewardScorer,
     RewardRequest,
+    RewardScorer,
     SamplingParams,
     SimWorld,
     SimWorldConfig,
+    TransportError,
     oracle_correct,
     text_digest,
 )
@@ -357,6 +361,112 @@ def test_beam_deterministic_and_parallelism_invariant():
     assert a.ledger.counts_dict() == b.ledger.counts_dict()
 
 
+class _InFlightTap(Generator, RewardScorer):
+    """``inner`` behind a short wait; records the calls in flight and the threads making them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+        self.threads = set()
+
+    def _call(self, method, request):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.threads.add(threading.current_thread().name)
+        try:
+            time.sleep(0.005)
+            return method(request)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+    def generate(self, request):
+        return self._call(self.inner.generate, request)
+
+    def score(self, request):
+        return self._call(self.inner.score, request)
+
+
+@pytest.mark.parametrize("parallelism", [2, 3, 4])
+def test_search_calls_in_flight_stay_within_parallelism(parallelism):
+    sim = _world()
+    tap = _InFlightTap(sim)
+    result = swires("q", SearchConfig(), tap, tap, run_seed=9, parallelism=parallelism)
+    assert 1 < tap.peak <= parallelism
+    # The calling thread makes calls too, beside one pool of parallelism - 1 helpers.
+    assert threading.current_thread().name in tap.threads
+    assert len(tap.threads) <= parallelism
+    want = swires("q", SearchConfig(), sim, sim, run_seed=9)
+    assert result.trace.events_jsonl() == want.trace.events_jsonl()
+    assert result.ledger.counts_dict() == want.ledger.counts_dict()
+
+
+def _engine(parallelism):
+    sim = _world()
+    return search._Engine("q", SearchConfig(), sim, sim, None, 0, False, parallelism)
+
+
+def test_run_calls_runs_on_the_calling_thread_and_one_helper_pool():
+    barrier = threading.Barrier(2, timeout=10)
+
+    def call(i):
+        barrier.wait()  # passes only with two calls in flight at once
+        return i, threading.current_thread().name
+
+    before = threading.active_count()
+    with _engine(2) as engine:
+        results = engine.run_calls(call, list(range(4))) + engine.run_calls(call, [4, 5])
+    assert [i for i, _ in results] == list(range(6))
+    names = {name for _, name in results}
+    assert threading.current_thread().name in names and len(names) == 2
+    assert threading.active_count() == before
+
+
+def test_run_calls_starts_no_call_after_a_failure_and_raises_the_earliest():
+    started, finished = [], []
+
+    def call(i):
+        started.append(i)
+        if i == 0:
+            time.sleep(0.05)
+            finished.append(i)
+            raise ValueError("slot 0")
+        if i == 1:
+            raise ValueError("slot 1")
+        return i
+
+    with _engine(2) as engine:
+        with pytest.raises(ValueError, match="slot 0"):
+            engine.run_calls(call, list(range(6)))
+    # Slot 1 fails first, while slot 0 still runs; slot 0 finishes and its error wins.
+    assert sorted(started) in ([0], [0, 1])
+    assert finished == [0]
+
+
+class _DownAtReasoning(RewardScorer):
+    def __init__(self, inner):
+        self.inner = inner
+
+    def score(self, request):
+        if request.trajectory.blocks[-1].kind is StageKind.REASONING:
+            raise TransportError("scorer down")
+        return self.inner.score(request)
+
+
+def test_search_stops_its_helper_threads_whether_it_succeeds_or_fails():
+    sim = _world()
+    before = threading.active_count()
+    swires("q", SearchConfig(), sim, sim, parallelism=4)
+    assert threading.active_count() == before
+    with pytest.raises(TransportError) as info:
+        swires("q", SearchConfig(), sim, _DownAtReasoning(sim), parallelism=4)
+    assert threading.active_count() == before
+    # 4 caption scores, then the first reasoning score fails and the other three may start.
+    assert 5 <= info.value.ledger.reward_calls <= 8
+
+
 def test_beam_reduced_pipeline_single_stage_equals_best_of_m():
     sim = SimWorld(
         SimWorldConfig(success={StageKind.CONCLUSION: 0.5}, noise_std=0.8, rng_seed=9)
@@ -566,16 +676,25 @@ def _quoting_errors(parse):
     return wrapped
 
 
+_STAGE_EVENTS = {"generate", "score", "select", "answer"}
+
+
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg, kinds",
     [
-        SearchConfig(strategy=Strategy.BEST_OF_N, beam_width=6),
-        SearchConfig(strategy=Strategy.STAGE_BEAM),
-        SearchConfig(strategy=Strategy.SWIRES, stats=NEVER_PASS),
+        (SearchConfig(strategy=Strategy.BEST_OF_N, beam_width=6), {"generate", "score", "answer"}),
+        (SearchConfig(strategy=Strategy.STAGE_BEAM), _STAGE_EVENTS),
+        # A lone unscored summary is the answer, so its score is null.
+        (SearchConfig(strategy=Strategy.STAGE_BEAM, pipeline=(StageKind.SUMMARY,)), {"generate", "answer"}),
+        (SearchConfig(strategy=Strategy.SWIRES, stats=NEVER_PASS), _STAGE_EVENTS | {"retrace"}),
+        (SearchConfig(strategy=Strategy.SWIRES, stats=CalibrationStats(float("inf"), 0.0)),
+         _STAGE_EVENTS | {"retrace"}),
+        (SearchConfig(strategy=Strategy.SWIRES, stats=CalibrationStats(float("nan"), 0.0)),
+         _STAGE_EVENTS | {"retrace"}),
     ],
-    ids=["best_of_n", "beam", "swires"],
+    ids=["best_of_n", "beam", "beam-unscored-answer", "swires", "swires-inf-cutoff", "swires-nan-cutoff"],
 )
-def test_trace_lines_are_canonical_json_of_their_events(monkeypatch, cfg):
+def test_trace_lines_are_canonical_json_of_their_events(monkeypatch, cfg, kinds):
     # The parse error quotes the reply as it came, lone surrogate included,
     # so the digest of the reply is taken over its UTF-8 bytes with surrogates passed.
     monkeypatch.setattr(search, "parse_stage_continuation", _quoting_errors(search.parse_stage_continuation))
@@ -594,10 +713,13 @@ def test_trace_lines_are_canonical_json_of_their_events(monkeypatch, cfg):
     assert events == [json.loads(line) for line in trace.events_jsonl().splitlines()]
     assert [e["seq"] for e in events] == list(range(len(events)))
     errors = {e["parse_error"] for e in events if "parse_error" in e}
-    assert errors == {"StageFormatError: " + _BAD_REPLY}
-    assert {e["event"] for e in events} >= {"generate", "score", "answer"}
-    if cfg.strategy is Strategy.SWIRES:
-        assert any(e["event"] == "retrace" for e in events)
+    assert errors == ({"StageFormatError: " + _BAD_REPLY} if "score" in kinds else set())
+    assert {e["event"] for e in events} == kinds
+    for event in events:
+        if event["event"] == "retrace":
+            assert repr(event["threshold"]) == repr(cfg.cutoff)
+        if event["event"] == "answer" and "score" not in kinds:
+            assert event["score"] is None
 
 
 def test_trace_round_trips_through_file(tmp_path):
