@@ -55,7 +55,6 @@ from .stages import (
     StageKind,
     StagedResponse,
     StrayTextError,
-    TagSchema,
     UnbalancedTagError,
     parse_staged,
     render_staged,

@@ -22,7 +22,7 @@ from .backends import (
     SamplingParams,
     stable_u64,
 )
-from .jsonl import read_jsonl, string_field, trim_partial_last_line
+from .jsonl import id_field, read_jsonl, string_field, trim_partial_last_line
 from .stages import (
     CANONICAL_ORDER,
     StagedResponse,
@@ -123,18 +123,31 @@ class GeneratedRecord:
 
 def _source(data: dict) -> SourceRecord:
     return SourceRecord(
-        id=str(data["id"]),
+        id=id_field(data),
         question=string_field(data, "question"),
-        gold_answer=str(data["gold_answer"]),
+        gold_answer=string_field(data, "gold_answer"),
         image_ref=string_field(data, "image_ref", optional=True),
         turns=tuple(
-            (string_field(turn, "question"), str(turn["gold_answer"])) for turn in data.get("turns", [])
+            (string_field(turn, "question"), string_field(turn, "gold_answer"))
+            for turn in data.get("turns", [])
         ),
     )
 
 
 def load_sources(path) -> list[SourceRecord]:
-    return read_jsonl(path, "source record", _source)
+    """The sources of ``path``; an id that repeats an earlier one, a turn's
+    ``<id>#turn<k>`` included, is an error, since output records are keyed by id."""
+    seen: set[str] = set()
+
+    def build(data: dict) -> SourceRecord:
+        source = _source(data)
+        for record in flatten_sources([source]):
+            if record.id in seen:
+                raise ValueError(f"id {record.id!r} repeats an earlier source's id")
+            seen.add(record.id)
+        return source
+
+    return read_jsonl(path, "source record", build)
 
 
 def flatten_sources(sources: Iterable[SourceRecord]) -> list[SourceRecord]:
@@ -168,11 +181,6 @@ def build_user_content(record: SourceRecord) -> str:
         lines.append(f"Image: {record.image_ref}")
     lines.append(f"Standard correct answer: {record.gold_answer}")
     return "\n".join(lines)
-
-
-def build_generation_prompt(record: SourceRecord) -> str:
-    """Full generation prompt: the fixed instruction followed by the record's content."""
-    return GENERATION_PROMPT + "\n\n" + build_user_content(record)
 
 
 def validate_and_extract(raw: str) -> tuple[StagedResponse, str]:
@@ -218,11 +226,6 @@ def _judge_reply(judge: Generator, standard_answer: str, conclusion: str) -> str
     """The judge's raw reply on whether the conclusion matches the gold answer."""
     prompt = build_verification_prompt(standard_answer, conclusion)
     return judge.generate(_judge_request(prompt))
-
-
-def judge_validity(judge: Generator, standard_answer: str, conclusion: str) -> bool:
-    """Ask the judge whether the conclusion matches the gold answer."""
-    return parse_verdict(_judge_reply(judge, standard_answer, conclusion))
 
 
 def read_existing_ids(path) -> set[str]:

@@ -29,7 +29,7 @@ from .backends import (
     stable_u64,
     text_digest,
 )
-from .jsonl import read_jsonl, string_field, trim_partial_last_line
+from .jsonl import id_field, read_jsonl, string_field, trim_partial_last_line
 from .search import (
     BudgetLedger,
     CalibrationStats,
@@ -73,23 +73,13 @@ class BenchmarkItem:
             raise ValueError(f"gold {self.gold!r} is not an option letter")
 
 
-def _item_id(data: dict) -> str:
-    """The item's ``id``: a JSON string, or a JSON integer read as its decimal text."""
-    value = data["id"]
-    if type(value) is int:
-        return str(value)
-    if not isinstance(value, str):
-        raise TypeError(f"id must be a string or an integer, got {value!r}")
-    return string_field(data, "id")
-
-
 def _item(data: dict) -> BenchmarkItem:
     return BenchmarkItem(
-        id=_item_id(data),
+        id=id_field(data),
         question=string_field(data, "question"),
         kind=data.get("kind", FREE_FORM),
         options=dict(data.get("options", {})),
-        gold=str(data.get("gold", "")),
+        gold=string_field(data, "gold") if "gold" in data else "",
         image_ref=string_field(data, "image_ref", optional=True),
         category=string_field(data, "category", optional=True),
     )

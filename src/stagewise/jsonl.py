@@ -48,6 +48,16 @@ def string_field(data: dict, key: str, optional: bool = False) -> Optional[str]:
     return value
 
 
+def id_field(data: dict) -> str:
+    """``data["id"]``: a JSON string, or a JSON integer read as its decimal text."""
+    value = data["id"]
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, str):
+        raise TypeError(f"id must be a string or an integer, got {value!r}")
+    return string_field(data, "id")
+
+
 def trim_partial_last_line(path) -> None:
     """Cut an unterminated last line, left by a killed run, before an append.
 

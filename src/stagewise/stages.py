@@ -2,15 +2,18 @@
 
 A staged response is a sequence of tagged blocks, one per reasoning stage,
 in the canonical order summary -> caption -> reasoning -> conclusion. The
-parser is strict: stray text, unbalanced tags, and out-of-order stages are
-errors, never silently repaired.
+tags are fixed, the ones the generation prompt spells out: ``<SUMMARY>``
+opens the summary stage and ``</SUMMARY>`` closes it, and likewise for
+``CAPTION``, ``REASONING`` and ``CONCLUSION``. ``DEFAULT_SCHEMA`` is that
+one tag table. The parser is strict: stray text, unbalanced tags, and
+out-of-order stages are errors, never silently repaired.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 
@@ -63,63 +66,26 @@ class StrayTextError(StageFormatError):
     """Non-whitespace text found outside any tag pair."""
 
 
-def _default_open_tags() -> dict[StageKind, str]:
-    return {kind: f"<{kind.name}>" for kind in CANONICAL_ORDER}
+_OPEN = {kind: f"<{kind.name}>" for kind in CANONICAL_ORDER}
+_CLOSE = {kind: f"</{kind.name}>" for kind in CANONICAL_ORDER}
+# Open tag -> (stage, its close tag), and one pattern matching any tag. No tag
+# is a substring of another, so at most one tag matches at any offset; no open
+# tag starts with whitespace, which the parser skips before it looks for one.
+_OPENING = {_OPEN[kind]: (kind, _CLOSE[kind]) for kind in CANONICAL_ORDER}
+_SCANNER = re.compile("|".join(map(re.escape, [*_OPEN.values(), *_CLOSE.values()])))
 
 
-def _default_close_tags() -> dict[StageKind, str]:
-    return {kind: f"</{kind.name}>" for kind in CANONICAL_ORDER}
-
-
-@dataclass(frozen=True)
-class TagSchema:
-    """Open/close tag strings per stage.
-
-    Defaults are the fixed-case tags the generation prompts use. No tag may
-    be a substring of another, which keeps the left-to-right scan unambiguous:
-    at most one tag matches at any offset. No open tag may start with
-    whitespace, which the parser skips before it looks for one. The parser's
-    tables are built from the tag dicts once, at construction, so the dicts
-    must not be mutated afterwards.
-    """
-
-    open_tags: dict[StageKind, str] = field(default_factory=_default_open_tags)
-    close_tags: dict[StageKind, str] = field(default_factory=_default_close_tags)
-    # Open tag -> (stage, its close tag), and one pattern matching any tag.
-    _opening: dict[str, tuple[StageKind, str]] = field(init=False, repr=False, compare=False)
-    _scanner: re.Pattern = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for mapping in (self.open_tags, self.close_tags):
-            if set(mapping) != set(CANONICAL_ORDER):
-                raise ValueError("schema must define tags for all four stages")
-        tags = self.all_tags()
-        if any(not t for t in tags):
-            raise ValueError("tags must be non-empty")
-        if len(set(tags)) != len(tags):
-            raise ValueError("tags must be distinct")
-        for tag in self.open_tags.values():
-            if tag[0].isspace():
-                raise ValueError(f"open tag {tag!r} starts with whitespace")
-        for a in tags:
-            for b in tags:
-                if a != b and a in b:
-                    raise ValueError(f"tag {a!r} is a substring of tag {b!r}")
-        opening = {self.open_tags[k]: (k, self.close_tags[k]) for k in CANONICAL_ORDER}
-        object.__setattr__(self, "_opening", opening)
-        object.__setattr__(self, "_scanner", re.compile("|".join(map(re.escape, tags))))
+class _TagTable:
+    """The fixed tags: ``<NAME>`` opens a stage and ``</NAME>`` closes it."""
 
     def open(self, kind: StageKind) -> str:
-        return self.open_tags[kind]
+        return _OPEN[kind]
 
     def close(self, kind: StageKind) -> str:
-        return self.close_tags[kind]
-
-    def all_tags(self) -> tuple[str, ...]:
-        return tuple(self.open_tags.values()) + tuple(self.close_tags.values())
+        return _CLOSE[kind]
 
 
-DEFAULT_SCHEMA = TagSchema()
+DEFAULT_SCHEMA = _TagTable()
 
 
 @dataclass(frozen=True)
@@ -169,7 +135,7 @@ _NON_SPACE = re.compile(r"\S")
 
 def parse_staged(
     text: str,
-    schema: TagSchema = DEFAULT_SCHEMA,
+    *,
     require_complete: bool = False,
     expected_order: Sequence[StageKind] = CANONICAL_ORDER,
 ) -> StagedResponse:
@@ -188,9 +154,9 @@ def parse_staged(
         MissingStageError: require_complete and fewer blocks than expected.
     """
     order = tuple(expected_order)
-    match_tag = schema._scanner.match
-    find_tag = schema._scanner.search
-    opening = schema._opening
+    match_tag = _SCANNER.match
+    find_tag = _SCANNER.search
+    opening = _OPENING
 
     blocks: list[StageBlock] = []
     prev_pos = -1
@@ -236,44 +202,31 @@ def parse_staged(
     return StagedResponse(tuple(blocks))
 
 
-def render_staged(resp: StagedResponse, schema: TagSchema = DEFAULT_SCHEMA) -> str:
+def render_staged(resp: StagedResponse) -> str:
     """Render blocks in order, each wrapped in its tag pair, newline-separated."""
-    return "\n".join(
-        f"{schema.open(b.kind)}{b.text}{schema.close(b.kind)}" for b in resp.blocks
-    )
+    return "\n".join(f"{_OPEN[b.kind]}{b.text}{_CLOSE[b.kind]}" for b in resp.blocks)
 
 
-def stop_marker(kind: StageKind, schema: TagSchema = DEFAULT_SCHEMA) -> str:
+def stop_marker(kind: StageKind) -> str:
     """Closing tag for a stage; used as the generation stop sequence."""
-    return schema.close(kind)
+    return _CLOSE[kind]
 
 
-def parse_stage_continuation(
-    raw: str, kind: StageKind, schema: TagSchema = DEFAULT_SCHEMA
-) -> StageBlock:
+def parse_stage_continuation(raw: str, kind: StageKind) -> StageBlock:
     """Parse one stage's generated continuation (stop marker already stripped).
 
     Accepts text with or without the leading open tag and rejects any other
     embedded tag, reusing the full parser's error surface.
     """
     body = raw.strip()
-    if not body.startswith(schema.open(kind)):
-        body = schema.open(kind) + body
-    resp = parse_staged(
-        body + schema.close(kind), schema, require_complete=True, expected_order=(kind,)
-    )
+    if not body.startswith(_OPEN[kind]):
+        body = _OPEN[kind] + body
+    resp = parse_staged(body + _CLOSE[kind], require_complete=True, expected_order=(kind,))
     return resp.blocks[0]
 
 
-def parse_complete_continuation(
-    raw: str,
-    pipeline: Sequence[StageKind],
-    schema: TagSchema = DEFAULT_SCHEMA,
-) -> StagedResponse:
+def parse_complete_continuation(raw: str, pipeline: Sequence[StageKind]) -> StagedResponse:
     """Parse a whole-response continuation truncated at the final stop marker."""
     return parse_staged(
-        raw + schema.close(tuple(pipeline)[-1]),
-        schema,
-        require_complete=True,
-        expected_order=pipeline,
+        raw + _CLOSE[tuple(pipeline)[-1]], require_complete=True, expected_order=pipeline
     )

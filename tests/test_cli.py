@@ -415,6 +415,35 @@ _GOOD_RESPONSE = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONIN
         ("bench", "--items", [r'{"id": "a", "question": "q \ud800"}'], "in.jsonl:1"),
         ("datagen", "--sources", [r'{"id": "s", "question": "\ud800", "gold_answer": "B"}'], "in.jsonl:1"),
         ("calibrate", "--corpus", [json.dumps({"question": "q \ud800", "response": _GOOD_RESPONSE})], "in.jsonl:1"),
+        ("datagen", "--sources", ['{"id": null, "question": "q", "gold_answer": "B"}'], "in.jsonl:1"),
+        (
+            "datagen",
+            "--sources",
+            ['{"id": "None", "question": "q1", "gold_answer": "B"}', '{"id": "None", "question": "q2", "gold_answer": "B"}'],
+            "in.jsonl:2",
+        ),
+        (
+            "datagen",
+            "--sources",
+            ['{"id": 5, "question": "q1", "gold_answer": "B"}', '{"id": "5", "question": "q2", "gold_answer": "B"}'],
+            "in.jsonl:2",
+        ),
+        (
+            "datagen",
+            "--sources",
+            ['{"id": "s", "question": "q1", "gold_answer": "B", "turns": [{"question": "t", "gold_answer": "C"}]}',
+             '{"id": "s#turn1", "question": "q2", "gold_answer": "B"}'],
+            "in.jsonl:2",
+        ),
+        ("datagen", "--sources", ['{"id": "s", "question": "q", "gold_answer": null}'], "in.jsonl:1"),
+        (
+            "datagen",
+            "--sources",
+            ['{"id": "s", "question": "q", "gold_answer": "B", "turns": [{"question": "t", "gold_answer": null}]}'],
+            "in.jsonl:1",
+        ),
+        ("bench", "--items", ['{"id": "a", "question": "q", "gold": null}'], "in.jsonl:1"),
+        ("bench", "--items", ['{"id": "a", "question": "q", "gold": 5}'], "in.jsonl:1"),
     ],
 )
 def test_bad_input_file_exits_2_naming_file_and_line(

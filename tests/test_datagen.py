@@ -18,11 +18,9 @@ from stagewise.datagen import (
     FormatInvalidError,
     SourceRecord,
     UnparseableVerdictError,
-    build_generation_prompt,
     build_user_content,
     build_verification_prompt,
     flatten_sources,
-    judge_validity,
     load_sources,
     parse_verdict,
     run_pipeline,
@@ -81,19 +79,26 @@ def test_verification_template_golden():
     assert VERIFICATION_PROMPT_TEMPLATE == GOLDEN_VERIFICATION_TEMPLATE
 
 
-def test_generation_prompt_required_substrings():
-    prompt = build_generation_prompt(_record())
-    assert "SUMMARY, CAPTION, REASONING, and CONCLUSION" in prompt
-    assert "(Do not forget" in prompt
+def _generation_requests(tmp_path, *records):
+    gen = CountingGenerator(ScriptedGenerator([WELL_FORMED]))
+    run_pipeline(records, gen, ScriptedGenerator(["valid"]), tmp_path / "out.jsonl")
+    return gen.requests
 
 
-def test_generation_prompt_instruction_fixed_user_content_varies():
-    a = build_generation_prompt(_record(question="Q one?"))
-    b = build_generation_prompt(_record(question="Q two?"))
-    assert a != b
-    assert a.startswith(GENERATION_PROMPT)
-    assert b.startswith(GENERATION_PROMPT)
-    assert a[: len(GENERATION_PROMPT)] == b[: len(GENERATION_PROMPT)]
+def test_generation_prompt_required_substrings(tmp_path):
+    (request,) = _generation_requests(tmp_path, _record())
+    assert "SUMMARY, CAPTION, REASONING, and CONCLUSION" in request.system_prompt
+    assert "(Do not forget" in request.system_prompt
+
+
+def test_generation_prompt_instruction_fixed_user_content_varies(tmp_path):
+    a, b = _generation_requests(
+        tmp_path, _record(id="a", question="Q one?"), _record(id="b", question="Q two?")
+    )
+    assert a.system_prompt == b.system_prompt == GENERATION_PROMPT
+    assert a.question == build_user_content(_record(question="Q one?"))
+    assert b.question == build_user_content(_record(question="Q two?"))
+    assert a.question != b.question
 
 
 def test_user_content_carries_gold_answer_and_image():
@@ -150,11 +155,14 @@ def test_parse_verdict_first_token_rule():
         parse_verdict("")
 
 
-def test_judge_validity_calls_judge_with_prompt():
+def test_judge_validity_calls_judge_with_prompt(tmp_path):
     judge = CountingGenerator(ScriptedGenerator(["valid"]))
-    assert judge_validity(judge, "B", "B") is True
-    assert "Standard answer: B" in judge.requests[0].question
-    assert judge.requests[0].target_stages == ()
+    counts = run_pipeline([_record()], ScriptedGenerator([WELL_FORMED]), judge, tmp_path / "out.jsonl")
+    assert counts[STATUS_VALID] == 1
+    (request,) = judge.requests
+    assert request.question == build_verification_prompt("B", "B")
+    assert "Standard answer: B" in request.question
+    assert request.target_stages == ()
 
 
 def _sources_file(tmp_path, rows):
@@ -184,6 +192,11 @@ def test_load_sources_and_flatten(tmp_path):
     assert "Previous question: q2" in flat[2].question
     assert "Previous answer: y" in flat[2].question
     assert flat[2].gold_answer == "z"
+
+
+def test_load_sources_reads_an_integer_id_as_its_decimal_text(tmp_path):
+    path = _sources_file(tmp_path, [{"id": 7, "question": "q", "gold_answer": "x"}])
+    assert load_sources(path)[0].id == "7"
 
 
 def _read_output(path):

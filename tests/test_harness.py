@@ -125,6 +125,15 @@ def test_load_items(tmp_path):
     assert items[1].kind == "free_form"
 
 
+def test_load_items_gold_is_a_string_and_empty_when_absent(tmp_path):
+    path = tmp_path / "items.jsonl"
+    path.write_text(json.dumps({"id": "a", "question": "q"}) + "\n")
+    assert load_items(path)[0].gold == ""
+    path.write_text(json.dumps({"id": "a", "question": "q", "gold": None}) + "\n")
+    with pytest.raises(ValueError, match=r"items.jsonl:1: bad benchmark item: gold must be a string"):
+        load_items(path)
+
+
 # ---------------------------------------------------------------------------
 # Benchmark runner
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""perfbench's tracer patches names in the package; renaming one breaks it."""
+"""perfbench imports names from the package and its tracer patches more;
+renaming one breaks the benchmark, so these tests break first."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from stagewise import backends, harness, search
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Every namespace the tracer patches.
 _OWNERS = (
@@ -19,10 +23,23 @@ _OWNERS = (
 )
 
 
-def test_perfbench_tracer_installs_and_restores_the_originals():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+def _load(monkeypatch, name: str):
+    """``perfbench/<name>.py`` run as a module of its own, for this test only."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the stub prepends src/ when it loads
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["stub", "workloads"])
+def test_perfbench_module_imports_the_names_it_uses(monkeypatch, name):
+    _load(monkeypatch, name)
+
+
+def test_perfbench_tracer_installs_and_restores_the_originals(monkeypatch):
+    tracing = _load(monkeypatch, "tracing")
     before = [dict(vars(owner)) for owner in _OWNERS]
     tracer = tracing.Tracer()
     try:

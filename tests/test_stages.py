@@ -13,13 +13,14 @@ from stagewise.stages import (
     StageFormatError,
     StageKind,
     StrayTextError,
-    TagSchema,
     UnbalancedTagError,
     parse_stage_continuation,
     parse_staged,
     render_staged,
     stop_marker,
 )
+
+from stagewise.datagen import GENERATION_PROMPT
 
 from conftest import random_staged_response
 
@@ -161,38 +162,24 @@ def test_stop_marker():
     assert stop_marker(StageKind.CONCLUSION) == "</CONCLUSION>"
 
 
-def test_stop_marker_custom_schema():
-    schema = TagSchema(
-        open_tags={k: f"[{k.name}]" for k in CANONICAL_ORDER},
-        close_tags={
-            k: ("[END-CAP]" if k is StageKind.CAPTION else f"[/{k.name}]")
-            for k in CANONICAL_ORDER
-        },
-    )
-    assert stop_marker(StageKind.CAPTION, schema) == "[END-CAP]"
-    text = "[SUMMARY]s[/SUMMARY]\n[CAPTION]c[END-CAP]"
-    resp = parse_staged(text, schema)
-    assert [b.text for b in resp.blocks] == ["s", "c"]
+# The scanner relies on these: at most one tag matches at any offset, and
+# the whitespace skipped between blocks never hides the start of an open tag.
+_OPEN_TAGS = tuple(DEFAULT_SCHEMA.open(kind) for kind in CANONICAL_ORDER)
+_TAGS = _OPEN_TAGS + tuple(DEFAULT_SCHEMA.close(kind) for kind in CANONICAL_ORDER)
 
 
-def test_schema_rejects_substring_tags():
-    with pytest.raises(ValueError):
-        TagSchema(
-            open_tags={k: f"<{k.name}>" for k in CANONICAL_ORDER},
-            close_tags={
-                k: ("<SUMMARY>>" if k is StageKind.SUMMARY else f"</{k.name}>")
-                for k in CANONICAL_ORDER
-            },
-        )
+def test_fixed_tags_are_distinct_and_none_is_a_substring_of_another():
+    assert len(set(_TAGS)) == len(_TAGS) == 8
+    assert all(a not in b for a in _TAGS for b in _TAGS if a != b)
 
 
-@pytest.mark.parametrize("lead", [" ", "\t", "\n", "　"])
-def test_schema_rejects_open_tag_starting_with_whitespace(lead):
-    # The parser skips whitespace before an open tag, so this one could never open a block.
-    open_tags = {k: f"<{k.name}>" for k in CANONICAL_ORDER}
-    open_tags[StageKind.CAPTION] = lead + "<CAPTION>"
-    with pytest.raises(ValueError, match="starts with whitespace"):
-        TagSchema(open_tags=open_tags)
+def test_no_open_tag_starts_with_whitespace():
+    assert all(tag and not tag[0].isspace() for tag in _OPEN_TAGS)
+
+
+def test_generation_prompt_spells_out_every_tag():
+    for tag in _TAGS:
+        assert tag in GENERATION_PROMPT, tag
 
 
 def test_parse_stage_continuation_with_and_without_open_tag():
@@ -222,13 +209,11 @@ def test_staged_response_helpers():
 # ---------------------------------------------------------------------------
 
 
-def _reference_parse_staged(
-    text, schema=DEFAULT_SCHEMA, require_complete=False, expected_order=CANONICAL_ORDER
-):
-    """``parse_staged`` as it was before the precompiled scanner, kept verbatim."""
+def _reference_parse_staged(text, require_complete=False, expected_order=CANONICAL_ORDER):
+    """``parse_staged`` as it was before the precompiled scanner, over the fixed tags."""
+    schema, all_tags = DEFAULT_SCHEMA, _TAGS
     order = tuple(expected_order)
     opens = {schema.open(kind): kind for kind in CANONICAL_ORDER}
-    all_tags = schema.all_tags()
 
     blocks = []
     prev_pos = -1
@@ -277,18 +262,6 @@ def _reference_parse_staged(
 
 _S, _C, _R, _F = CANONICAL_ORDER
 
-# Tags that do not start with "<" and carry regex metacharacters; and tags
-# that start with whitespace. Between blocks the scan skips whitespace
-# before it looks for an open tag, so a CAPTION block can never open here.
-_PUNCT_SCHEMA = TagSchema(
-    open_tags={_S: "{{S", _C: "(C)*", _R: "R+?|", _F: "$F^"},
-    close_tags={_S: "S}}", _C: "*(c)", _R: "|?+r", _F: "^f$"},
-)
-_SPACED_SCHEMA = TagSchema(
-    open_tags={_S: "@s", _C: "@c", _R: "@r", _F: "@f"},
-    close_tags={_S: "　s@", _C: "c@", _R: "\tr@", _F: "f@"},
-)
-
 _WHITESPACE = (" ", "\n", "\t", "\r\n", "\x0b", "\x1c", "\x85", "\xa0", " ", " ", "　")
 _STRAY = ("x", "abc", "<", ">", "</", "<<", "SUMMARY", "[[sim::ok]]", "é", "日本", "​", "{", "$")
 _ORDERS = (
@@ -301,8 +274,8 @@ _ORDERS = (
 )
 
 
-def _fragment(rng: random.Random, schema: TagSchema) -> str:
-    tags = schema.all_tags()
+def _fragment(rng: random.Random) -> str:
+    schema, tags = DEFAULT_SCHEMA, _TAGS
     roll = rng.random()
     if roll < 0.3:
         kind = rng.choice(CANONICAL_ORDER)
@@ -322,25 +295,22 @@ def _fragment(rng: random.Random, schema: TagSchema) -> str:
     return rng.choice(tags).lower()
 
 
-def _outcome(parse, text, schema, require_complete, order):
+def _outcome(parse, text, require_complete, order):
     try:
-        return ("ok", parse(text, schema, require_complete=require_complete, expected_order=order))
+        return ("ok", parse(text, require_complete=require_complete, expected_order=order))
     except StageFormatError as exc:
         return (type(exc), str(exc))
 
 
-@pytest.mark.parametrize(
-    "schema", [DEFAULT_SCHEMA, _PUNCT_SCHEMA, _SPACED_SCHEMA], ids=["default", "punct", "spaced"]
-)
-def test_parser_matches_reference_on_generated_corpus(schema):
+def test_parser_matches_reference_on_generated_corpus():
     rng = random.Random(20241)
     seen = set()
     for _ in range(2000):
-        text = "".join(_fragment(rng, schema) for _ in range(rng.randint(0, 8)))
+        text = "".join(_fragment(rng) for _ in range(rng.randint(0, 8)))
         for require_complete in (False, True):
             for order in _ORDERS:
-                want = _outcome(_reference_parse_staged, text, schema, require_complete, order)
-                got = _outcome(parse_staged, text, schema, require_complete, order)
+                want = _outcome(_reference_parse_staged, text, require_complete, order)
+                got = _outcome(parse_staged, text, require_complete, order)
                 assert got == want, (text, require_complete, order)
                 seen.add(want[0])
     # The corpus reaches every outcome, not just the easy ones.
