@@ -173,8 +173,15 @@ def test_fixed_tags_are_distinct_and_none_is_a_substring_of_another():
     assert all(a not in b for a in _TAGS for b in _TAGS if a != b)
 
 
-def test_no_open_tag_starts_with_whitespace():
+@pytest.mark.parametrize("lead", [" ", "\t", "\n", "　"])
+def test_schema_rejects_open_tag_starting_with_whitespace(lead):
+    # The parser skips whitespace before an open tag, so no fixed open tag
+    # may start with it; the skipped lead must still leave each block parsed.
     assert all(tag and not tag[0].isspace() for tag in _OPEN_TAGS)
+    assert not any(tag.startswith(lead) for tag in _OPEN_TAGS)
+    spaced = WELL_FORMED.replace("><", ">" + lead + "<")
+    resp = parse_staged(lead + spaced, require_complete=True)
+    assert [b.text for b in resp.blocks] == ["a", "b", "c", "d"]
 
 
 def test_generation_prompt_spells_out_every_tag():
