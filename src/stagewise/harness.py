@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -464,17 +466,21 @@ def enumerate_swires_accuracy(world: SimWorldConfig, m: int, passes: int) -> flo
 # ---------------------------------------------------------------------------
 
 
-def monte_carlo_accuracy(
-    cfg: SearchConfig,
-    world: SimWorldConfig,
-    trials: int,
-    *,
-    run_seed: int = 0,
-) -> float:
-    """Fraction of ``trials`` independent sim searches returning a correct answer."""
-    sim = SimWorld(world)
+# Fewer trials than this (about 50 ms of searches) are not worth a process of their own.
+MIN_TRIALS_PER_WORKER = 250
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _correct_in_range(cfg: SearchConfig, sim: SimWorld, run_seed: int, start: int, stop: int) -> int:
+    """Correct answers among trials ``start`` to ``stop - 1``; each trial depends on its index alone."""
     correct = 0
-    for i in range(trials):
+    for i in range(start, stop):
         result = run_strategy(
             f"mc question {i}",
             cfg,
@@ -485,6 +491,125 @@ def monte_carlo_accuracy(
         )
         if oracle_correct(result.final_text):
             correct += 1
+    return correct
+
+
+class _ForkedRange:
+    """A forked child that counts one range of trials and replies once over a pipe.
+
+    The reply is the pickled count, or the pickled exception the range
+    raised. The child writes nothing else, flushes none of the stdio buffers
+    it inherited and leaves by ``os._exit``, so it never returns into its
+    caller's stack. A fork copies only the calling thread; the child runs
+    only sim searches at parallelism 1, which start no thread and take no
+    lock that another thread of the caller could hold.
+    """
+
+    def __init__(self, count: Callable[[int, int], int], start: int, stop: int):
+        import pickle
+
+        self.trials = f"{start}..{stop - 1}"
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    reply = pickle.dumps(count(start, stop))
+                except BaseException as exc:  # sent to the caller, which raises it
+                    reply = _pickled_exception(exc)
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(reply)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+        self.replied = False
+        self.status: Optional[int] = None
+
+    def result(self) -> int:
+        """The child's count; its exception is raised here."""
+        import pickle
+
+        data = self.pipe.read()
+        self.replied = True
+        if not data:
+            self.reap()
+            raise RuntimeError(
+                f"Monte Carlo worker for trials {self.trials} ended without a reply "
+                f"(exit code {os.waitstatus_to_exitcode(self.status)})"
+            )
+        reply = pickle.loads(data)
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def reap(self) -> None:
+        """Wait for the child, killing it first if its reply was not read."""
+        if self.status is not None:
+            return
+        if not self.replied:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+        self.pipe.close()
+        _, self.status = os.waitpid(self.pid, 0)
+
+
+def _pickled_exception(exc: BaseException) -> bytes:
+    """``exc`` pickled; one that does not survive the round trip goes as a RuntimeError naming it."""
+    import pickle
+
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+def monte_carlo_accuracy(
+    cfg: SearchConfig,
+    world: SimWorldConfig,
+    trials: int,
+    *,
+    run_seed: int = 0,
+) -> float:
+    """Fraction of ``trials`` independent sim searches returning a correct answer.
+
+    The trials are split into contiguous ranges, one per worker: up to one
+    per CPU available to the process, each of at least
+    ``MIN_TRIALS_PER_WORKER`` trials. The calling process runs the first
+    range and forked children run the others; where the platform has no
+    ``fork`` the calling process runs them all. Trial ``i`` depends on
+    ``i`` and ``run_seed`` alone, so the result is the same for any worker
+    count. Every child is waited for before this returns or raises. A range
+    that fails raises its exception here, the first range in trial order
+    first, as the same loop run in one process would.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    cfg.validate()
+    count = partial(_correct_in_range, cfg, SimWorld(world), run_seed)
+    workers = max(1, min(_available_cpus(), trials // MIN_TRIALS_PER_WORKER)) if hasattr(os, "fork") else 1
+    bounds = [trials * k // workers for k in range(workers + 1)]
+    children: list[_ForkedRange] = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            children.append(_ForkedRange(count, start, stop))
+        correct = count(bounds[0], bounds[1])
+        for child in children:
+            correct += child.result()
+    finally:
+        for child in children:
+            child.reap()
     return correct / trials
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stagewise
 from stagewise.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -509,6 +514,22 @@ def test_simcheck_passes(capsys):
     assert summary["all_within_3se"] is True
     assert summary["checks"] == 4
     assert sum("ok " in line for line in out) >= 4
+
+
+def test_simcheck_process_prints_its_summary_once():
+    # 2000 trials per check are enough to fork workers; a worker that went on
+    # into the CLI, or flushed the stdio buffers it inherited, would print again.
+    env = {**os.environ, "PYTHONPATH": str(Path(stagewise.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-m", "stagewise.cli", "simcheck", "--trials", "2000"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == EXIT_OK, out.stderr
+    lines = out.stdout.splitlines()
+    assert sum(line.startswith("{") for line in lines) == 1
+    assert json.loads(lines[-1]) == {"all_within_3se": True, "checks": 4, "command": "simcheck"}
+    assert len(lines) == 5
+    assert out.stderr == ""
 
 
 def test_help_lists_flags(capsys):

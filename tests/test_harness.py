@@ -1,10 +1,16 @@
 import json
+import os
 import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from stagewise import harness
 from stagewise.backends import (
+    CORRECT_MARK,
+    BackendError,
     EndpointConfig,
     Generator,
     HttpGenerator,
@@ -39,6 +45,8 @@ from stagewise.harness import (
     scaling_experiment,
 )
 from stagewise.search import (
+    ConfigError,
+    LoopSemantics,
     SearchConfig,
     SearchExhaustedError,
     SearchTrace,
@@ -503,6 +511,159 @@ def test_monte_carlo_accuracy_deterministic():
     a = monte_carlo_accuracy(cfg, world, 500, run_seed=1)
     b = monte_carlo_accuracy(cfg, world, 500, run_seed=1)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo over forked workers
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children the calling process forks."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(harness, "_available_cpus", lambda: count)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _scripted_trials(monkeypatch, **at):
+    """Stand-in searches: trial ``i`` runs ``at[f"t{i}"]()`` if given, else answers at once."""
+
+    def fake_run_strategy(question, *args, **kwargs):
+        action = at.get(f"t{question.rsplit(' ', 1)[1]}")
+        if action is not None:
+            action()
+        return SimpleNamespace(final_text=CORRECT_MARK)
+
+    monkeypatch.setattr(harness, "run_strategy", fake_run_strategy)
+
+
+def _raise(exc):
+    def action():
+        raise exc
+
+    return action
+
+
+def _hang():
+    time.sleep(30)
+
+
+class _UnpicklableError(Exception):
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@needs_fork
+@pytest.mark.parametrize("trials", [1001, 757])
+def test_monte_carlo_accuracy_is_identical_for_any_worker_count(monkeypatch, forks, trials):
+    cfg = harness._simcheck_config(strategy=Strategy.SWIRES, loop_semantics=LoopSemantics.MAIN_TEXT)
+    values = []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        values.append(monte_carlo_accuracy(cfg, SIMCHECK_WORLD, trials, run_seed=5))
+        assert len(forks) == cpus - 1
+        _assert_no_child_left()
+    assert values[0] == values[1] == values[2]
+
+
+@needs_fork
+def test_run_simcheck_rows_are_identical_at_one_and_two_workers(monkeypatch, forks):
+    rows = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        rows.append(run_simcheck(trials=2500, run_seed=2))
+    assert len(forks) == 4  # one child per check at two workers
+    assert rows[0] == rows[1]
+
+
+@needs_fork
+def test_monte_carlo_accuracy_gives_each_worker_at_least_min_trials(monkeypatch, forks):
+    _cpus(monkeypatch, 8)
+    _scripted_trials(monkeypatch)
+    monte_carlo_accuracy(SearchConfig(), SIMCHECK_WORLD, 2 * harness.MIN_TRIALS_PER_WORKER)
+    assert len(forks) == 1
+    forks.clear()
+    monte_carlo_accuracy(SearchConfig(), SIMCHECK_WORLD, 2 * harness.MIN_TRIALS_PER_WORKER - 1)
+    assert forks == []
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "raised, expected",
+    [
+        (BackendError("reply for trial 900 is malformed"), BackendError("reply for trial 900 is malformed")),
+        (_UnpicklableError("no reply", 900), RuntimeError("_UnpicklableError: no reply at 900")),
+    ],
+)
+def test_monte_carlo_exception_in_a_child_is_raised_by_the_caller(monkeypatch, forks, raised, expected):
+    _cpus(monkeypatch, 2)
+    _scripted_trials(monkeypatch, t900=_raise(raised))
+    with pytest.raises(type(expected)) as excinfo:
+        monte_carlo_accuracy(SearchConfig(), SIMCHECK_WORLD, 1000)
+    assert type(excinfo.value) is type(expected)
+    assert str(excinfo.value) == str(expected)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("raised", [ValueError("trial 10 failed"), KeyboardInterrupt()])
+def test_monte_carlo_failure_in_the_callers_range_kills_and_reaps_children(monkeypatch, forks, raised):
+    _cpus(monkeypatch, 2)
+    # Trial 500 is the child's first; it would hang the child for 30 s.
+    _scripted_trials(monkeypatch, t10=_raise(raised), t500=_hang)
+    started = time.monotonic()
+    with pytest.raises(type(raised)):
+        monte_carlo_accuracy(SearchConfig(), SIMCHECK_WORLD, 1000)
+    assert time.monotonic() - started < 20
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_monte_carlo_child_that_dies_without_a_reply_raises(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    _scripted_trials(monkeypatch, t700=lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"trials 500\.\.999 ended without a reply \(exit code 3\)"):
+        monte_carlo_accuracy(SearchConfig(), SIMCHECK_WORLD, 1000)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_monte_carlo_accuracy_rejects_fewer_than_one_trial(forks, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        monte_carlo_accuracy(SearchConfig(), SIMCHECK_WORLD, trials)
+    assert forks == []
+
+
+def test_monte_carlo_accuracy_bad_config_raises_one_config_error_before_forking(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    cfg = SearchConfig(candidates_per_stage=3, beam_width=2)
+    with pytest.raises(ConfigError) as excinfo:
+        monte_carlo_accuracy(cfg, SIMCHECK_WORLD, 1000)
+    assert str(excinfo.value) == "beam_width must divide candidates_per_stage"
+    assert forks == []
 
 
 # ---------------------------------------------------------------------------
