@@ -503,7 +503,8 @@ class SimWorld(Generator, RewardScorer):
     and reward noise come from a keyed hash, so repeated runs and arbitrary
     thread schedules reproduce identical bytes. A request with empty
     ``target_stages`` is treated as a judge-style completion and answers
-    "valid"/"invalid" from the correctness mark embedded in the prompt.
+    "valid"/"invalid" from the correctness mark embedded in the prompt;
+    any other request must carry a ``seed`` (ValueError otherwise).
     The hash keys are built from ``config.rng_seed`` at construction, so
     a world with another config is a new ``SimWorld``.
     """
@@ -519,11 +520,7 @@ class SimWorld(Generator, RewardScorer):
             return "valid" if CORRECT_MARK in request.question else "invalid"
         seed = request.seed
         if seed is None:
-            seed = stable_u64(
-                request.question,
-                render_staged(request.prior_stages),
-                request.target_stages[0].value,
-            )
+            raise ValueError("SimWorld.generate needs a request seed; got seed=None")
         all_ok = True
         for block in request.prior_stages.blocks:
             if not oracle_correct(block.text):

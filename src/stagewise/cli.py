@@ -85,7 +85,7 @@ _SEARCH_SETTINGS = {
 }
 _STATS_KEYS = ("reward_mean", "reward_std")
 _DEFAULT_SEARCH = SearchConfig()
-_TOP_KEYS = {"backend", "generator", "reward", "judge", "sim", "search", "run_seed", "parallelism"}
+_TOP_KEYS = {f.name for f in fields(AppConfig)}
 
 
 def _reject_unknown(data: dict, allowed, context: str) -> None:
@@ -364,9 +364,8 @@ def cmd_datagen(cfg: AppConfig, args: argparse.Namespace) -> int:
     else:
         judge = generator  # same endpoint serves both roles; sim judges via its oracle
     sources = _read_input(load_sources, args.sources)
-    if not args.no_resume:
-        _read_input(read_existing_ids, args.out)  # reject a corrupt output file before any call
-    counts = run_pipeline(sources, generator, judge, args.out, resume=not args.no_resume)
+    _read_input(read_existing_ids, args.out)  # reject a corrupt output file before any call
+    counts = run_pipeline(sources, generator, judge, args.out)
     _summary({"command": "datagen", **counts})
     return EXIT_OK
 
@@ -446,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("datagen", parents=[common], help="run the dataset pipeline")
     p.add_argument("--sources", required=True, help="source records (JSON lines)")
     p.add_argument("--out", required=True, help="output records path (JSON lines)")
-    p.add_argument("--no-resume", action="store_true", help="do not skip existing ids")
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("simcheck", parents=[common], help="enumeration vs Monte Carlo")

@@ -1,9 +1,12 @@
 """Structured-response dataset pipeline.
 
-For each source QA pair: prompt a generator for a four-stage response,
-validate the format, extract the conclusion, and ask a judge model whether
-the conclusion matches the gold answer. Records persist as line-delimited
-JSON with one terminal status each; reruns skip ids already present.
+For each source QA pair, in one straight line: prompt a generator for a
+four-stage response, parse it as a complete staged response, ask a judge
+model whether its conclusion matches the gold answer, and read the verdict.
+Each id gets at most one line-delimited JSON record, whose status is
+``valid``, ``format_invalid`` or ``judged_invalid``. Reruns skip ids already
+present; a source whose backend call failed has no record, so the next run
+generates it again.
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ from .backends import (
     stable_u64,
 )
 from .jsonl import id_field, read_jsonl, string_field, trim_partial_last_line
-from .stages import (
-    CANONICAL_ORDER,
-    StagedResponse,
-    StageFormatError,
-    StageKind,
-    parse_staged,
-)
+from .stages import CANONICAL_ORDER, StageFormatError, parse_staged
 
 log = logging.getLogger(__name__)
 
@@ -70,23 +67,8 @@ GENERATION_MAX_NEW_TOKENS = 2048
 STATUS_VALID = "valid"
 STATUS_FORMAT_INVALID = "format_invalid"
 STATUS_JUDGED_INVALID = "judged_invalid"
+# Not a record status: the count of sources whose backend call failed.
 STATUS_RETRYABLE = "retryable"
-
-
-class FormatInvalidError(Exception):
-    """Generated text does not comply with the four-stage format."""
-
-    def __init__(self, cause: StageFormatError):
-        super().__init__(str(cause))
-        self.cause = cause
-
-
-class UnparseableVerdictError(Exception):
-    """Judge reply is neither 'valid' nor 'invalid'."""
-
-    def __init__(self, raw: str):
-        super().__init__(f"unparseable judge verdict: {raw!r}")
-        self.raw = raw
 
 
 @dataclass(frozen=True)
@@ -183,15 +165,6 @@ def build_user_content(record: SourceRecord) -> str:
     return "\n".join(lines)
 
 
-def validate_and_extract(raw: str) -> tuple[StagedResponse, str]:
-    """Parse a complete four-stage response and return it with its conclusion text."""
-    try:
-        parsed = parse_staged(raw, require_complete=True)
-    except StageFormatError as exc:
-        raise FormatInvalidError(exc) from exc
-    return parsed, parsed.text_of(StageKind.CONCLUSION) or ""
-
-
 def build_verification_prompt(standard_answer: str, assistant_response: str) -> str:
     """Substitute both placeholders verbatim, with no recursive expansion."""
     head, rest = VERIFICATION_PROMPT_TEMPLATE.split("{standard_answer}")
@@ -203,29 +176,9 @@ _FIRST_WORD = re.compile(r"[a-z]+")
 
 
 def parse_verdict(reply: str) -> bool:
-    """Map a judge reply to valid/invalid by its first alphabetic token."""
-    match = _FIRST_WORD.search(reply.strip().lower())
-    token = match.group(0) if match else ""
-    if token == "valid":
-        return True
-    if token == "invalid":
-        return False
-    raise UnparseableVerdictError(reply)
-
-
-def _judge_request(prompt: str) -> GeneratorRequest:
-    return GeneratorRequest(
-        question=prompt,
-        target_stages=(),
-        sampling=SamplingParams(temperature=0.0, max_new_tokens=16, stop=None),
-        seed=stable_u64(prompt),
-    )
-
-
-def _judge_reply(judge: Generator, standard_answer: str, conclusion: str) -> str:
-    """The judge's raw reply on whether the conclusion matches the gold answer."""
-    prompt = build_verification_prompt(standard_answer, conclusion)
-    return judge.generate(_judge_request(prompt))
+    """True only when the reply's first alphabetic token is ``valid``."""
+    match = _FIRST_WORD.search(reply.lower())
+    return match is not None and match.group(0) == "valid"
 
 
 def read_existing_ids(path) -> set[str]:
@@ -258,80 +211,71 @@ def run_pipeline(
     generator: Generator,
     judge: Generator,
     output_path,
-    *,
-    resume: bool = True,
 ) -> dict[str, int]:
-    """Generate, validate, judge, and persist one record per source.
+    """Append one record per source whose id ``output_path`` lacks.
 
-    Validation strictly precedes judging: format-invalid generations never
-    reach the judge. Backend failures mark the record retryable and the run
-    continues. Returns counts per status (plus ``skipped`` for resumed ids).
+    A source whose generator or judge call raises BackendError gets no
+    record, so the next run generates it again. Returns counts per written
+    status, plus ``retryable`` for those sources and ``skipped`` for ids
+    already present.
     """
-    existing = read_existing_ids(output_path) if resume else set()
-    counts = {
-        STATUS_VALID: 0,
-        STATUS_FORMAT_INVALID: 0,
-        STATUS_JUDGED_INVALID: 0,
-        STATUS_RETRYABLE: 0,
-        "skipped": 0,
-    }
-    flat = flatten_sources(sources)
+    existing = read_existing_ids(output_path)
+    counts = dict.fromkeys(
+        (STATUS_VALID, STATUS_FORMAT_INVALID, STATUS_JUDGED_INVALID, STATUS_RETRYABLE, "skipped"), 0
+    )
     trim_partial_last_line(output_path)
     with open(output_path, "a", encoding="utf-8") as out:
-        for record in flat:
+        for record in flatten_sources(sources):
             if record.id in existing:
                 counts["skipped"] += 1
                 continue
-            existing.add(record.id)
-            generated = _process_one(record, generator, judge)
+            try:
+                generated = _process_one(record, generator, judge)
+            except BackendError as exc:
+                log.warning("backend failed for %s; the next run retries it: %s", record.id, exc)
+                counts[STATUS_RETRYABLE] += 1
+                continue
             counts[generated.status] += 1
             out.write(generated.to_json() + "\n")
             out.flush()
+            existing.add(record.id)
     return counts
 
 
-def _process_one(
-    record: SourceRecord,
-    generator: Generator,
-    judge: Generator,
-) -> GeneratedRecord:
+def _process_one(record: SourceRecord, generator: Generator, judge: Generator) -> GeneratedRecord:
+    """Generate, parse, judge, verdict. A format-invalid response never
+    reaches the judge; a backend failure propagates as BackendError."""
+    raw = generator.generate(
+        GeneratorRequest(
+            question=build_user_content(record),
+            target_stages=CANONICAL_ORDER,
+            image_ref=record.image_ref,
+            system_prompt=GENERATION_PROMPT,
+            sampling=SamplingParams(GENERATION_TEMPERATURE, GENERATION_MAX_NEW_TOKENS, stop=None),
+            seed=stable_u64("datagen", record.id),
+        )
+    )
     out = GeneratedRecord(
         id=record.id,
         question=record.question,
         gold_answer=record.gold_answer,
         image_ref=record.image_ref,
-        raw_response="",
-        status=STATUS_RETRYABLE,
-    )
-    request = GeneratorRequest(
-        question=build_user_content(record),
-        target_stages=CANONICAL_ORDER,
-        image_ref=record.image_ref,
-        system_prompt=GENERATION_PROMPT,
-        sampling=SamplingParams(GENERATION_TEMPERATURE, GENERATION_MAX_NEW_TOKENS, stop=None),
-        seed=stable_u64("datagen", record.id),
+        raw_response=raw,
+        status=STATUS_FORMAT_INVALID,
     )
     try:
-        out.raw_response = generator.generate(request)
-    except BackendError as exc:
-        log.warning("generator failed for %s: %s", record.id, exc)
-        return out
-    try:
-        _, conclusion = validate_and_extract(out.raw_response)
-    except FormatInvalidError as exc:
-        out.status = STATUS_FORMAT_INVALID
-        out.judge_verdict_raw = None
+        out.conclusion = parse_staged(raw, require_complete=True).final_text
+    except StageFormatError as exc:
         log.debug("format-invalid response for %s: %s", record.id, exc)
         return out
-    out.conclusion = conclusion
-    try:
-        out.judge_verdict_raw = _judge_reply(judge, record.gold_answer, conclusion)
-    except BackendError as exc:
-        log.warning("judge failed for %s: %s", record.id, exc)
-        out.status = STATUS_RETRYABLE
-        return out
-    try:
-        out.status = STATUS_VALID if parse_verdict(out.judge_verdict_raw) else STATUS_JUDGED_INVALID
-    except UnparseableVerdictError:
-        out.status = STATUS_JUDGED_INVALID
+    prompt = build_verification_prompt(record.gold_answer, out.conclusion)
+    out.judge_verdict_raw = judge.generate(
+        GeneratorRequest(
+            question=prompt,
+            target_stages=(),
+            sampling=SamplingParams(temperature=0.0, max_new_tokens=16, stop=None),
+            seed=stable_u64(prompt),
+        )
+    )
+    out.status = STATUS_VALID if parse_verdict(out.judge_verdict_raw) else STATUS_JUDGED_INVALID
     return out

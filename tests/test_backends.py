@@ -89,6 +89,15 @@ def test_sim_generate_deterministic_across_instances():
         assert a.generate(req) == b.generate(req)
 
 
+def test_sim_generate_requires_a_seed():
+    # A staged request without a seed has no draw to make; a judge-style
+    # request (no target stages) reads the marks and needs none.
+    sim = SimWorld(SimWorldConfig())
+    with pytest.raises(ValueError, match="seed"):
+        sim.generate(_single_stage_request(seed=None))
+    assert sim.generate(GeneratorRequest(question=CORRECT_MARK, target_stages=())) == "valid"
+
+
 def test_sim_score_deterministic_full_precision():
     cfg = SimWorldConfig(noise_std=0.5, rng_seed=2)
     a, b = SimWorld(cfg), SimWorld(cfg)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,31 @@ def test_config_file_search_section_equals_flags(tmp_path):
     assert repr(from_file) == repr(from_flags)
     assert from_file.strategy is Strategy.STAGE_BEAM
     assert from_file.cutoff_zscore == 1.0
+
+
+def test_readme_search_table_matches_the_cli_settings():
+    # Drift check: the README's table of `search` keys lists each setting
+    # the CLI takes, in order, with its JSON type and its flag (or none).
+    from stagewise.cli import _SEARCH_SETTINGS, _default
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    intro = "The `search` keys, their JSON types, and the flags that override them:"
+    lines = readme.split(intro, 1)[1].strip().splitlines()
+    rows = []
+    for line in lines[2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip().strip("`") for cell in line.strip("|").split("|")))
+
+    def json_type(default):
+        if isinstance(default, Enum):
+            return "string"
+        return "integer" if isinstance(default, int) else "number"
+
+    assert rows == [
+        (key, json_type(_default(key)), flag[0] if flag else "none")
+        for key, flag in _SEARCH_SETTINGS.items()
+    ]
 
 
 @pytest.mark.parametrize(
@@ -449,6 +475,8 @@ _GOOD_RESPONSE = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONIN
         ),
         ("bench", "--items", ['{"id": "a", "question": "q", "gold": null}'], "in.jsonl:1"),
         ("bench", "--items", ['{"id": "a", "question": "q", "gold": 5}'], "in.jsonl:1"),
+        ("datagen", "--sources", ['{"id": "", "question": "q", "gold_answer": "B"}'], "in.jsonl:1"),
+        ("datagen", "--sources", ['{"id": "s", "question": "", "gold_answer": "B"}'], "in.jsonl:1"),
     ],
 )
 def test_bad_input_file_exits_2_naming_file_and_line(

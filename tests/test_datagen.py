@@ -15,18 +15,15 @@ from stagewise.datagen import (
     STATUS_RETRYABLE,
     STATUS_VALID,
     VERIFICATION_PROMPT_TEMPLATE,
-    FormatInvalidError,
     SourceRecord,
-    UnparseableVerdictError,
     build_user_content,
     build_verification_prompt,
     flatten_sources,
     load_sources,
     parse_verdict,
     run_pipeline,
-    validate_and_extract,
 )
-from stagewise.stages import MissingStageError, StrayTextError
+from stagewise.stages import MissingStageError, StrayTextError, parse_staged
 
 from conftest import CountingGenerator, ScriptedGenerator
 
@@ -108,23 +105,42 @@ def test_user_content_carries_gold_answer_and_image():
     assert "Image: img://1" in content
 
 
-def test_validate_and_extract_success():
-    parsed, conclusion = validate_and_extract(WELL_FORMED)
-    assert conclusion == "B"
-    assert parsed.is_complete
+def _read_output(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
-def test_validate_and_extract_missing_stage():
+def _one_record(tmp_path, reply):
+    """The single output record of a run whose generator replies ``reply``."""
+    out = tmp_path / "out.jsonl"
+    run_pipeline([_record()], ScriptedGenerator([reply]), ScriptedGenerator(["valid"]), out)
+    (row,) = _read_output(out)
+    return row
+
+
+def test_validate_and_extract_success(tmp_path):
+    assert parse_staged(WELL_FORMED, require_complete=True).is_complete
+    row = _one_record(tmp_path, WELL_FORMED)
+    assert row["status"] == STATUS_VALID
+    assert row["conclusion"] == "B"
+
+
+def test_validate_and_extract_missing_stage(tmp_path):
     text = WELL_FORMED.replace("<REASONING>logic</REASONING>\n", "")
-    with pytest.raises(FormatInvalidError) as err:
-        validate_and_extract(text)
-    assert isinstance(err.value.cause, (MissingStageError, StrayTextError))
+    with pytest.raises((MissingStageError, StrayTextError)):
+        parse_staged(text, require_complete=True)
+    row = _one_record(tmp_path, text)
+    assert row["status"] == STATUS_FORMAT_INVALID
+    assert row["conclusion"] is None
 
 
-def test_validate_and_extract_trailing_prose():
-    with pytest.raises(FormatInvalidError) as err:
-        validate_and_extract(WELL_FORMED + "\nby the way...")
-    assert isinstance(err.value.cause, StrayTextError)
+def test_validate_and_extract_trailing_prose(tmp_path):
+    text = WELL_FORMED + "\nby the way..."
+    with pytest.raises(StrayTextError):
+        parse_staged(text, require_complete=True)
+    row = _one_record(tmp_path, text)
+    assert row["status"] == STATUS_FORMAT_INVALID
+    assert row["conclusion"] is None
 
 
 def test_verification_prompt_substitution():
@@ -149,10 +165,10 @@ def test_parse_verdict_first_token_rule():
     assert parse_verdict("  Valid.") is True
     assert parse_verdict("Invalid — the response is a refusal.") is False
     assert parse_verdict("INVALID because reasons") is False
-    with pytest.raises(UnparseableVerdictError):
-        parse_verdict("I think so")
-    with pytest.raises(UnparseableVerdictError):
-        parse_verdict("")
+    # Anything else is not a "valid" verdict.
+    assert parse_verdict("I think so") is False
+    assert parse_verdict("validated") is False
+    assert parse_verdict("") is False
 
 
 def test_judge_validity_calls_judge_with_prompt(tmp_path):
@@ -197,11 +213,6 @@ def test_load_sources_and_flatten(tmp_path):
 def test_load_sources_reads_an_integer_id_as_its_decimal_text(tmp_path):
     path = _sources_file(tmp_path, [{"id": 7, "question": "q", "gold_answer": "x"}])
     assert load_sources(path)[0].id == "7"
-
-
-def _read_output(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def test_pipeline_all_valid_with_stub_backends(tmp_path):
@@ -257,6 +268,35 @@ def test_pipeline_backend_error_marks_retryable_and_continues(tmp_path):
     assert counts[STATUS_VALID] == 1
 
 
+@pytest.mark.parametrize("failing", ["generator", "judge"])
+def test_pipeline_backend_failure_writes_no_record_and_next_run_retries(tmp_path, failing):
+    sources = [SourceRecord(f"s{i}", f"q{i}", "B") for i in range(3)]
+    out = tmp_path / "out.jsonl"
+    gen_replies, judge_replies = [WELL_FORMED], ["valid"]
+    if failing == "generator":
+        gen_replies = [WELL_FORMED, TransportError("down"), WELL_FORMED]
+    else:
+        judge_replies = ["valid", TransportError("down"), "valid"]
+    first = run_pipeline(sources, ScriptedGenerator(gen_replies), ScriptedGenerator(judge_replies), out)
+    assert first[STATUS_RETRYABLE] == 1
+    assert first[STATUS_VALID] == 2
+    assert [r["id"] for r in _read_output(out)] == ["s0", "s2"]
+    gen = CountingGenerator(ScriptedGenerator([WELL_FORMED]))
+    second = run_pipeline(sources, gen, ScriptedGenerator(["valid"]), out)
+    assert gen.calls == 1
+    assert [r.question for r in gen.requests] == [build_user_content(sources[1])]
+    assert second == {
+        STATUS_VALID: 1,
+        STATUS_FORMAT_INVALID: 0,
+        STATUS_JUDGED_INVALID: 0,
+        STATUS_RETRYABLE: 0,
+        "skipped": 2,
+    }
+    rows = _read_output(out)
+    assert sorted(r["id"] for r in rows) == ["s0", "s1", "s2"]
+    assert {r["status"] for r in rows} == {STATUS_VALID}
+
+
 def test_pipeline_resume_skips_existing_without_new_calls(tmp_path):
     sources = [SourceRecord(f"s{i}", f"q{i}", "B") for i in range(3)]
     out = tmp_path / "out.jsonl"
@@ -296,14 +336,12 @@ def test_pipeline_status_partition_unique_ids(tmp_path):
     judge = ScriptedGenerator(["invalid"])
     sources = [SourceRecord(f"s{i}", f"q{i}", "B") for i in range(3)]
     out = tmp_path / "out.jsonl"
-    run_pipeline(sources, gen, judge, out)
+    counts = run_pipeline(sources, gen, judge, out)
     rows = _read_output(out)
-    assert sorted(r["id"] for r in rows) == ["s0", "s1", "s2"]
-    assert all(
-        r["status"]
-        in (STATUS_VALID, STATUS_FORMAT_INVALID, STATUS_JUDGED_INVALID, STATUS_RETRYABLE)
-        for r in rows
-    )
+    # The source whose generator call failed has no record; it is only counted.
+    assert [r["id"] for r in rows] == ["s0", "s1"]
+    assert [r["status"] for r in rows] == [STATUS_JUDGED_INVALID, STATUS_FORMAT_INVALID]
+    assert counts[STATUS_RETRYABLE] == 1
 
 
 def test_pipeline_end_to_end_on_sim_world(tmp_path):

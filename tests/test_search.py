@@ -193,6 +193,40 @@ def test_config_rejects_bad_values():
         ).validate()
 
 
+def _with(field, value):
+    """The default (frozen) config with ``field`` set to ``value``, of any type."""
+    cfg = SearchConfig()
+    object.__setattr__(cfg, field, value)
+    return cfg
+
+
+_S, _C, _R, _F = CANONICAL_ORDER
+# Each config has exactly one problem; validate must name it in these words.
+_CONFIG_PROBLEMS = [
+    (SearchConfig(candidates_per_stage=0), "candidates_per_stage must be >= 1"),
+    (SearchConfig(beam_width=0), "beam_width must be >= 1"),
+    (SearchConfig(candidates_per_stage=4, beam_width=3), "beam_width must divide candidates_per_stage"),
+    (SearchConfig(retrace_limit=-1), "retrace_limit must be >= 0"),
+    (SearchConfig(min_pass_count=5), "min_pass_count must be in [1, beam_width]"),
+    (SearchConfig(summary_candidates=0), "summary_candidates must be >= 1"),
+    (SearchConfig(temperature=-0.5), "temperature must be >= 0"),
+    (SearchConfig(max_new_tokens=0), "max_new_tokens must be >= 1"),
+    (_with("strategy", "mystery"), "unknown strategy: 'mystery'"),
+    (_with("loop_semantics", "sideways"), "unknown loop semantics: 'sideways'"),
+    (SearchConfig(pipeline=()), "pipeline must not be empty"),
+    (SearchConfig(pipeline=(_C, _S)), "pipeline must be a canonical-order subsequence of stages"),
+    (SearchConfig(pipeline=(_S, _R, _F)), "retrace_start must be a pipeline stage"),
+    (SearchConfig(retrace_start=_F), "retrace_start must precede the final pipeline stage"),
+]
+
+
+@pytest.mark.parametrize("cfg, message", _CONFIG_PROBLEMS, ids=[m for _, m in _CONFIG_PROBLEMS])
+def test_config_validate_names_each_problem(cfg, message):
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert str(err.value) == message
+
+
 def test_config_unknown_strategy_is_config_error():
     cfg = SearchConfig()
     object.__setattr__(cfg, "strategy", "mystery")
