@@ -78,7 +78,7 @@ def stable_u64_prefix(*prefix: str) -> Callable[..., int]:
 
     def derive(*rest: str) -> int:
         h = head.copy()
-        h.update(_seed_key(rest))
+        h.update("|".join(rest).encode("utf-8"))  # _seed_key(rest), without the call
         return int.from_bytes(h.digest(), "big")
 
     return derive
@@ -94,6 +94,14 @@ class SamplingParams:
     temperature: float = 1.0
     max_new_tokens: int = 1024
     stop: Optional[str] = None
+
+
+_DEFAULT_SAMPLING = SamplingParams()
+
+
+# A search builds a request for every backend call, so both request types
+# fill their instance dict directly, like ``stages.StageBlock``: the generated
+# frozen __init__ takes about twice as long.
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,27 @@ class GeneratorRequest:
     prior_stages: StagedResponse = EMPTY_RESPONSE
     image_ref: Optional[str] = None
     system_prompt: Optional[str] = None
-    sampling: SamplingParams = SamplingParams()
+    sampling: SamplingParams = _DEFAULT_SAMPLING
     seed: Optional[int] = None
+
+    def __init__(
+        self,
+        question: str,
+        target_stages: tuple[StageKind, ...],
+        prior_stages: StagedResponse = EMPTY_RESPONSE,
+        image_ref: Optional[str] = None,
+        system_prompt: Optional[str] = None,
+        sampling: SamplingParams = _DEFAULT_SAMPLING,
+        seed: Optional[int] = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["question"] = question
+        fields["target_stages"] = target_stages
+        fields["prior_stages"] = prior_stages
+        fields["image_ref"] = image_ref
+        fields["system_prompt"] = system_prompt
+        fields["sampling"] = sampling
+        fields["seed"] = seed
 
 
 @dataclass(frozen=True)
@@ -123,6 +150,14 @@ class RewardRequest:
     question: str
     trajectory: StagedResponse
     image_ref: Optional[str] = None
+
+    def __init__(
+        self, question: str, trajectory: StagedResponse, image_ref: Optional[str] = None
+    ) -> None:
+        fields = self.__dict__
+        fields["question"] = question
+        fields["trajectory"] = trajectory
+        fields["image_ref"] = image_ref
 
 
 class Generator(abc.ABC):
@@ -491,6 +526,13 @@ class SimWorldConfig:
         return cls(**kwargs)
 
 
+# Per stage: the open tag, the label its sim text starts with, the close tag.
+_SIM_TAGS = {
+    kind: (DEFAULT_SCHEMA.open(kind), kind.value, DEFAULT_SCHEMA.close(kind))
+    for kind in CANONICAL_ORDER
+}
+
+
 def _unit(value: int) -> float:
     """A 64-bit hash value as a uniform draw in (0, 1)."""
     return (value + 0.5) / _TWO64
@@ -528,14 +570,16 @@ class SimWorld(Generator, RewardScorer):
                 break
         seed_text = str(seed)
         seed_hex = f"{seed & 0xFFFFFFFFFFFFFFFF:016x}"
+        success, recovery = self.config.success, self.config.recovery
+        gen_u64 = self._gen_u64
         parts = []
         for i, kind in enumerate(request.target_stages):
-            p = (self.config.success if all_ok else self.config.recovery)[kind]
-            stage_ok = _unit(self._gen_u64(seed_text, str(i))) < p
+            p = (success if all_ok else recovery)[kind]
+            stage_ok = _unit(gen_u64(seed_text, str(i))) < p
             all_ok = all_ok and stage_ok
+            open_tag, label, close_tag = _SIM_TAGS[kind]
             mark = CORRECT_MARK if stage_ok else INCORRECT_MARK
-            text = f"{kind.value} {seed_hex}-{i} {mark}"
-            parts.append(f"{DEFAULT_SCHEMA.open(kind)}{text}{DEFAULT_SCHEMA.close(kind)}")
+            parts.append(f"{open_tag}{label} {seed_hex}-{i} {mark}{close_tag}")
         return _truncate_at_stop("\n".join(parts), request.sampling.stop)
 
     def score(self, request: RewardRequest) -> RewardScore:

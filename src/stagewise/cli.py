@@ -27,7 +27,7 @@ from .backends import (
     SimWorld,
     SimWorldConfig,
 )
-from .datagen import load_sources, read_existing_ids, run_pipeline
+from .datagen import BadOutputFileError, load_sources, run_pipeline
 from .harness import (
     default_grid,
     grade,
@@ -364,8 +364,10 @@ def cmd_datagen(cfg: AppConfig, args: argparse.Namespace) -> int:
     else:
         judge = generator  # same endpoint serves both roles; sim judges via its oracle
     sources = _read_input(load_sources, args.sources)
-    _read_input(read_existing_ids, args.out)  # reject a corrupt output file before any call
-    counts = run_pipeline(sources, generator, judge, args.out)
+    try:
+        counts = run_pipeline(sources, generator, judge, args.out)
+    except BadOutputFileError as exc:
+        raise ConfigError(str(exc)) from exc
     _summary({"command": "datagen", **counts})
     return EXIT_OK
 

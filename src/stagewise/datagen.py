@@ -181,18 +181,27 @@ def parse_verdict(reply: str) -> bool:
     return match is not None and match.group(0) == "valid"
 
 
+class BadOutputFileError(ValueError):
+    """The output file cannot be read, or a complete line of it is not a record with an id."""
+
+
 def read_existing_ids(path) -> set[str]:
     """Ids of the records already written to ``path``.
 
     An unterminated last line is a record cut short by a killed run; it
     counts as absent, so its source is generated again. A complete line
-    that is not a record with an ``id`` raises ValueError naming its line.
+    that is not a record with an ``id`` raises BadOutputFileError naming
+    its line; so does a file that cannot be read.
     """
     ids: set[str] = set()
     path = Path(path)
     if not path.exists():
         return ids
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise BadOutputFileError(f"cannot read {path}: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, 1):
             if not line.endswith(b"\n"):
                 break
@@ -202,7 +211,7 @@ def read_existing_ids(path) -> set[str]:
             try:
                 ids.add(json.loads(line)["id"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad output record: {exc}") from exc
+                raise BadOutputFileError(f"{path}:{lineno}: bad output record: {exc}") from exc
     return ids
 
 
@@ -217,7 +226,8 @@ def run_pipeline(
     A source whose generator or judge call raises BackendError gets no
     record, so the next run generates it again. Returns counts per written
     status, plus ``retryable`` for those sources and ``skipped`` for ids
-    already present.
+    already present. An output file that ``read_existing_ids`` rejects
+    raises BadOutputFileError before any backend call.
     """
     existing = read_existing_ids(output_path)
     counts = dict.fromkeys(

@@ -56,6 +56,10 @@ from .stages import (
 
 NEG_INF = float("-inf")
 
+# Stage -> its label in seeds, ledgers and traces, read from a dict on the hot
+# path: ``StageKind.value`` is a Python-level property call.
+_LABEL = {kind: kind.value for kind in CANONICAL_ORDER}
+
 
 class SearchError(Exception):
     """Base class for search failures.
@@ -530,7 +534,7 @@ class _Engine:
 
     def call_seed(self, stage: StageKind, pass_index: int, slot: int) -> int:
         """stable_u64(run seed, question digest, stage, pass, slot)."""
-        return self._seed(stage.value, str(pass_index), str(slot))
+        return self._seed(_LABEL[stage], str(pass_index), str(slot))
 
     def run_calls(self, fn: Callable, items: list) -> list:
         """``fn`` of each item, in item order; at most ``parallelism`` calls in flight.
@@ -631,7 +635,7 @@ class _Engine:
         for rank, parent in enumerate(parents):
             assignments.extend([parent] * (per_parent + (1 if rank < remainder else 0)))
 
-        label = "response" if self.whole_response else stages[0].value
+        label = "response" if self.whole_response else _LABEL[stages[0]]
         stop = stop_marker(stages[-1])
         sampling = SamplingParams(self.cfg.temperature, self.cfg.max_new_tokens, stop)
         requests = [

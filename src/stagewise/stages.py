@@ -7,6 +7,13 @@ opens the summary stage and ``</SUMMARY>`` closes it, and likewise for
 ``CAPTION``, ``REASONING`` and ``CONCLUSION``. ``DEFAULT_SCHEMA`` is that
 one tag table. The parser is strict: stray text, unbalanced tags, and
 out-of-order stages are errors, never silently repaired.
+
+The continuation parsers, called once per generated reply, take a shortcut
+and fall back to ``parse_staged``. A one-stage body that holds no tag is
+returned directly as the block's text; a whole response whose blocks come
+in pipeline order with no ``<`` in any body is split in one pass. Anything
+else goes to ``parse_staged`` as the same string it always did, so results,
+error types and messages are the full parser's either way.
 """
 
 from __future__ import annotations
@@ -88,6 +95,13 @@ class _TagTable:
 DEFAULT_SCHEMA = _TagTable()
 
 
+# The hot frozen dataclasses below (and the request types in ``backends``)
+# write their fields straight into the instance dict. The generated __init__
+# of a frozen dataclass sets each field through ``object.__setattr__``, which
+# takes about twice as long; the fields, equality, hash and repr are the
+# dataclass's own either way.
+
+
 @dataclass(frozen=True)
 class StageBlock:
     """One stage's inner text, tags stripped and surrounding whitespace trimmed."""
@@ -95,12 +109,20 @@ class StageBlock:
     kind: StageKind
     text: str
 
+    def __init__(self, kind: StageKind, text: str) -> None:
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["text"] = text
+
 
 @dataclass(frozen=True)
 class StagedResponse:
     """An ordered sequence of stage blocks forming a (possibly partial) response."""
 
     blocks: tuple[StageBlock, ...] = ()
+
+    def __init__(self, blocks: tuple[StageBlock, ...] = ()) -> None:
+        self.__dict__["blocks"] = blocks
 
     @property
     def kinds(self) -> tuple[StageKind, ...]:
@@ -216,17 +238,55 @@ def parse_stage_continuation(raw: str, kind: StageKind) -> StageBlock:
     """Parse one stage's generated continuation (stop marker already stripped).
 
     Accepts text with or without the leading open tag and rejects any other
-    embedded tag, reusing the full parser's error surface.
+    embedded tag, reusing the full parser's error surface: a body holding no
+    tag is the block's text as it stands, and any other body goes to
+    ``parse_staged`` wrapped in the stage's tags.
     """
     body = raw.strip()
-    if not body.startswith(_OPEN[kind]):
-        body = _OPEN[kind] + body
-    resp = parse_staged(body + _CLOSE[kind], require_complete=True, expected_order=(kind,))
+    open_tag = _OPEN[kind]
+    inner = body[len(open_tag) :] if body.startswith(open_tag) else body
+    if _SCANNER.search(inner) is None:
+        return StageBlock(kind, inner.strip())
+    resp = parse_staged(
+        open_tag + inner + _CLOSE[kind], require_complete=True, expected_order=(kind,)
+    )
     return resp.blocks[0]
 
 
+# Pipeline -> the pattern that splits its complete continuation in one pass:
+# each stage's open tag, a body holding no ``<``, and its close tag, in
+# pipeline order with whitespace between blocks; the final close tag is the
+# stop marker, already cut off.
+_COMPLETE_PATTERNS: dict[tuple[StageKind, ...], re.Pattern[str]] = {}
+
+
+def _complete_pattern(pipeline: tuple[StageKind, ...]) -> Optional[re.Pattern[str]]:
+    """The pattern for ``pipeline``; None when a stage repeats or is not a stage."""
+    pattern = _COMPLETE_PATTERNS.get(pipeline)
+    if pattern is None:
+        kinds = set(pipeline)
+        if len(kinds) != len(pipeline) or not kinds <= _OPEN.keys():
+            return None
+        blocks = [rf"\s*{_OPEN[kind]}([^<]*){_CLOSE[kind]}" for kind in pipeline[:-1]]
+        pattern = re.compile("".join(blocks) + rf"\s*{_OPEN[pipeline[-1]]}([^<]*)")
+        _COMPLETE_PATTERNS[pipeline] = pattern
+    return pattern
+
+
 def parse_complete_continuation(raw: str, pipeline: Sequence[StageKind]) -> StagedResponse:
-    """Parse a whole-response continuation truncated at the final stop marker."""
-    return parse_staged(
-        raw + _CLOSE[tuple(pipeline)[-1]], require_complete=True, expected_order=pipeline
+    """Parse a whole-response continuation truncated at the final stop marker.
+
+    Text that the pipeline's pattern matches in full, every body free of
+    ``<``, is split in one pass; any other text goes to ``parse_staged`` with
+    the final close tag put back, for the full parser's errors.
+    """
+    stages = tuple(pipeline)
+    pattern = _complete_pattern(stages)
+    match = pattern.fullmatch(raw) if pattern is not None else None
+    if match is None:
+        return parse_staged(
+            raw + _CLOSE[stages[-1]], require_complete=True, expected_order=pipeline
+        )
+    return StagedResponse(
+        tuple([StageBlock(kind, text.strip()) for kind, text in zip(stages, match.groups())])
     )

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -179,6 +182,69 @@ def test_sim_world_config_round_trips_via_dict():
     cfg = SimWorldConfig(success={StageKind.CAPTION: 0.25}, noise_std=0.3, rng_seed=4)
     again = SimWorldConfig.from_dict(cfg.as_dict())
     assert again == cfg
+
+
+_S, _C, _R, _F = CANONICAL_ORDER
+_PIN_WORLDS = (
+    SimWorldConfig(success=0.5, rng_seed=3),
+    SimWorldConfig(
+        success={_S: 0.9, _C: 0.4, _R: 0.5, _F: 0.8},
+        recovery={_C: 0.3, _R: 0.6, _F: 0.5},
+        rng_seed=11,
+    ),
+    SimWorldConfig(
+        success=0.7, recovery=0.2, mean_correct=0.5, mean_incorrect=-1.5, noise_std=0.8,
+        rng_seed=2**40,
+    ),
+)
+_PIN_SEEDS = (0, 1, 977, 2**63, 2**64 - 1)
+_GOOD_SUMMARY = StageBlock(_S, f"summary pinned {CORRECT_MARK}")
+_BAD_SUMMARY = StageBlock(_S, f"summary pinned {INCORRECT_MARK}")
+# (prior blocks, target stages): every single stage, the whole pipeline, and
+# targets after a correct and after an incorrect prefix (the recovery branch).
+_PIN_TARGETS = (
+    *(((), (kind,)) for kind in CANONICAL_ORDER),
+    ((), CANONICAL_ORDER),
+    ((_GOOD_SUMMARY,), (_C,)),
+    ((_BAD_SUMMARY,), (_C,)),
+    ((_GOOD_SUMMARY,), (_C, _R, _F)),
+    ((_BAD_SUMMARY,), (_C, _R, _F)),
+    ((_BAD_SUMMARY, StageBlock(_C, f"caption pinned {CORRECT_MARK}")), (_R,)),
+)
+# sha256 of every SimWorld.generate and SimWorld.score output over the grid
+# above. The sim is the referee of every accuracy check, so its bytes must
+# not move unless moving them is the point of a change.
+SIM_OUTPUTS_SHA256 = "e66f120e31b2bcfdb52ff6b304b73c2d464a9c431ae3b1198aeabe19adf84a1d"
+
+
+def test_sim_outputs_are_pinned():
+    digest = hashlib.sha256()
+    recovered = 0
+    for config in _PIN_WORLDS:
+        world = SimWorld(config)
+        for prior_blocks, targets in _PIN_TARGETS:
+            prior = StagedResponse(prior_blocks)
+            for seed in _PIN_SEEDS:
+                for stop in (None, f"</{targets[-1].name}>"):
+                    request = GeneratorRequest(
+                        question="pinned question", target_stages=targets, prior_stages=prior,
+                        sampling=SamplingParams(stop=stop), seed=seed,
+                    )
+                    text = world.generate(request)
+                    digest.update(text.encode("utf-8") + b"\0")
+                    if stop is not None:
+                        continue
+                    blocks = parse_staged(text, require_complete=True, expected_order=targets).blocks
+                    if not all(oracle_correct(b.text) for b in prior_blocks):
+                        recovered += oracle_correct(blocks[0].text)
+                    for k in range(1, len(blocks) + 1):
+                        trajectory = StagedResponse(prior_blocks + blocks[:k])
+                        score = world.score(RewardRequest("pinned question", trajectory))
+                        digest.update(float.hex(score).encode("ascii") + b"\0")
+        for question in (f"judge {CORRECT_MARK}", f"judge {INCORRECT_MARK}"):
+            digest.update(world.generate(GeneratorRequest(question, ())).encode("utf-8") + b"\0")
+    assert recovered > 0  # the grid reaches the recovery branch
+    assert digest.hexdigest() == SIM_OUTPUTS_SHA256
 
 
 def test_stable_u64_is_stable():
@@ -551,3 +617,22 @@ def test_stable_u64_prefix_equals_stable_u64():
         derive = stable_u64_prefix(*prefix)
         for rest in [("x",), ("", ""), ("caption", "0", "3"), ("a|b",)]:
             assert derive(*rest) == stable_u64(*prefix, *rest), (prefix, rest)
+
+
+@pytest.mark.parametrize("cls", [GeneratorRequest, RewardRequest, StageBlock, StagedResponse])
+def test_hand_written_inits_take_the_dataclass_fields(cls):
+    # These frozen dataclasses fill their instance dict in their own __init__;
+    # it must take exactly the declared fields, in order, with their defaults.
+    params = list(inspect.signature(cls).parameters.values())
+    declared = dataclasses.fields(cls)
+    assert [p.name for p in params] == [f.name for f in declared]
+    for param, field in zip(params, declared):
+        assert param.default is (
+            inspect.Parameter.empty if field.default is dataclasses.MISSING else field.default
+        ), field.name
+    values = {f.name: object() for f in declared}
+    made = cls(**values)
+    assert vars(made) == values
+    assert made == cls(*values.values()) and hash(made) == hash(cls(**values))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(made, declared[0].name, None)

@@ -530,6 +530,64 @@ def test_datagen_resume_into_corrupt_middle_line_exits_2(tmp_path, capsys, bad_l
     assert out.read_text() == before
 
 
+def _datagen_files(tmp_path, out_lines):
+    sources = tmp_path / "sources.jsonl"
+    rows = [{"id": f"s{k}", "question": f"q{k}", "gold_answer": "B"} for k in range(3)]
+    sources.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    out = tmp_path / "generated.jsonl"
+    out.write_text("".join(line + "\n" for line in out_lines))
+    return sources, out
+
+
+def test_datagen_reads_the_output_file_once(tmp_path, capsys, monkeypatch):
+    import builtins
+
+    sources, out = _datagen_files(tmp_path, [json.dumps({"id": "s0"})])
+    reads = []
+    real_open = builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if os.fspath(file) == os.fspath(out) and "r" in mode and "+" not in mode:
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["datagen", "--sources", str(sources), "--out", str(out)]) == EXIT_OK
+    assert len(reads) == 1
+    summary, _ = _last_json_line(capsys)
+    assert (summary["skipped"], summary["valid"]) == (1, 2)
+
+
+def test_datagen_corrupt_line_between_records_exits_2_naming_it(tmp_path, capsys):
+    before = [json.dumps({"id": "s0"}), '{"id": "s1"', json.dumps({"id": "s2"})]
+    sources, out = _datagen_files(tmp_path, before)
+    assert main(["datagen", "--sources", str(sources), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {out}:2: bad output record")
+    assert out.read_text() == "".join(line + "\n" for line in before)
+
+
+def test_datagen_output_path_that_cannot_be_read_exits_2(tmp_path, capsys):
+    sources, _ = _datagen_files(tmp_path, [])
+    out = tmp_path / "a-directory"
+    out.mkdir()
+    assert main(["datagen", "--sources", str(sources), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {out}:")
+
+
+def test_datagen_other_value_error_in_the_pipeline_is_not_an_input_error(tmp_path, monkeypatch):
+    from stagewise import datagen
+
+    def broken(record, generator, judge):
+        raise ValueError("not about the output file")
+
+    monkeypatch.setattr(datagen, "_process_one", broken)
+    sources, out = _datagen_files(tmp_path, [json.dumps({"id": "s0"})])
+    with pytest.raises(ValueError, match="not about the output file") as err:
+        main(["datagen", "--sources", str(sources), "--out", str(out)])
+    assert not isinstance(err.value, datagen.BadOutputFileError)
+
+
 def test_negative_reward_std_flag_exits_2(capsys):
     assert main(["solve", "q", "--reward-std", "-1"]) == EXIT_CONFIG
     assert "reward_std must be >= 0" in capsys.readouterr().err

@@ -50,3 +50,24 @@ def test_perfbench_tracer_installs_and_restores_the_originals(monkeypatch):
     for owner, names in zip(_OWNERS, before):
         after = vars(owner)
         assert all(after[name] is value for name, value in names.items()), owner
+
+
+@pytest.mark.parametrize("strategy", list(search.Strategy))
+def test_perfbench_tracer_sees_the_continuation_parsers(monkeypatch, strategy):
+    # perfbench's per-layer parse metrics count spans of the parsers as the
+    # engine calls them; a shortcut past that call site would read zero.
+    tracing = _load(monkeypatch, "tracing")
+    world = backends.SimWorld(backends.SimWorldConfig(success=0.5, noise_std=0.3, rng_seed=2))
+    cfg = search.SearchConfig(strategy=strategy)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        tracer.active = True
+        search.run_strategy("traced question", cfg, world, world, run_seed=3, collect_trace=False)
+    finally:
+        tracer.uninstall()
+    stats = tracer.summarise()
+    whole = strategy is search.Strategy.BEST_OF_N
+    name = "stages.parse_complete_continuation" if whole else "stages.parse_stage_continuation"
+    # Every generated reply is parsed once, through the patched call site.
+    assert stats[name]["calls"] == stats["backends.SimWorld.generate"]["calls"] > 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from stagewise import stages
 from stagewise.stages import (
     CANONICAL_ORDER,
     DEFAULT_SCHEMA,
@@ -14,6 +15,7 @@ from stagewise.stages import (
     StageKind,
     StrayTextError,
     UnbalancedTagError,
+    parse_complete_continuation,
     parse_stage_continuation,
     parse_staged,
     render_staged,
@@ -322,3 +324,145 @@ def test_parser_matches_reference_on_generated_corpus():
                 seen.add(want[0])
     # The corpus reaches every outcome, not just the easy ones.
     assert seen == {"ok", StrayTextError, UnbalancedTagError, OutOfOrderError, MissingStageError}
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the continuation parsers' shortcuts against their
+# plain forms over ``parse_staged``
+# ---------------------------------------------------------------------------
+
+
+def _reference_stage_continuation(raw, kind):
+    """``parse_stage_continuation`` as a wrapper over ``parse_staged`` alone."""
+    body = raw.strip()
+    if not body.startswith(DEFAULT_SCHEMA.open(kind)):
+        body = DEFAULT_SCHEMA.open(kind) + body
+    resp = parse_staged(
+        body + DEFAULT_SCHEMA.close(kind), require_complete=True, expected_order=(kind,)
+    )
+    return resp.blocks[0]
+
+
+def _reference_complete_continuation(raw, pipeline):
+    """``parse_complete_continuation`` as a wrapper over ``parse_staged`` alone."""
+    return parse_staged(
+        raw + DEFAULT_SCHEMA.close(tuple(pipeline)[-1]),
+        require_complete=True,
+        expected_order=pipeline,
+    )
+
+
+_BODY_PIECES = (
+    "text ", "1.5", "<", ">", "<>", "a < b", "b > a", "</", "/>", "<<", "[[sim::ok]]",
+    *(tag.lower() for tag in _TAGS),
+    *(tag[:cut] for tag in _TAGS for cut in (1, 2, len(tag) - 1)),
+    *(tag[cut:] for tag in _TAGS for cut in (1, len(tag) - 1)),
+    *_WHITESPACE,
+)
+
+
+def _body(rng: random.Random) -> str:
+    """Block text that may hold ``<``, ``>``, lowercase tags, half-tags and whitespace."""
+    pieces = _BODY_PIECES if rng.random() < 0.6 else _BODY_PIECES + _TAGS
+    return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 4)))
+
+
+def _space(rng: random.Random) -> str:
+    return "".join(rng.choice(_WHITESPACE) for _ in range(rng.choice((0, 0, 1, 2))))
+
+
+def _stage_continuation(rng: random.Random, kind: StageKind) -> str:
+    """A generated one-stage reply: fragments, or an optional open tag and a body."""
+    if rng.random() < 0.3:
+        return "".join(_fragment(rng) for _ in range(rng.randint(0, 4)))
+    head = rng.choice((DEFAULT_SCHEMA.open(kind), DEFAULT_SCHEMA.open(rng.choice(CANONICAL_ORDER)), ""))
+    return _space(rng) + head + _body(rng) + _space(rng)
+
+
+def _complete_continuation(rng: random.Random, pipeline) -> str:
+    """A whole-response reply cut at the final stop marker, mostly well formed."""
+    if rng.random() < 0.2:
+        return "".join(_fragment(rng) for _ in range(rng.randint(0, 8)))
+    kinds = list(pipeline)
+    roll = rng.random()
+    if roll < 0.1 and kinds:
+        del kinds[rng.randrange(len(kinds))]
+    elif roll < 0.2:
+        kinds.append(rng.choice(CANONICAL_ORDER))
+    elif roll < 0.3:
+        rng.shuffle(kinds)
+    text = "".join(
+        _space(rng) + DEFAULT_SCHEMA.open(kind) + _body(rng) + DEFAULT_SCHEMA.close(kind)
+        for kind in kinds
+    )
+    if kinds and text.endswith(DEFAULT_SCHEMA.close(kinds[-1])) and rng.random() < 0.9:
+        text = text[: -len(DEFAULT_SCHEMA.close(kinds[-1]))]
+    return text + (_space(rng) if rng.random() < 0.2 else "")
+
+
+def _continuation_outcome(parse, raw, target):
+    try:
+        return ("ok", parse(raw, target))
+    except StageFormatError as exc:
+        return (type(exc), str(exc))
+
+
+class _FallbackCounter:
+    """Stands in for ``stages.parse_staged`` and counts the calls that reach it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return parse_staged(*args, **kwargs)
+
+
+def test_stage_continuation_matches_reference_and_reaches_both_paths(monkeypatch):
+    fallback = _FallbackCounter()
+    monkeypatch.setattr(stages, "parse_staged", fallback)
+    rng = random.Random(1701)
+    paths = {kind: set() for kind in CANONICAL_ORDER}
+    outcomes = set()
+    for _ in range(3000):
+        for kind in CANONICAL_ORDER:
+            raw = _stage_continuation(rng, kind)
+            want = _continuation_outcome(_reference_stage_continuation, raw, kind)
+            calls = fallback.calls
+            got = _continuation_outcome(parse_stage_continuation, raw, kind)
+            assert got == want, (raw, kind)
+            paths[kind].add("fallback" if fallback.calls > calls else "shortcut")
+            outcomes.add(want[0])
+    assert all(seen == {"shortcut", "fallback"} for seen in paths.values()), paths
+    assert outcomes == {"ok", StrayTextError, UnbalancedTagError, OutOfOrderError}
+
+
+def test_complete_continuation_matches_reference_and_reaches_both_paths(monkeypatch):
+    fallback = _FallbackCounter()
+    monkeypatch.setattr(stages, "parse_staged", fallback)
+    rng = random.Random(1702)
+    paths = {order: set() for order in _ORDERS}
+    outcomes = set()
+    for _ in range(3000):
+        for order in _ORDERS:
+            raw = _complete_continuation(rng, order)
+            want = _continuation_outcome(_reference_complete_continuation, raw, order)
+            calls = fallback.calls
+            got = _continuation_outcome(parse_complete_continuation, raw, order)
+            assert got == want, (raw, order)
+            paths[order].add("fallback" if fallback.calls > calls else "shortcut")
+            outcomes.add(want[0])
+            if want[0] == "ok" and fallback.calls > calls:
+                paths[order].add("fallback-ok")
+    assert all(seen == {"shortcut", "fallback", "fallback-ok"} for seen in paths.values()), paths
+    assert outcomes == {"ok", StrayTextError, UnbalancedTagError, OutOfOrderError, MissingStageError}
+
+
+def test_complete_continuation_of_a_pipeline_with_a_repeated_stage_is_out_of_order():
+    # A pipeline that repeats a stage has no shortcut pattern; the full parser
+    # rejects the second block, as it always did.
+    raw = "<SUMMARY>a</SUMMARY><SUMMARY>b"
+    pipeline = (StageKind.SUMMARY, StageKind.SUMMARY)
+    got = _continuation_outcome(parse_complete_continuation, raw, pipeline)
+    assert got == _continuation_outcome(_reference_complete_continuation, raw, pipeline)
+    assert got[0] is OutOfOrderError
