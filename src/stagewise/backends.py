@@ -66,22 +66,35 @@ def stable_u64(*parts: str) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def stable_u64_prefix(*prefix: str) -> Callable[..., int]:
-    """``stable_u64`` with its leading parts fixed, for seeds derived in bulk.
+class SeedPrefix:
+    """The leading parts of ``stable_u64`` keys, hashed once, for seeds derived in bulk.
 
-    ``stable_u64_prefix(*a)(*b) == stable_u64(*a, *b)`` for any non-empty
-    ``b``. The fixed parts are hashed once; each call copies that state and
-    hashes only its own parts.
+    ``SeedPrefix(*a).derive(*b) == stable_u64(*a, *b)`` for any non-empty
+    ``b``, and ``SeedPrefix(*a).extend(*b)`` derives what ``SeedPrefix(*a, *b)``
+    derives. Both copy the hashed state and hash only their own parts.
     """
-    # Keying an empty last part appends the separator that precedes ``b``.
-    head = blake2b(_seed_key(prefix + ("",)), digest_size=8)
 
-    def derive(*rest: str) -> int:
-        h = head.copy()
+    __slots__ = ("_head",)
+
+    def __init__(self, *prefix: str) -> None:
+        # Keying an empty last part appends the separator that precedes the rest.
+        self._head = blake2b(_seed_key(prefix + ("",)), digest_size=8)
+
+    def extend(self, *more: str) -> "SeedPrefix":
+        longer = object.__new__(SeedPrefix)
+        longer._head = head = self._head.copy()
+        head.update(_seed_key(more + ("",)))
+        return longer
+
+    def derive(self, *rest: str) -> int:
+        h = self._head.copy()
         h.update("|".join(rest).encode("utf-8"))  # _seed_key(rest), without the call
         return int.from_bytes(h.digest(), "big")
 
-    return derive
+
+def stable_u64_prefix(*prefix: str) -> Callable[..., int]:
+    """``stable_u64`` with its leading parts fixed: ``SeedPrefix(*prefix).derive``."""
+    return SeedPrefix(*prefix).derive
 
 
 def text_digest(text: str) -> str:

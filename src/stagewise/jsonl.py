@@ -11,17 +11,22 @@ from typing import Callable, Optional
 def read_jsonl(path, what: str, build: Callable[[dict], object]) -> list:
     """``build(obj)`` for each line of ``path``, a JSON object, in file order.
 
-    Blank lines are skipped. A line that is not JSON or not an object, or
-    whose object ``build`` rejects with KeyError, TypeError or ValueError,
-    raises ``ValueError("FILE:LINE: bad <what>: <reason>")``.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; blank lines are skipped. A line
+    that is not UTF-8, not JSON or not an object, or whose object ``build``
+    rejects with KeyError, TypeError or ValueError, raises
+    ``ValueError("FILE:LINE: bad <what>: <reason>")``.
     """
     built = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 are carried as lone surrogates until their
+    # line is decoded, so the error can name that line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    line = line.encode("utf-8", "surrogateescape").decode("utf-8")
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise TypeError(f"expected a JSON object, got {type(obj).__name__}")

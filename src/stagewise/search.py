@@ -25,7 +25,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from statistics import fmean, stdev
 from typing import Callable, Optional, Sequence
@@ -37,8 +36,8 @@ from .backends import (
     RewardRequest,
     RewardScorer,
     SamplingParams,
+    SeedPrefix,
     stable_u64,  # noqa: F401  (perfbench's tracer patches search.stable_u64)
-    stable_u64_prefix,
     text_digest,
 )
 from .jsonl import read_jsonl
@@ -472,9 +471,14 @@ def select_top(cands: Sequence[Candidate], n: int, stage: StageKind) -> list[Can
         raise InsufficientCandidatesError(
             f"need {n} candidates at {stage.name}, have {len(cands)}"
         )
-    if any(c.score is None for c in cands):
-        raise SearchError(f"candidate not scored at stage {stage.name}")
-    return sorted(cands, key=lambda c: (-c.score, c.birth))[:n]
+    for c in cands:
+        if c.score is None:
+            raise SearchError(f"candidate not scored at stage {stage.name}")
+    return sorted(cands, key=_rank)[:n]
+
+
+def _rank(c: Candidate) -> tuple:
+    return -c.score, c.birth
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +519,10 @@ class _Engine:
         self.qdigest = text_digest(question)
         self.trace = _make_trace(cfg, self.qdigest, run_seed) if collect_trace else None
         self.ledger = BudgetLedger()
-        self._tally_lock = threading.Lock()
         # The helper threads of run_calls, made by the first concurrent batch.
         self._pool: Optional[ThreadPoolExecutor] = None
         self._seq = 0
-        self._seed = stable_u64_prefix(str(run_seed), self.qdigest)
+        self._seed = SeedPrefix(str(run_seed), self.qdigest)
 
     def __enter__(self) -> "_Engine":
         return self
@@ -532,22 +535,25 @@ class _Engine:
             self.ledger.wall_time_s = time.perf_counter() - self.started
             exc.ledger = self.ledger
 
-    def call_seed(self, stage: StageKind, pass_index: int, slot: int) -> int:
-        """stable_u64(run seed, question digest, stage, pass, slot)."""
-        return self._seed(_LABEL[stage], str(pass_index), str(slot))
-
-    def run_calls(self, fn: Callable, items: list) -> list:
+    def run_calls(self, fn: Callable, items: list, tally: Callable[[str], None], key: str) -> list:
         """``fn`` of each item, in item order; at most ``parallelism`` calls in flight.
 
-        At parallelism 1, or for one item, the calls run inline in order.
-        Otherwise the calling thread and ``min(parallelism, len(items)) - 1``
-        threads of the search's helper pool each take the next item not yet
-        taken until none is left. Once a call has raised, no runner takes
-        another item of the batch: the calls already running finish, then
-        the exception of the earliest failed item is raised.
+        Each call is tallied, ``tally(key)``, when a runner takes its item,
+        so the ledger counts every call started, a failing one too, and no
+        call that never started. At parallelism 1, or for one item, the
+        calls run inline in order. Otherwise the calling thread and
+        ``min(parallelism, len(items)) - 1`` threads of the search's helper
+        pool each take the next item not yet taken until none is left. Once
+        a call has raised, no runner takes another item of the batch: the
+        calls already running finish, then the exception of the earliest
+        failed item is raised.
         """
         if self.parallelism == 1 or len(items) < 2:
-            return [fn(item) for item in items]
+            results = []
+            for item in items:
+                tally(key)
+                results.append(fn(item))
+            return results
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.parallelism - 1)
         results = [None] * len(items)
@@ -559,8 +565,9 @@ class _Engine:
             while True:
                 with lock:
                     index = None if errors else next(untaken, None)
-                if index is None:
-                    return
+                    if index is None:
+                        return
+                    tally(key)
                 try:
                     results[index] = fn(items[index])
                 except BaseException as exc:
@@ -586,29 +593,7 @@ class _Engine:
             return total, total > 1
         return total, True
 
-    # Each backend call is tallied as it starts, so the ledger of a search
-    # that fails partway still counts every call made, the failing one too.
-
-    def _generate(self, label: str, request: GeneratorRequest) -> str:
-        with self._tally_lock:
-            self.ledger.tally_generate(label)
-        return self.generator.generate(request)
-
-    def _score(self, label: str, candidate: Candidate) -> float:
-        with self._tally_lock:
-            self.ledger.tally_score(label)
-        return self.reward.score(
-            RewardRequest(self.question, candidate.trajectory, self.image_ref)
-        )
-
     # -- the one generate/parse/score step ---------------------------------
-
-    def _child(self, parent: Candidate, stages, raw: str, birth) -> Candidate:
-        """Parse one reply into a child of ``parent``; raises StageFormatError."""
-        if self.whole_response:
-            return Candidate(parse_complete_continuation(raw, stages), birth)
-        block = parse_stage_continuation(raw, stages[0])
-        return Candidate(parent.trajectory.append(block), birth)
 
     def expand_and_score(
         self,
@@ -635,50 +620,58 @@ class _Engine:
         for rank, parent in enumerate(parents):
             assignments.extend([parent] * (per_parent + (1 if rank < remainder else 0)))
 
-        label = "response" if self.whole_response else _LABEL[stages[0]]
-        stop = stop_marker(stages[-1])
-        sampling = SamplingParams(self.cfg.temperature, self.cfg.max_new_tokens, stop)
+        whole_response = self.whole_response
+        first = stages[0]
+        label = "response" if whole_response else _LABEL[first]
+        question, image_ref = self.question, self.image_ref
+        sampling = SamplingParams(self.cfg.temperature, self.cfg.max_new_tokens, stop_marker(stages[-1]))
+        # Slot seeds: stable_u64(run seed, question digest, stage, pass, slot).
+        seed = self._seed.extend(_LABEL[first], str(pass_index)).derive
         requests = [
-            GeneratorRequest(
-                question=self.question,
-                target_stages=stages,
-                prior_stages=parent.trajectory,
-                image_ref=self.image_ref,
-                sampling=sampling,
-                seed=self.call_seed(stages[0], pass_index, slot),
-            )
+            GeneratorRequest(question, stages, parent.trajectory, image_ref, None, sampling, seed(str(slot)))
             for slot, parent in enumerate(assignments)
         ]
-        raws = self.run_calls(partial(self._generate, label), requests)
+        raws = self.run_calls(self.generator.generate, requests, self.ledger.tally_generate, label)
 
         trace = self.trace
         if trace is not None:
             input_digests = {
-                id(p): text_digest(self.question + "\n" + render_staged(p.trajectory))
-                for p in parents
+                id(p): text_digest(question + "\n" + render_staged(p.trajectory)) for p in parents
             }
-        # Per slot: the parsed child, or the text of its parse error.
-        outcomes: list[Candidate | str] = []
+            # Per slot: the parsed child, or the text of its parse error.
+            outcomes: list[Candidate | str] = []
+        scorable: list[Candidate] = []
+        seq = self._seq
         for slot, (parent, raw) in enumerate(zip(assignments, raws)):
-            birth = (pass_index, self._seq)
-            self._seq += 1
+            birth = (pass_index, seq)
+            seq += 1
             try:
-                outcome = self._child(parent, stages, raw, birth)
+                if whole_response:
+                    outcome = Candidate(parse_complete_continuation(raw, stages), birth)
+                else:
+                    block = parse_stage_continuation(raw, first)
+                    outcome = Candidate(parent.trajectory.append(block), birth)
             except StageFormatError as exc:
-                outcome = f"{type(exc).__name__}: {exc}"
-            outcomes.append(outcome)
+                outcome = error = f"{type(exc).__name__}: {exc}"
+            else:
+                scorable.append(outcome)
+                error = None
             if trace is not None:
+                outcomes.append(outcome)
                 trace.log_generate(
-                    label, pass_index, slot, birth,
-                    None if parent is _ROOT else parent.birth,
-                    input_digests[id(parent)], raw,
-                    outcome if isinstance(outcome, str) else None,
+                    label, pass_index, slot, birth, None if parent is _ROOT else parent.birth,
+                    input_digests[id(parent)], raw, error,
                 )
+        self._seq = seq
 
-        scorable = [c for c in outcomes if not isinstance(c, str)]
         if not do_score:
             return scorable
-        values = self.run_calls(partial(self._score, label), scorable)
+        values = self.run_calls(
+            self.reward.score,
+            [RewardRequest(question, c.trajectory, image_ref) for c in scorable],
+            self.ledger.tally_score,
+            label,
+        )
         for candidate, value in zip(scorable, values):
             candidate.score = value
         if trace is not None:
@@ -697,7 +690,7 @@ class _Engine:
         """Keep the top ``beam_width`` (or all, if fewer) and log the choice."""
         kept = select_top(cands, min(self.cfg.beam_width, len(cands)), stage)
         if self.trace is not None:
-            self.trace.log_select(stage.value, pass_index, [c.birth for c in kept])
+            self.trace.log_select(_LABEL[stage], pass_index, [c.birth for c in kept])
         return kept
 
     def stage_steps(
@@ -729,7 +722,7 @@ class _Engine:
         winner = select_top(batch, 1, final)[0] if do_score else batch[0]
         self.ledger.wall_time_s = time.perf_counter() - self.started
         if self.trace is not None:
-            self.trace.log_answer(final.value, winner.birth, winner.score)
+            self.trace.log_answer(_LABEL[final], winner.birth, winner.score)
         return SearchResult(winner.trajectory, self.ledger, self.trace)
 
 
@@ -749,7 +742,7 @@ def _make_trace(cfg: SearchConfig, question_digest: str, run_seed: int) -> Searc
                 "min_pass_count": cfg.min_pass_count,
                 "summary_candidates": cfg.summary_candidates,
                 "loop_semantics": cfg.loop_semantics.value,
-                "pipeline": [s.value for s in cfg.pipeline],
+                "pipeline": [_LABEL[s] for s in cfg.pipeline],
             },
         }
     )
@@ -872,7 +865,7 @@ def swires(
                 break
             if pass_index + 1 < cfg.max_passes and engine.trace is not None:
                 engine.trace.log_retrace(
-                    pool_stage.value, pass_index, cutoff, cleared, cfg.min_pass_count
+                    _LABEL[pool_stage], pass_index, cutoff, cleared, cfg.min_pass_count
                 )
 
         if not pool:

@@ -21,6 +21,7 @@ from stagewise.backends import (
     MalformedReplyError,
     RewardRequest,
     SamplingParams,
+    SeedPrefix,
     SimWorld,
     SimWorldConfig,
     TransportError,
@@ -617,6 +618,9 @@ def test_stable_u64_prefix_equals_stable_u64():
         derive = stable_u64_prefix(*prefix)
         for rest in [("x",), ("", ""), ("caption", "0", "3"), ("a|b",)]:
             assert derive(*rest) == stable_u64(*prefix, *rest), (prefix, rest)
+            for more in [(), ("",), ("caption", "0"), ("日本",)]:
+                longer = SeedPrefix(*prefix).extend(*more)
+                assert longer.derive(*rest) == stable_u64(*prefix, *more, *rest), (prefix, more, rest)
 
 
 @pytest.mark.parametrize("cls", [GeneratorRequest, RewardRequest, StageBlock, StagedResponse])

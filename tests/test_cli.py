@@ -495,6 +495,30 @@ def test_bad_input_file_exits_2_naming_file_and_line(
 
 
 @pytest.mark.parametrize(
+    "command, flag, good",
+    [
+        ("bench", "--items", '{"id": "a", "question": "q"}'),
+        ("datagen", "--sources", '{"id": "s", "question": "q", "gold_answer": "B"}'),
+        ("calibrate", "--corpus", json.dumps({"question": "q", "response": _GOOD_RESPONSE})),
+    ],
+)
+def test_undecodable_input_line_exits_2_naming_file_and_line(tmp_path, capsys, command, flag, good):
+    path = tmp_path / "in.jsonl"
+    # Line 1 is good UTF-8 text and ends in \r\n, line 2 is blank and ends in
+    # \r, and line 3 holds the byte 0xff, which is not UTF-8.
+    first = good.replace('"q"', '"q é"').encode("utf-8")
+    bad = good.replace('"q"', '"q \xff"').encode("latin-1")
+    path.write_bytes(first + b"\r\n\r" + bad + b"\n")
+    argv = [command, flag, str(path)]
+    if command == "datagen":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:3: bad "), err
+    assert "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bench", "--items", "EMPTY"],

@@ -71,3 +71,29 @@ def test_perfbench_tracer_sees_the_continuation_parsers(monkeypatch, strategy):
     name = "stages.parse_complete_continuation" if whole else "stages.parse_stage_continuation"
     # Every generated reply is parsed once, through the patched call site.
     assert stats[name]["calls"] == stats["backends.SimWorld.generate"]["calls"] > 0
+
+
+@pytest.mark.parametrize("strategy", list(search.Strategy))
+def test_perfbench_tracer_sees_the_engine_call_sites(monkeypatch, strategy):
+    # The engine hands backend calls to its runners and digests trace inputs
+    # itself; the tracer must still see each call where the engine makes it.
+    tracing = _load(monkeypatch, "tracing")
+    world = backends.SimWorld(backends.SimWorldConfig(success=0.5, noise_std=0.3, rng_seed=2))
+    cfg = search.SearchConfig(strategy=strategy)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        tracer.active = True
+        result = search.run_strategy("traced question", cfg, world, world, run_seed=3, collect_trace=True)
+    finally:
+        tracer.uninstall()
+    stats = tracer.summarise()
+    # The question's digest, then the input digest of at least one batch.
+    assert stats["backends.text_digest"]["calls"] >= 2
+    assert stats["backends.SimWorld.generate"]["calls"] == result.ledger.generator_calls > 0
+    assert stats["backends.SimWorld.score"]["calls"] == result.ledger.reward_calls > 0
+    # Every selection the trace logs, plus the pick of the answer.
+    selects = sum(1 for event in result.trace.events if event["event"] == "select")
+    assert stats["search.select_top"]["calls"] == selects + 1
+    if strategy is not search.Strategy.BEST_OF_N:
+        assert selects > 0

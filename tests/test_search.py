@@ -24,6 +24,7 @@ from stagewise.backends import (
     SimWorldConfig,
     TransportError,
     oracle_correct,
+    stable_u64,
     text_digest,
 )
 from stagewise import search
@@ -451,8 +452,11 @@ def test_run_calls_runs_on_the_calling_thread_and_one_helper_pool():
 
     before = threading.active_count()
     with _engine(2) as engine:
-        results = engine.run_calls(call, list(range(4))) + engine.run_calls(call, [4, 5])
+        tally = engine.ledger.tally_generate
+        results = engine.run_calls(call, list(range(4)), tally, "x")
+        results += engine.run_calls(call, [4, 5], tally, "x")
     assert [i for i, _ in results] == list(range(6))
+    assert engine.ledger.generator_by_stage == {"x": 6}
     names = {name for _, name in results}
     assert threading.current_thread().name in names and len(names) == 2
     assert threading.active_count() == before
@@ -473,10 +477,111 @@ def test_run_calls_starts_no_call_after_a_failure_and_raises_the_earliest():
 
     with _engine(2) as engine:
         with pytest.raises(ValueError, match="slot 0"):
-            engine.run_calls(call, list(range(6)))
+            engine.run_calls(call, list(range(6)), engine.ledger.tally_score, "x")
     # Slot 1 fails first, while slot 0 still runs; slot 0 finishes and its error wins.
     assert sorted(started) in ([0], [0, 1])
     assert finished == [0]
+    assert engine.ledger.reward_by_stage == {"x": len(started)}
+
+
+class _FailingTap(Generator, RewardScorer):
+    """The sim behind a tally, by stage, of the calls that enter it.
+
+    A generate call whose seed is in ``fail_generate`` raises, and so does a
+    score call of a block generated with a seed in ``fail_score``: the sim's
+    block text carries its seed.
+    """
+
+    def __init__(self, inner, fail_generate=(), fail_score=()):
+        self.inner = inner
+        self.fail_generate = set(fail_generate)
+        self.fail_score = [f"{seed:016x}-0" for seed in fail_score]
+        self.lock = threading.Lock()
+        self.generated, self.scored = {}, {}
+
+    def generate(self, request):
+        stage = request.target_stages[0].value
+        with self.lock:
+            self.generated[stage] = self.generated.get(stage, 0) + 1
+        if request.seed in self.fail_generate:
+            raise TransportError("generator down")
+        return self.inner.generate(request)
+
+    def score(self, request):
+        last = request.trajectory.blocks[-1]
+        with self.lock:
+            self.scored[last.kind.value] = self.scored.get(last.kind.value, 0) + 1
+        if any(mark in last.text for mark in self.fail_score):
+            raise TransportError("scorer down")
+        return self.inner.score(request)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+@pytest.mark.parametrize(
+    "call, slots",
+    [
+        ("generate", [(_C, 0)]),
+        ("generate", [(_C, 2)]),
+        ("generate", [(_C, 1), (_C, 3)]),
+        ("generate", [(_R, 3)]),
+        ("generate", [(_F, 1)]),
+        ("score", [(_C, 1)]),
+        ("score", [(_R, 0)]),
+        ("score", [(_R, 2), (_R, 3)]),
+        ("score", [(_F, 0)]),
+    ],
+)
+def test_ledger_of_a_failed_search_counts_exactly_the_calls_that_entered(parallelism, call, slots):
+    # Pass-0 slots of one batch fail; every call a runner took is counted,
+    # the failing ones too, and no call that never started.
+    seeds = [stable_u64("9", text_digest("q"), stage.value, "0", str(slot)) for stage, slot in slots]
+    tap = _FailingTap(_world(), **{f"fail_{call}": seeds})
+    with pytest.raises(TransportError) as failure:
+        swires("q", SearchConfig(), tap, tap, run_seed=9, parallelism=parallelism)
+    ledger = failure.value.ledger
+    assert ledger.generator_by_stage == tap.generated
+    assert ledger.reward_by_stage == tap.scored
+    assert ledger.generator_calls == sum(tap.generated.values())
+    assert ledger.reward_calls == sum(tap.scored.values())
+    if parallelism == 1:  # calls run in slot order, so the batch stops at its first failure
+        stage, slot = slots[0]
+        assert (tap.generated if call == "generate" else tap.scored)[stage.value] == slot + 1
+
+
+class _SeedTap(Generator, RewardScorer):
+    """The sim, recording each generate request's seed by the digest of its reply."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lock = threading.Lock()
+        self.seeds = {}
+
+    def generate(self, request):
+        raw = self.inner.generate(request)
+        with self.lock:
+            self.seeds[text_digest(raw)] = request.seed
+        return raw
+
+    def score(self, request):
+        return self.inner.score(request)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_every_generate_call_is_seeded_by_run_question_stage_pass_and_slot(strategy):
+    tap = _SeedTap(_world())
+    cfg = SearchConfig(strategy=strategy, stats=NEVER_PASS, summary_candidates=2)
+    result = run_strategy("seeded question", cfg, tap, tap, run_seed=11, parallelism=3)
+    qdigest = result.trace.header["question_digest"]
+    events = [e for e in result.trace.events if e["event"] == "generate"]
+    # The sim's replies carry their seed, so distinct seeds give distinct digests.
+    assert len(events) == len(tap.seeds) == result.ledger.generator_calls
+    if strategy is Strategy.SWIRES:  # every pass retraces, up to the pass bound
+        assert {e["pass"] for e in events} == set(range(cfg.max_passes))
+    for e in events:
+        # Best-of-N logs its calls under "response" and seeds them by the first stage.
+        stage = cfg.pipeline[0].value if e["stage"] == "response" else e["stage"]
+        want = stable_u64("11", qdigest, stage, str(e["pass"]), str(e["slot"]))
+        assert tap.seeds[e["output_digest"]] == want, e
 
 
 class _DownAtReasoning(RewardScorer):
