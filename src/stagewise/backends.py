@@ -18,7 +18,6 @@ import threading
 import time
 from dataclasses import dataclass
 from hashlib import blake2b
-from statistics import NormalDist
 from typing import Callable, Mapping, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
@@ -34,7 +33,17 @@ from .stages import (
 RewardScore = float  # scalar reward, higher is better; always finite
 
 _TWO64 = 2**64
-_STD_NORMAL = NormalDist()
+# The standard normal inverse CDF, bound by the first noisy SimWorld.score:
+# only a noisy world needs ``statistics``.
+_inv_normal_cdf: Optional[Callable[[float], float]] = None
+
+
+def _load_inv_normal_cdf() -> Callable[[float], float]:
+    global _inv_normal_cdf
+    from statistics import NormalDist
+
+    _inv_normal_cdf = NormalDist().inv_cdf
+    return _inv_normal_cdf
 
 
 class BackendError(Exception):
@@ -606,5 +615,5 @@ class SimWorld(Generator, RewardScorer):
         )
         if self.config.noise_std > 0:
             u = _unit(self._score_u64(last.text))
-            value += self.config.noise_std * _STD_NORMAL.inv_cdf(u)
+            value += self.config.noise_std * (_inv_normal_cdf or _load_inv_normal_cdf())(u)
         return value

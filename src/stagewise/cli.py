@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -247,6 +248,23 @@ def _read_input(loader, path):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_writable(path) -> None:
+    """Raise ConfigError unless the file at ``path`` can be written, before any backend call.
+
+    For outputs written after the calls: the file is opened to append, which
+    leaves one already there unchanged, and removed again if that made it.
+    """
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666))
+        if not existed:
+            os.unlink(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_corpus(path) -> list[tuple[str, StagedResponse]]:
     """Calibration corpus: JSON lines of {question, response}."""
     return read_jsonl(
@@ -268,6 +286,7 @@ def _summary(payload: dict) -> None:
 
 
 def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
+    _check_writable(args.trace)
     result = run_strategy(
         args.question,
         cfg.search,
@@ -327,6 +346,7 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
     items = _read_input(load_items, args.items)
+    _check_writable(args.out)
     points = scaling_experiment(
         items,
         make_generator(cfg),
@@ -344,7 +364,9 @@ def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
-    stats = calibrate(make_reward(cfg), _read_input(_load_corpus, args.corpus))
+    corpus = _read_input(_load_corpus, args.corpus)
+    _check_writable(args.out)
+    stats = calibrate(make_reward(cfg), corpus)
     fitted = {
         "reward_mean": stats.reward_mean,
         "reward_std": stats.reward_std,

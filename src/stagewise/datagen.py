@@ -182,7 +182,7 @@ def parse_verdict(reply: str) -> bool:
 
 
 class BadOutputFileError(ValueError):
-    """The output file cannot be read, or a complete line of it is not a record with an id."""
+    """The output file cannot be read or written, or a complete line of it is not a record with an id."""
 
 
 def read_existing_ids(path) -> set[str]:
@@ -226,15 +226,20 @@ def run_pipeline(
     A source whose generator or judge call raises BackendError gets no
     record, so the next run generates it again. Returns counts per written
     status, plus ``retryable`` for those sources and ``skipped`` for ids
-    already present. An output file that ``read_existing_ids`` rejects
-    raises BadOutputFileError before any backend call.
+    already present. An output file that ``read_existing_ids`` rejects, or
+    one that cannot be opened to append, raises BadOutputFileError before
+    any backend call.
     """
     existing = read_existing_ids(output_path)
     counts = dict.fromkeys(
         (STATUS_VALID, STATUS_FORMAT_INVALID, STATUS_JUDGED_INVALID, STATUS_RETRYABLE, "skipped"), 0
     )
-    trim_partial_last_line(output_path)
-    with open(output_path, "a", encoding="utf-8") as out:
+    try:
+        trim_partial_last_line(output_path)
+        out = open(output_path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise BadOutputFileError(f"cannot write {output_path}: {exc}") from exc
+    with out:
         for record in flatten_sources(sources):
             if record.id in existing:
                 counts["skipped"] += 1

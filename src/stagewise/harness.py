@@ -200,23 +200,30 @@ def run_benchmark(
     Per-item seeds derive from (run seed, item id), so results do not depend
     on execution order. Backend and search failures are recorded per item
     and counted incorrect, with the calls the search made before it failed
-    in the record and the totals; the run continues.
+    in the record and the totals; the run continues. An ``out_dir`` that
+    cannot be made, or whose records file cannot be opened to append,
+    raises ConfigError before any backend call.
     """
     selected = filter_items(items, categories)
     if not selected:
         raise EmptyBenchmarkError("no benchmark items to run")
     out_path = Path(out_dir) if out_dir is not None else None
+    records_file = None
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        records_path = out_path / "run_records.jsonl"
-        trim_partial_last_line(records_path)
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+            records_path = out_path / "run_records.jsonl"
+            trim_partial_last_line(records_path)
+            records_file = open(records_path, "a", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
 
     # A trace is built only to be written.
     collect_trace = collect_traces and out_path is not None
     totals = BudgetLedger()
     records: list[RunRecord] = []
     # Each record is flushed as its item finishes, so a run that dies keeps the records before it.
-    with open(records_path, "a", encoding="utf-8") if out_path is not None else nullcontext() as records_file:
+    with records_file or nullcontext():
         for item in selected:
             record = RunRecord(
                 item_id=item.id,

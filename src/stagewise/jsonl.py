@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import mmap
 import os
 from typing import Callable, Optional
 
@@ -71,6 +70,8 @@ def trim_partial_last_line(path) -> None:
     """
     if not os.path.exists(path) or not os.path.getsize(path):
         return
+    import mmap  # imported here: only appends to an existing file need it
+
     with open(path, "r+b") as fh:
         with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
             end, size = view.rfind(b"\n") + 1, len(view)

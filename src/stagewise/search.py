@@ -23,11 +23,9 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _quote
-from statistics import fmean, stdev
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .backends import (
     BackendError,
@@ -52,6 +50,9 @@ from .stages import (
     render_staged,
     stop_marker,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 NEG_INF = float("-inf")
 
@@ -130,6 +131,8 @@ def calibrate(
     """
     if not corpus:
         raise EmptyCorpusError("calibration corpus is empty")
+    from statistics import fmean, stdev  # imported here: a search never needs it
+
     scores = [
         reward.score(RewardRequest(question=q, trajectory=traj)) for q, traj in corpus
     ]
@@ -307,71 +310,94 @@ def _number(value) -> str:
     return _TRACE_ENCODER.encode(value)
 
 
-# Each event the engine logs is a tuple: its formatter, then the values that
-# formatter needs. Each formatter writes its line exactly as
-# ``_TRACE_ENCODER`` would write the event's dict, keys in sorted order.
+# Each entry a trace keeps is a tuple: its formatter, then the values that
+# formatter needs. A formatter appends its entry's event lines to ``lines``,
+# each exactly as ``_TRACE_ENCODER`` would write the event's dict, keys in
+# sorted order, with ``seq`` the line's index. ``inputs`` caches, by ``id`` of
+# the parent, the JSON of each parent's input digest and birth, taken once
+# per serialisation.
+
+_NEG_INF_JSON = _number(NEG_INF)
 
 
-def _generate_line(seq: int, entry: tuple) -> str:
-    _, label, pass_index, slot, birth, parent, input_digest, raw, parse_error = entry
-    parent_json = "null" if parent is None else f"[{parent[0]},{parent[1]}]"
-    error_json = "" if parse_error is None else f'"parse_error":{_quote(parse_error)},'
-    return (
-        f'{{"birth":[{birth[0]},{birth[1]}],"event":"generate",'
-        f'"input_digest":{_quote(input_digest)},"output_digest":{_quote(text_digest(raw))},'
-        f'"parent":{parent_json},{error_json}"pass":{pass_index},"seq":{seq},'
-        f'"slot":{slot},"stage":{_quote(label)}}}'
-    )
+def _batch_lines(lines: list[str], entry: tuple, inputs: dict) -> None:
+    """A batch's ``generate`` lines in slot order, then its ``score`` lines if it was scored."""
+    _, label, pass_index, first_seq, question, parents, raws, children, errors, scored = entry
+    stage = _quote(label)
+    if errors:
+        rest = iter(children)
+        outcomes = [errors[slot] if slot in errors else next(rest) for slot in range(len(raws))]
+    else:
+        outcomes = children
+    for slot, (parent, raw, outcome) in enumerate(zip(parents, raws, outcomes)):
+        cached = inputs.get(id(parent))
+        if cached is None:
+            digest = _quote(text_digest(question + "\n" + render_staged(parent.trajectory)))
+            birth = parent.birth
+            cached = inputs[id(parent)] = (digest, "null" if parent is _ROOT else f"[{birth[0]},{birth[1]}]")
+        error_json = f'"parse_error":{_quote(outcome)},' if type(outcome) is str else ""
+        lines.append(
+            f'{{"birth":[{pass_index},{first_seq + slot}],"event":"generate",'
+            f'"input_digest":{cached[0]},"output_digest":{_quote(text_digest(raw))},'
+            f'"parent":{cached[1]},{error_json}"pass":{pass_index},"seq":{len(lines)},'
+            f'"slot":{slot},"stage":{stage}}}'
+        )
+    if not scored:
+        return
+    for slot, outcome in enumerate(outcomes):
+        if type(outcome) is str:
+            lines.append(
+                f'{{"event":"score","parse_error":{_quote(outcome)},"pass":{pass_index},'
+                f'"score":{_NEG_INF_JSON},"seq":{len(lines)},"slot":{slot},"stage":{stage}}}'
+            )
+        else:
+            birth = outcome.birth
+            lines.append(
+                f'{{"birth":[{birth[0]},{birth[1]}],"event":"score","pass":{pass_index},'
+                f'"score":{_number(outcome.score)},"seq":{len(lines)},"slot":{slot},"stage":{stage}}}'
+            )
 
 
-def _score_line(seq: int, entry: tuple) -> str:
-    _, label, pass_index, slot, birth, score, parse_error = entry
-    birth_json = "" if birth is None else f'"birth":[{birth[0]},{birth[1]}],'
-    error_json = "" if parse_error is None else f'"parse_error":{_quote(parse_error)},'
-    return (
-        f'{{{birth_json}"event":"score",{error_json}"pass":{pass_index},'
-        f'"score":{_number(score)},"seq":{seq},"slot":{slot},"stage":{_quote(label)}}}'
-    )
-
-
-def _select_line(seq: int, entry: tuple) -> str:
+def _select_line(lines: list[str], entry: tuple, inputs: dict) -> None:
     _, label, pass_index, kept = entry
     kept_json = ",".join([f"[{birth[0]},{birth[1]}]" for birth in kept])
-    return (
-        f'{{"event":"select","kept":[{kept_json}],"pass":{pass_index},"seq":{seq},'
+    lines.append(
+        f'{{"event":"select","kept":[{kept_json}],"pass":{pass_index},"seq":{len(lines)},'
         f'"stage":{_quote(label)}}}'
     )
 
 
-def _retrace_line(seq: int, entry: tuple) -> str:
+def _retrace_line(lines: list[str], entry: tuple, inputs: dict) -> None:
     _, label, pass_index, threshold, cleared, required = entry
-    return (
+    lines.append(
         f'{{"cleared":{cleared},"event":"retrace","pass":{pass_index},'
-        f'"required":{_number(required)},"seq":{seq},"stage":{_quote(label)},'
+        f'"required":{_number(required)},"seq":{len(lines)},"stage":{_quote(label)},'
         f'"threshold":{_number(threshold)}}}'
     )
 
 
-def _answer_line(seq: int, entry: tuple) -> str:
+def _answer_line(lines: list[str], entry: tuple, inputs: dict) -> None:
     _, label, birth, score = entry
-    return (
+    lines.append(
         f'{{"birth":[{birth[0]},{birth[1]}],"event":"answer","score":{_number(score)},'
-        f'"seq":{seq},"stage":{_quote(label)}}}'
+        f'"seq":{len(lines)},"stage":{_quote(label)}}}'
     )
 
 
-def _record_line(seq: int, entry: tuple) -> str:
-    return _TRACE_ENCODER.encode(entry[1])
+def _record_line(lines: list[str], entry: tuple, inputs: dict) -> None:
+    lines.append(_TRACE_ENCODER.encode({"seq": len(lines), **entry[1]}))
 
 
 class SearchTrace:
     """Ordered audit log of every generation, score, selection, and retrace.
 
     Serializes to line-delimited JSON: one header record followed by one
-    record per event. Events carry no wall-clock data, so two runs with the
-    same seeds produce byte-identical event records. Events are kept as
-    tuples and formatted only when the trace is serialized, after the
-    search has stopped its clock.
+    record per event, whose ``seq`` is its line's index among the events.
+    Events carry no wall-clock data, so two runs with the same seeds produce
+    byte-identical event records. The trace keeps compact entries, one per
+    generate/score batch and one per other event, and formats them only when
+    it is serialized, after the search has stopped its clock: the digests of
+    each reply and of each parent's input are taken then too.
     """
 
     def __init__(self, header: Optional[dict] = None):
@@ -381,28 +407,32 @@ class SearchTrace:
     @property
     def events(self) -> list[dict]:
         """The event records, decoded from their serialized lines."""
-        if not self._entries:
-            return []
-        return [json.loads(line) for line in self.events_jsonl().split("\n")]
+        body = self.events_jsonl()
+        return [json.loads(line) for line in body.split("\n")] if body else []
 
     def log(self, event: str, fields: dict) -> None:
         """An event of any kind from its fields, encoded by ``_TRACE_ENCODER`` when written."""
-        record = {"seq": len(self._entries), "event": event}
+        record = {"event": event}
         record.update(fields)
         self._entries.append((_record_line, record))
 
-    def log_generate(self, label: str, pass_index: int, slot: int, birth: tuple[int, int],
-                     parent: Optional[tuple[int, int]], input_digest: str, raw: str,
-                     parse_error: Optional[str]) -> None:
-        """A ``generate`` event; its ``output_digest`` is ``text_digest(raw)``, taken when written."""
-        self._entries.append(
-            (_generate_line, label, pass_index, slot, birth, parent, input_digest, raw, parse_error)
-        )
+    def log_batch(self, label: str, pass_index: int, first_seq: int, question: str,
+                  parents: Sequence[Candidate], raws: Sequence[str], children: Sequence[Candidate],
+                  errors: dict[int, str], scored: bool) -> None:
+        """A batch: a ``generate`` event per slot, then a ``score`` event per slot if ``scored``.
 
-    def log_score(self, label: str, pass_index: int, slot: int, birth: Optional[tuple[int, int]],
-                  score, parse_error: Optional[str]) -> None:
-        """A ``score`` event; a slot whose reply failed to parse has no birth."""
-        self._entries.append((_score_line, label, pass_index, slot, birth, score, parse_error))
+        Slot ``i`` was generated from ``parents[i]``, got reply ``raws[i]`` and
+        birth ``(pass_index, first_seq + i)``. ``errors`` maps each slot whose
+        reply failed to parse to the error's text; ``children`` are the other
+        slots' candidates in slot order, whose scores are read when written. A
+        failed slot's ``score`` event has score -inf and no birth. A
+        ``generate`` event's ``input_digest`` is ``text_digest`` of the
+        question, a newline and the parent's rendered trajectory, and its
+        ``output_digest`` is ``text_digest(raw)``.
+        """
+        self._entries.append(
+            (_batch_lines, label, pass_index, first_seq, question, parents, raws, children, errors, scored)
+        )
 
     def log_select(self, label: str, pass_index: int, kept: list[tuple[int, int]]) -> None:
         """A ``select`` event: the births of the candidates kept, best first."""
@@ -417,7 +447,11 @@ class SearchTrace:
         self._entries.append((_answer_line, label, birth, score))
 
     def events_jsonl(self) -> str:
-        return "\n".join([entry[0](seq, entry) for seq, entry in enumerate(self._entries)])
+        lines: list[str] = []
+        inputs: dict = {}
+        for entry in self._entries:
+            entry[0](lines, entry, inputs)
+        return "\n".join(lines)
 
     def to_jsonl(self) -> str:
         head = _TRACE_ENCODER.encode({"record": "header", **self.header})
@@ -555,6 +589,8 @@ class _Engine:
                 results.append(fn(item))
             return results
         if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # imported here: most searches run inline
+
             self._pool = ThreadPoolExecutor(max_workers=self.parallelism - 1)
         results = [None] * len(items)
         errors: dict[int, BaseException] = {}
@@ -612,8 +648,10 @@ class _Engine:
         assigned to parents evenly (earlier parents absorb any remainder).
         Results are processed in slot order regardless of the backend's
         concurrency, so traces and ledgers do not depend on thread
-        scheduling. Candidates whose continuation fails to parse are logged
-        with score -inf and dropped; they never reach the reward backend.
+        scheduling. Candidates whose continuation fails to parse are dropped;
+        they never reach the reward backend. A traced search logs the batch
+        as one entry once it is scored (``SearchTrace.log_batch``), and the
+        trace formats its events and takes their digests when written.
         """
         assignments: list[Candidate] = []
         per_parent, remainder = divmod(total, len(parents))
@@ -633,53 +671,35 @@ class _Engine:
         ]
         raws = self.run_calls(self.generator.generate, requests, self.ledger.tally_generate, label)
 
-        trace = self.trace
-        if trace is not None:
-            input_digests = {
-                id(p): text_digest(question + "\n" + render_staged(p.trajectory)) for p in parents
-            }
-            # Per slot: the parsed child, or the text of its parse error.
-            outcomes: list[Candidate | str] = []
         scorable: list[Candidate] = []
-        seq = self._seq
+        # Slot -> the text of its reply's parse error.
+        errors: dict[int, str] = {}
+        first_seq = self._seq
+        self._seq = first_seq + len(raws)
         for slot, (parent, raw) in enumerate(zip(assignments, raws)):
-            birth = (pass_index, seq)
-            seq += 1
+            birth = (pass_index, first_seq + slot)
             try:
                 if whole_response:
-                    outcome = Candidate(parse_complete_continuation(raw, stages), birth)
+                    child = Candidate(parse_complete_continuation(raw, stages), birth)
                 else:
                     block = parse_stage_continuation(raw, first)
-                    outcome = Candidate(parent.trajectory.append(block), birth)
+                    child = Candidate(parent.trajectory.append(block), birth)
             except StageFormatError as exc:
-                outcome = error = f"{type(exc).__name__}: {exc}"
+                errors[slot] = f"{type(exc).__name__}: {exc}"
             else:
-                scorable.append(outcome)
-                error = None
-            if trace is not None:
-                outcomes.append(outcome)
-                trace.log_generate(
-                    label, pass_index, slot, birth, None if parent is _ROOT else parent.birth,
-                    input_digests[id(parent)], raw, error,
-                )
-        self._seq = seq
+                scorable.append(child)
 
-        if not do_score:
-            return scorable
-        values = self.run_calls(
-            self.reward.score,
-            [RewardRequest(question, c.trajectory, image_ref) for c in scorable],
-            self.ledger.tally_score,
-            label,
-        )
-        for candidate, value in zip(scorable, values):
-            candidate.score = value
-        if trace is not None:
-            for slot, outcome in enumerate(outcomes):
-                if isinstance(outcome, str):
-                    trace.log_score(label, pass_index, slot, None, NEG_INF, outcome)
-                else:
-                    trace.log_score(label, pass_index, slot, outcome.birth, outcome.score, None)
+        if do_score:
+            values = self.run_calls(
+                self.reward.score,
+                [RewardRequest(question, c.trajectory, image_ref) for c in scorable],
+                self.ledger.tally_score,
+                label,
+            )
+            for candidate, value in zip(scorable, values):
+                candidate.score = value
+        if self.trace is not None:
+            self.trace.log_batch(label, pass_index, first_seq, question, assignments, raws, scorable, errors, do_score)
         return scorable
 
     # -- steps the strategies are built from -------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import stagewise
+from stagewise.backends import SimWorld
 from stagewise.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -610,6 +611,65 @@ def test_datagen_other_value_error_in_the_pipeline_is_not_an_input_error(tmp_pat
     with pytest.raises(ValueError, match="not about the output file") as err:
         main(["datagen", "--sources", str(sources), "--out", str(out)])
     assert not isinstance(err.value, datagen.BadOutputFileError)
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["bench", "--items", "ITEMS", "--out", "FILE"], "FILE"),
+        (["bench", "--items", "ITEMS", "--out", "FILE/sub", "--save-traces"], "FILE/sub"),
+        (["solve", "q", "--trace", "missing/trace.jsonl"], "missing/trace.jsonl"),
+        (["scale", "--items", "ITEMS", "--out", "missing/curve.csv"], "missing/curve.csv"),
+        (["scale", "--items", "ITEMS", "--out", "curve.csv", "--log-dir", "FILE/logs"], "FILE/logs"),
+        (["calibrate", "--corpus", "CORPUS", "--out", "missing/stats.json"], "missing/stats.json"),
+        (["datagen", "--sources", "SOURCES", "--out", "missing/generated.jsonl"], "missing/generated.jsonl"),
+    ],
+    ids=["bench-out-is-a-file", "bench-out-under-a-file", "solve-trace", "scale-out", "scale-log-dir",
+         "calibrate-out", "datagen-out"],
+)
+def test_output_path_that_cannot_be_written_exits_2_before_any_call(tmp_path, capsys, monkeypatch, argv, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "FILE").write_text("not a directory\n")
+    (tmp_path / "ITEMS").write_text(json.dumps({"id": "a", "question": "q"}) + "\n")
+    (tmp_path / "CORPUS").write_text(json.dumps({"question": "q", "response": "<SUMMARY>s</SUMMARY>"}) + "\n")
+    (tmp_path / "SOURCES").write_text(json.dumps({"id": "s", "question": "q", "gold_answer": "B"}) + "\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    monkeypatch.setattr(SimWorld, "score", lambda self, request: calls.append(request))
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {path}: [Errno ")
+    assert "Traceback" not in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-file", "new-file"])
+def test_output_check_leaves_no_trace_of_itself_when_the_run_fails(tmp_path, capsys, existing):
+    # The corpus reply carries no sim mark, so scoring it is a backend failure.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"question": "q", "response": "<SUMMARY>s</SUMMARY>"}) + "\n")
+    stats = tmp_path / "stats.json"
+    if existing:
+        stats.write_text("old\n")
+    assert main(["calibrate", "--corpus", str(corpus), "--out", str(stats)]) == EXIT_BACKEND
+    assert capsys.readouterr().err.startswith("backend failure:")
+    if existing:
+        assert stats.read_text() == "old\n"
+    else:
+        assert not stats.exists()
+
+
+def test_import_leaves_out_the_modules_only_some_runs_need():
+    # Each is imported where it is first needed: the helper pool of a
+    # concurrent batch, a noisy sim score or calibration, an append's cut.
+    env = {**os.environ, "PYTHONPATH": str(Path(stagewise.__file__).resolve().parents[1])}
+    lazy = ["concurrent.futures", "statistics", "mmap", "logging"]
+    code = f"import sys, stagewise; print([m for m in {lazy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_negative_reward_std_flag_exits_2(capsys):

@@ -75,8 +75,9 @@ def test_perfbench_tracer_sees_the_continuation_parsers(monkeypatch, strategy):
 
 @pytest.mark.parametrize("strategy", list(search.Strategy))
 def test_perfbench_tracer_sees_the_engine_call_sites(monkeypatch, strategy):
-    # The engine hands backend calls to its runners and digests trace inputs
-    # itself; the tracer must still see each call where the engine makes it.
+    # The engine hands backend calls to its runners, and the trace digests
+    # inputs and replies when written; the tracer must still see each call
+    # where it is made.
     tracing = _load(monkeypatch, "tracing")
     world = backends.SimWorld(backends.SimWorldConfig(success=0.5, noise_std=0.3, rng_seed=2))
     cfg = search.SearchConfig(strategy=strategy)
@@ -85,10 +86,11 @@ def test_perfbench_tracer_sees_the_engine_call_sites(monkeypatch, strategy):
         tracing.install(tracer)
         tracer.active = True
         result = search.run_strategy("traced question", cfg, world, world, run_seed=3, collect_trace=True)
+        result.trace.to_jsonl()
     finally:
         tracer.uninstall()
     stats = tracer.summarise()
-    # The question's digest, then the input digest of at least one batch.
+    # The question's digest, then the digests the trace takes when written.
     assert stats["backends.text_digest"]["calls"] >= 2
     assert stats["backends.SimWorld.generate"]["calls"] == result.ledger.generator_calls > 0
     assert stats["backends.SimWorld.score"]["calls"] == result.ledger.reward_calls > 0

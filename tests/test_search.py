@@ -872,6 +872,71 @@ def test_trace_round_trips_through_file(tmp_path):
     assert events[0]["event"] == "generate"
 
 
+@pytest.mark.parametrize("parallelism", [1, 3])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_trace_takes_its_digests_when_written(monkeypatch, strategy, parallelism):
+    # A traced search digests only its question. The trace digests each reply,
+    # and each distinct parent's input once, when it is serialized.
+    digested, rendered = [], []
+
+    def digest(text):
+        digested.append(text)
+        return text_digest(text)
+
+    def render(trajectory):
+        rendered.append(trajectory)
+        return render_staged(trajectory)
+
+    monkeypatch.setattr(search, "text_digest", digest)
+    monkeypatch.setattr(search, "render_staged", render)
+    sim = _world()
+    cfg = SearchConfig(strategy=strategy, stats=NEVER_PASS)  # SWIRES runs every pass
+    result = run_strategy("digested question", cfg, sim, sim, run_seed=7, parallelism=parallelism)
+    assert (digested, rendered) == (["digested question"], [])
+
+    del digested[:]
+    events = [json.loads(line) for line in result.trace.to_jsonl().split("\n")[1:]]
+    generated = [e for e in events if e["event"] == "generate"]
+    parents = {None if e["parent"] is None else tuple(e["parent"]) for e in generated}
+    assert len(digested) == len(generated) + len(parents)
+    assert len(rendered) == len(parents)
+    if strategy is Strategy.SWIRES:
+        # Every pass extends the same summaries: their inputs are digested once.
+        assert sum(e["event"] == "retrace" for e in events) == cfg.max_passes - 1 > 0
+
+
+def test_log_records_mixed_with_engine_batches_take_their_line_index(monkeypatch):
+    traces = []
+    make_trace = search._make_trace
+
+    def keep_trace(*args):
+        traces.append(make_trace(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(search, "_make_trace", keep_trace)
+    sim = _world()
+
+    class Noting(Generator):
+        """Logs a note into the search's trace at each call, in the middle of its batch."""
+
+        def generate(self, request):
+            traces[-1].log("note", {"stage": request.target_stages[0].value})
+            return sim.generate(request)
+
+    cfg = SearchConfig(stats=NEVER_PASS)
+    result = swires("q", cfg, Noting(), sim, run_seed=2)
+    events = [json.loads(line) for line in result.trace.to_jsonl().split("\n")[1:]]
+    assert [e["seq"] for e in events] == list(range(len(events)))
+    assert events[0]["event"] == "note"  # a batch is logged once it is done
+    assert sum(e["event"] == "note" for e in events) == result.ledger.generator_calls
+
+    def unnumbered(events):
+        return [{k: v for k, v in e.items() if k != "seq"} for e in events if e["event"] != "note"]
+
+    plain = swires("q", cfg, sim, sim, run_seed=2).trace.events
+    assert unnumbered(events) == unnumbered(plain)
+
+
 @pytest.mark.parametrize("bad_line", ["{bad", "[1]"])
 def test_trace_read_names_file_and_line_of_a_bad_line(tmp_path, bad_line):
     path = tmp_path / "trace.jsonl"
