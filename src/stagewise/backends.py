@@ -101,11 +101,6 @@ class SeedPrefix:
         return int.from_bytes(h.digest(), "big")
 
 
-def stable_u64_prefix(*prefix: str) -> Callable[..., int]:
-    """``stable_u64`` with its leading parts fixed: ``SeedPrefix(*prefix).derive``."""
-    return SeedPrefix(*prefix).derive
-
-
 def text_digest(text: str) -> str:
     """Short stable digest used to reference texts in traces."""
     return blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
@@ -226,8 +221,10 @@ class EndpointConfig:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http(s) URL with a host: {self.base_url!r}")
         url.port  # raises ValueError on a malformed port
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError(f"timeout_s must be a positive finite number, got {self.timeout_s!r}")
+        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
+            raise ValueError(f"backoff_s must be a finite number >= 0, got {self.backoff_s!r}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
 
@@ -463,10 +460,11 @@ class HttpRewardScorer(_HttpClient, RewardScorer):
         if request.image_ref:
             body["image_ref"] = request.image_ref
         reply = self._post(body)
-        try:
-            value = float(reply["score"])
-        except (KeyError, TypeError, ValueError):
-            raise MalformedReplyError("reply lacks a numeric 'score' field") from None
+        value = reply.get("score") if isinstance(reply, dict) else None
+        # A JSON number only: float() would also take "0.5" and true.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise MalformedReplyError(f"reply lacks a numeric 'score' field, got {value!r}")
+        value = float(value)
         if not math.isfinite(value):
             raise MalformedReplyError(f"reward score {value!r} is not finite")
         return value
@@ -523,6 +521,9 @@ class SimWorldConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "success", _normalize_stage_map(self.success, 1.0))
         object.__setattr__(self, "recovery", _normalize_stage_map(self.recovery, 0.0))
+        for name in ("mean_correct", "mean_incorrect", "noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
 
@@ -576,8 +577,8 @@ class SimWorld(Generator, RewardScorer):
     def __init__(self, config: SimWorldConfig = SimWorldConfig()):
         self.config = config
         # Draws hash (rng_seed, "gen" or "score", ...); the first two parts are fixed.
-        self._gen_u64 = stable_u64_prefix(str(config.rng_seed), "gen")
-        self._score_u64 = stable_u64_prefix(str(config.rng_seed), "score")
+        self._gen_u64 = SeedPrefix(str(config.rng_seed), "gen").derive
+        self._score_u64 = SeedPrefix(str(config.rng_seed), "score").derive
 
     def generate(self, request: GeneratorRequest) -> str:
         if not request.target_stages:

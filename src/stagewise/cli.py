@@ -28,7 +28,7 @@ from .backends import (
     SimWorld,
     SimWorldConfig,
 )
-from .datagen import BadOutputFileError, load_sources, run_pipeline
+from .datagen import load_sources, run_pipeline
 from .harness import (
     default_grid,
     grade,
@@ -386,10 +386,7 @@ def cmd_datagen(cfg: AppConfig, args: argparse.Namespace) -> int:
     else:
         judge = generator  # same endpoint serves both roles; sim judges via its oracle
     sources = _read_input(load_sources, args.sources)
-    try:
-        counts = run_pipeline(sources, generator, judge, args.out)
-    except BadOutputFileError as exc:
-        raise ConfigError(str(exc)) from exc
+    counts = run_pipeline(sources, generator, judge, args.out)
     _summary({"command": "datagen", **counts})
     return EXIT_OK
 

@@ -11,11 +11,9 @@ generates it again.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .backends import (
@@ -25,7 +23,8 @@ from .backends import (
     SamplingParams,
     stable_u64,
 )
-from .jsonl import id_field, read_jsonl, string_field, trim_partial_last_line
+from .jsonl import append_record, id_field, open_append, read_jsonl, string_field
+from .search import ConfigError
 from .stages import CANONICAL_ORDER, StageFormatError, parse_staged
 
 log = logging.getLogger(__name__)
@@ -98,9 +97,6 @@ class GeneratedRecord:
     image_ref: Optional[str] = None
     conclusion: Optional[str] = None
     judge_verdict_raw: Optional[str] = None
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, ensure_ascii=False)
 
 
 def _source(data: dict) -> SourceRecord:
@@ -181,40 +177,6 @@ def parse_verdict(reply: str) -> bool:
     return match is not None and match.group(0) == "valid"
 
 
-class BadOutputFileError(ValueError):
-    """The output file cannot be read or written, or a complete line of it is not a record with an id."""
-
-
-def read_existing_ids(path) -> set[str]:
-    """Ids of the records already written to ``path``.
-
-    An unterminated last line is a record cut short by a killed run; it
-    counts as absent, so its source is generated again. A complete line
-    that is not a record with an ``id`` raises BadOutputFileError naming
-    its line; so does a file that cannot be read.
-    """
-    ids: set[str] = set()
-    path = Path(path)
-    if not path.exists():
-        return ids
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise BadOutputFileError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.endswith(b"\n"):
-                break
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ids.add(json.loads(line)["id"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BadOutputFileError(f"{path}:{lineno}: bad output record: {exc}") from exc
-    return ids
-
-
 def run_pipeline(
     sources: Sequence[SourceRecord],
     generator: Generator,
@@ -226,20 +188,26 @@ def run_pipeline(
     A source whose generator or judge call raises BackendError gets no
     record, so the next run generates it again. Returns counts per written
     status, plus ``retryable`` for those sources and ``skipped`` for ids
-    already present. An output file that ``read_existing_ids`` rejects, or
-    one that cannot be opened to append, raises BadOutputFileError before
-    any backend call.
+    already present. ``jsonl.open_append`` first cuts a last line a killed
+    run left unterminated; the ids are then read as the inputs are, by
+    ``id_field``. A file that cannot be opened to append or read, or a line
+    that is not a record with an id, raises ConfigError before any backend
+    call.
     """
-    existing = read_existing_ids(output_path)
     counts = dict.fromkeys(
         (STATUS_VALID, STATUS_FORMAT_INVALID, STATUS_JUDGED_INVALID, STATUS_RETRYABLE, "skipped"), 0
     )
     try:
-        trim_partial_last_line(output_path)
-        out = open(output_path, "a", encoding="utf-8")
+        out = open_append(output_path)
     except OSError as exc:
-        raise BadOutputFileError(f"cannot write {output_path}: {exc}") from exc
+        raise ConfigError(f"cannot write {output_path}: {exc}") from exc
     with out:
+        try:
+            existing = set(read_jsonl(output_path, "output record", id_field))
+        except OSError as exc:
+            raise ConfigError(f"cannot read {output_path}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for record in flatten_sources(sources):
             if record.id in existing:
                 counts["skipped"] += 1
@@ -251,8 +219,7 @@ def run_pipeline(
                 counts[STATUS_RETRYABLE] += 1
                 continue
             counts[generated.status] += 1
-            out.write(generated.to_json() + "\n")
-            out.flush()
+            append_record(out, generated.__dict__)
             existing.add(record.id)
     return counts
 

@@ -10,7 +10,6 @@ of the real engine must reproduce.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -31,7 +30,7 @@ from .backends import (
     stable_u64,
     text_digest,
 )
-from .jsonl import id_field, read_jsonl, string_field, trim_partial_last_line
+from .jsonl import append_record, id_field, open_append, read_jsonl, string_field
 from .search import (
     BudgetLedger,
     CalibrationStats,
@@ -143,9 +142,6 @@ def oracle_grade(item: BenchmarkItem, conclusion: str) -> bool:
 
 GraderFn = Callable[[BenchmarkItem, str], bool]
 
-# Built once: json.dumps with any keyword argument builds a new encoder per call.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
-
 
 @dataclass
 class RunRecord:
@@ -160,9 +156,6 @@ class RunRecord:
     reward_calls: int = 0
     wall_time_s: float = 0.0
     trace_file: Optional[str] = None
-
-    def to_json(self) -> str:
-        return _RECORD_ENCODER.encode(self.__dict__)
 
 
 @dataclass
@@ -200,9 +193,10 @@ def run_benchmark(
     Per-item seeds derive from (run seed, item id), so results do not depend
     on execution order. Backend and search failures are recorded per item
     and counted incorrect, with the calls the search made before it failed
-    in the record and the totals; the run continues. An ``out_dir`` that
-    cannot be made, or whose records file cannot be opened to append,
-    raises ConfigError before any backend call.
+    in the record and the totals; the run continues. Each record is appended
+    to ``out_dir/run_records.jsonl`` by ``jsonl.append_record`` as its item
+    finishes. An ``out_dir`` that cannot be made, or whose records file
+    ``jsonl.open_append`` cannot open, raises ConfigError before any backend call.
     """
     selected = filter_items(items, categories)
     if not selected:
@@ -212,9 +206,7 @@ def run_benchmark(
     if out_path is not None:
         try:
             out_path.mkdir(parents=True, exist_ok=True)
-            records_path = out_path / "run_records.jsonl"
-            trim_partial_last_line(records_path)
-            records_file = open(records_path, "a", encoding="utf-8")
+            records_file = open_append(out_path / "run_records.jsonl")
         except OSError as exc:
             raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
 
@@ -222,7 +214,6 @@ def run_benchmark(
     collect_trace = collect_traces and out_path is not None
     totals = BudgetLedger()
     records: list[RunRecord] = []
-    # Each record is flushed as its item finishes, so a run that dies keeps the records before it.
     with records_file or nullcontext():
         for item in selected:
             record = RunRecord(
@@ -267,8 +258,7 @@ def run_benchmark(
                     record.trace_file = str(trace_file)
             records.append(record)
             if records_file is not None:
-                records_file.write(record.to_json() + "\n")
-                records_file.flush()
+                append_record(records_file, record.__dict__)
 
     return BenchmarkResult(sum(1 for r in records if r.correct) / len(records), totals, records)
 

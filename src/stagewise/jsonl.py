@@ -1,4 +1,5 @@
-"""Line-delimited JSON files: one reader for every input, one cut before appends."""
+"""Line-delimited JSON record files: one reader for inputs and earlier outputs,
+one open to append that first cuts a line a killed run left short, one record writer."""
 
 from __future__ import annotations
 
@@ -62,18 +63,28 @@ def id_field(data: dict) -> str:
     return string_field(data, "id")
 
 
-def trim_partial_last_line(path) -> None:
-    """Cut an unterminated last line, left by a killed run, before an append.
+# Built once: json.dumps with any keyword argument builds a new encoder per call.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
+def open_append(path):
+    """``path`` opened to append UTF-8 text, after cutting an unterminated last line.
 
     The search for the last newline runs back from the end of a memory map,
-    so it reads only the file's tail. A missing file stays missing.
+    so it reads only the file's tail. A missing file is made.
     """
-    if not os.path.exists(path) or not os.path.getsize(path):
-        return
-    import mmap  # imported here: only appends to an existing file need it
+    if os.path.exists(path) and os.path.getsize(path):
+        import mmap  # imported here: only appends to an existing file need it
 
-    with open(path, "r+b") as fh:
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
-            end, size = view.rfind(b"\n") + 1, len(view)
-        if end < size:
-            fh.truncate(end)
+        with open(path, "r+b") as fh:
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+                end, size = view.rfind(b"\n") + 1, len(view)
+            if end < size:
+                fh.truncate(end)
+    return open(path, "a", encoding="utf-8")
+
+
+def append_record(fh, record: dict) -> None:
+    """Write ``record`` as one line, then flush it, so a run that dies keeps the records before it."""
+    fh.write(_RECORD_ENCODER.encode(record) + "\n")
+    fh.flush()

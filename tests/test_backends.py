@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +28,6 @@ from stagewise.backends import (
     TransportError,
     oracle_correct,
     stable_u64,
-    stable_u64_prefix,
 )
 from stagewise.stages import (
     CANONICAL_ORDER,
@@ -493,6 +493,14 @@ def test_http_reward_rejects_nonfinite_and_missing(stub_server):
     server = stub_server([(200, {"reward": 1.0})])
     with pytest.raises(MalformedReplyError):
         HttpRewardScorer(_endpoint(server.url)).score(RewardRequest("q", traj))
+    # Only a JSON number is a score: not a numeric string, a bool, null, a list, or a reply that is no object.
+    not_numbers = [{"score": "0.5"}, {"score": True}, {"score": False}, {"score": None}, {"score": [1.0]}, [1.0]]
+    server = stub_server([(200, payload) for payload in not_numbers] + [(200, {"score": 2}), (200, {"score": -0.5})])
+    scorer = HttpRewardScorer(_endpoint(server.url))
+    for _ in not_numbers:
+        with pytest.raises(MalformedReplyError):
+            scorer.score(RewardRequest("q", traj))
+    assert [scorer.score(RewardRequest("q", traj)) for _ in range(2)] == [2.0, -0.5]
 
 
 def test_endpoint_config_validation():
@@ -500,9 +508,21 @@ def test_endpoint_config_validation():
         EndpointConfig(base_url="http://x", timeout_s=0)
     with pytest.raises(ValueError):
         EndpointConfig(base_url="http://x", retries=-1)
+    for bad in ({"timeout_s": math.inf}, {"timeout_s": math.nan}, {"backoff_s": -1.0},
+                {"backoff_s": math.inf}, {"backoff_s": math.nan}):
+        with pytest.raises(ValueError):
+            EndpointConfig(base_url="http://x", **bad)
+    EndpointConfig(base_url="http://x", backoff_s=0.0)
     for url in ("ftp://x/v1", "localhost:8000/v1", "http:///v1", "http://x:port/v1"):
         with pytest.raises(ValueError):
             EndpointConfig(base_url=url)
+
+
+def test_sim_world_config_rejects_nonfinite_means_and_noise():
+    for bad in ({"noise_std": math.inf}, {"noise_std": math.nan}, {"mean_correct": math.inf},
+                {"mean_incorrect": -math.inf}, {"mean_correct": math.nan}):
+        with pytest.raises(ValueError):
+            SimWorldConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +635,7 @@ def test_import_does_not_load_http_stack():
 
 def test_stable_u64_prefix_equals_stable_u64():
     for prefix in [(), ("7",), ("7", "gen"), ("", "a|b"), ("é", "日本", "")]:
-        derive = stable_u64_prefix(*prefix)
+        derive = SeedPrefix(*prefix).derive
         for rest in [("x",), ("", ""), ("caption", "0", "3"), ("a|b",)]:
             assert derive(*rest) == stable_u64(*prefix, *rest), (prefix, rest)
             for more in [(), ("",), ("caption", "0"), ("日本",)]:

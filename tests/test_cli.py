@@ -18,7 +18,7 @@ from stagewise.cli import (
     load_config,
     main,
 )
-from stagewise.search import LoopSemantics, SearchTrace, Strategy
+from stagewise.search import ConfigError, LoopSemantics, SearchTrace, Strategy
 
 
 def _last_json_line(capsys):
@@ -190,6 +190,37 @@ def test_bad_setting_exits_2(tmp_path, capsys, setting):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "section, setting",
+    [
+        ("generator", {"backoff_s": -1.0, "retries": 1}),
+        ("generator", {"timeout_s": float("inf")}),
+        ("reward", {"backoff_s": float("inf")}),
+        ("sim", {"noise_std": float("inf")}),
+        ("sim", {"mean_correct": float("inf")}),
+        ("sim", {"mean_incorrect": float("-inf")}),
+    ],
+    ids=["negative-backoff", "infinite-timeout", "infinite-backoff", "infinite-noise",
+         "infinite-mean-correct", "infinite-mean-incorrect"],
+)
+def test_setting_that_would_fail_mid_run_exits_2_before_any_request(
+    tmp_path, capsys, monkeypatch, stub_server, section, setting
+):
+    # Python's JSON writer and reader carry Infinity; the config load must refuse it.
+    server = stub_server([(200, {"score": 1.0})])
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    endpoint = {"base_url": server.url, "retries": 0}
+    data = {"generator": dict(endpoint), "reward": dict(endpoint)}
+    data["backend"] = "sim" if section == "sim" else "http"
+    data[section] = {**data.get(section, {}), **setting}
+    assert main(["solve", "q", "--config", str(_write_config(tmp_path, data))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid config value:")
+    assert next(iter(setting)) in err
+    assert server.requests == [] and calls == []
 
 
 def test_endpoint_type_error_names_the_key(tmp_path, capsys):
@@ -597,7 +628,21 @@ def test_datagen_output_path_that_cannot_be_read_exits_2(tmp_path, capsys):
     out = tmp_path / "a-directory"
     out.mkdir()
     assert main(["datagen", "--sources", str(sources), "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: cannot read {out}:")
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: [Errno ")
+
+
+def test_datagen_corrupt_line_before_a_cut_short_tail_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    sources, out = _datagen_files(tmp_path, [])
+    complete = json.dumps({"id": "s0"}) + "\n" + '{"id": "s1"' + "\n"
+    out.write_text(complete + '{"id": "s2", "quest')
+    assert main(["datagen", "--sources", str(sources), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {out}:2: bad output record")
+    assert calls == []
+    # The cut comes first: the unterminated tail is gone, the complete lines stay.
+    assert out.read_text() == complete
 
 
 def test_datagen_other_value_error_in_the_pipeline_is_not_an_input_error(tmp_path, monkeypatch):
@@ -610,7 +655,7 @@ def test_datagen_other_value_error_in_the_pipeline_is_not_an_input_error(tmp_pat
     sources, out = _datagen_files(tmp_path, [json.dumps({"id": "s0"})])
     with pytest.raises(ValueError, match="not about the output file") as err:
         main(["datagen", "--sources", str(sources), "--out", str(out)])
-    assert not isinstance(err.value, datagen.BadOutputFileError)
+    assert not isinstance(err.value, ConfigError)
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from stagewise.datagen import (
     parse_verdict,
     run_pipeline,
 )
+from stagewise.search import ConfigError
 from stagewise.stages import MissingStageError, StrayTextError, parse_staged
 
 from conftest import CountingGenerator, ScriptedGenerator
@@ -228,6 +229,18 @@ def test_pipeline_all_valid_with_stub_backends(tmp_path):
     assert rows[0]["judge_verdict_raw"] == "valid"
 
 
+def test_pipeline_record_line_is_sorted_json_with_raw_utf8_text(tmp_path):
+    response = WELL_FORMED.replace(">B<", ">Ω<")
+    out = tmp_path / "out.jsonl"
+    run_pipeline([SourceRecord("é1", "日本?", "Ω")], ScriptedGenerator([response]), ScriptedGenerator(["valid"]), out)
+    expected = dict(
+        id="é1", question="日本?", gold_answer="Ω", raw_response=response, status=STATUS_VALID,
+        image_ref=None, conclusion="Ω", judge_verdict_raw="valid",
+    )
+    line = json.dumps(expected, sort_keys=True, ensure_ascii=False) + "\n"
+    assert out.read_bytes() == line.encode("utf-8")
+
+
 def test_pipeline_format_invalid_never_judged(tmp_path):
     bad = WELL_FORMED.replace("</CONCLUSION>", "")  # forgot the final close tag
     gen = ScriptedGenerator([bad])
@@ -328,6 +341,19 @@ def test_pipeline_resume_after_truncated_last_line(tmp_path):
     assert out.read_bytes().endswith(b"\n")
     rows = _read_output(out)
     assert [r["id"] for r in rows] == ["s0", "s1", "s2"]
+
+
+def test_pipeline_reads_output_ids_as_input_ids_are_read(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_text(json.dumps({"id": 5}) + "\n")
+    gen = CountingGenerator(ScriptedGenerator([WELL_FORMED]))
+    sources = [SourceRecord("5", "q5", "B"), SourceRecord("6", "q6", "B")]
+    counts = run_pipeline(sources, gen, ScriptedGenerator(["valid"]), out)
+    assert (counts["skipped"], counts[STATUS_VALID], gen.calls) == (1, 1, 1)
+    out.write_text(json.dumps({"id": None}) + "\n")
+    with pytest.raises(ConfigError, match=r":1: bad output record: id must be a string or an integer"):
+        run_pipeline(sources, gen, ScriptedGenerator(["valid"]), out)
+    assert gen.calls == 1
 
 
 def test_pipeline_status_partition_unique_ids(tmp_path):

@@ -176,6 +176,20 @@ def test_run_benchmark_cuts_a_cut_short_records_line_before_appending(tmp_path):
     assert [r["item_id"] for r in rows] == ["w", "sim-0", "sim-1"]
 
 
+def test_run_records_line_is_sorted_json_with_raw_utf8_text(tmp_path):
+    sim = _perfect_sim()
+    items = [BenchmarkItem(id="é-日本", question="què?")]
+    result = run_benchmark(items, SearchConfig(), sim, sim, out_dir=tmp_path, grader=oracle_grade, param=2.0)
+    (record,) = result.records
+    expected = dict(
+        item_id="é-日本", strategy="swires", param=2.0, conclusion=record.conclusion, correct=True,
+        ungradable=False, error=None, generator_calls=record.generator_calls,
+        reward_calls=record.reward_calls, wall_time_s=record.wall_time_s, trace_file=None,
+    )
+    line = json.dumps(expected, sort_keys=True, ensure_ascii=False) + "\n"
+    assert (tmp_path / "run_records.jsonl").read_bytes() == line.encode("utf-8")
+
+
 def test_run_benchmark_appends_each_record_as_its_item_finishes(tmp_path):
     # A directory at item 2's trace path makes the run raise after item 1.
     items = make_sim_items(2)
