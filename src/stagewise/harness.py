@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Optional, Sequence
 
 from .backends import (
     BackendError,
@@ -195,9 +195,11 @@ def run_benchmark(
     and counted incorrect, with the calls the search made before it failed
     in the record and the totals; the run continues. Each record is appended
     to ``out_dir/run_records.jsonl`` by ``jsonl.append_record`` as its item
-    finishes. An ``out_dir`` that cannot be made, or whose records file
+    finishes. A bad ``cfg`` raises its ConfigError before anything else is
+    done, and an ``out_dir`` that cannot be made, or whose records file
     ``jsonl.open_append`` cannot open, raises ConfigError before any backend call.
     """
+    cfg.validate()
     selected = filter_items(items, categories)
     if not selected:
         raise EmptyBenchmarkError("no benchmark items to run")
@@ -342,11 +344,14 @@ def scaling_experiment(
     """Run every grid cell over the items and emit one curve point per cell.
 
     With ``zero_wall_time`` the wall-time column is written as 0.000 so that
-    repeated runs under the same seeds produce byte-identical tables.
+    repeated runs under the same seeds produce byte-identical tables. Every
+    cell's config is validated before the first cell runs.
     """
     cells = list(grid) if grid is not None else default_grid()
     if not cells:
         raise EmptyBenchmarkError("scaling grid is empty")
+    for cell in cells:
+        cell.config.validate()
     points: list[ScalingPoint] = []
     for cell in cells:
         started = time.perf_counter()
@@ -491,73 +496,71 @@ def _correct_in_range(cfg: SearchConfig, sim: SimWorld, run_seed: int, start: in
     return correct
 
 
-class _ForkedRange:
-    """A forked child that counts one range of trials and replies once over a pipe.
+def _map_forked(fn: Callable[[int, int], object], bounds: Sequence[int]) -> list:
+    """``fn(start, stop)`` for each pair of consecutive ``bounds``, in range order.
 
-    The reply is the pickled count, or the pickled exception the range
-    raised. The child writes nothing else, flushes none of the stdio buffers
-    it inherited and leaves by ``os._exit``, so it never returns into its
-    caller's stack. A fork copies only the calling thread; the child runs
-    only sim searches at parallelism 1, which start no thread and take no
-    lock that another thread of the caller could hold.
+    The calling process runs the first range and a forked child runs each
+    other one. A child replies once over a pipe with its pickled result, or
+    the pickled exception its range raised. It writes nothing else, flushes
+    none of the stdio buffers it inherited and leaves by ``os._exit``, so it
+    never returns into its caller's stack. A fork copies only the calling
+    thread, so ``fn`` must start no thread and take no lock that another
+    thread of the caller could hold; sim searches at parallelism 1 do
+    neither. The first range that fails, in range order, raises its
+    exception here. Every child is waited for once before this returns or
+    raises; a child whose reply was not read is killed first.
     """
+    import pickle
+    import signal
 
-    def __init__(self, count: Callable[[int, int], int], start: int, stop: int):
-        import pickle
-
-        self.trials = f"{start}..{stop - 1}"
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            status = 1
+    ranges = list(zip(bounds, bounds[1:]))
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end), in range order, not yet waited for
+    try:
+        for start, stop in ranges[1:]:
+            read_fd, write_fd = os.pipe()
             try:
+                pid = os.fork()
+            except OSError:
                 os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
                 try:
-                    reply = pickle.dumps(count(start, stop))
-                except BaseException as exc:  # sent to the caller, which raises it
-                    reply = _pickled_exception(exc)
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(reply)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
-        self.replied = False
-        self.status: Optional[int] = None
-
-    def result(self) -> int:
-        """The child's count; its exception is raised here."""
-        import pickle
-
-        data = self.pipe.read()
-        self.replied = True
-        if not data:
-            self.reap()
-            raise RuntimeError(
-                f"Monte Carlo worker for trials {self.trials} ended without a reply "
-                f"(exit code {os.waitstatus_to_exitcode(self.status)})"
-            )
-        reply = pickle.loads(data)
-        if isinstance(reply, BaseException):
-            raise reply
-        return reply
-
-    def reap(self) -> None:
-        """Wait for the child, killing it first if its reply was not read."""
-        if self.status is not None:
-            return
-        if not self.replied:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-        self.pipe.close()
-        _, self.status = os.waitpid(self.pid, 0)
+                    os.close(read_fd)
+                    try:
+                        reply = pickle.dumps(fn(start, stop))
+                    except BaseException as exc:  # sent to the caller, which raises it
+                        reply = _pickled_exception(exc)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(reply)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [fn(*ranges[0])]
+        for start, stop in ranges[1:]:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if not data:
+                raise RuntimeError(
+                    f"Monte Carlo worker for trials {start}..{stop - 1} ended without a reply "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            reply = pickle.loads(data)
+            if isinstance(reply, BaseException):
+                raise reply
+            results.append(reply)
+        return results
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def _pickled_exception(exc: BaseException) -> bytes:
@@ -583,9 +586,9 @@ def monte_carlo_accuracy(
 
     The trials are split into contiguous ranges, one per worker: up to one
     per CPU available to the process, each of at least
-    ``MIN_TRIALS_PER_WORKER`` trials. The calling process runs the first
-    range and forked children run the others; where the platform has no
-    ``fork`` the calling process runs them all. Trial ``i`` depends on
+    ``MIN_TRIALS_PER_WORKER`` trials. ``_map_forked`` runs the first range
+    in the calling process and the others in forked children; where the
+    platform has no ``fork`` there is one range. Trial ``i`` depends on
     ``i`` and ``run_seed`` alone, so the result is the same for any worker
     count. Every child is waited for before this returns or raises. A range
     that fails raises its exception here, the first range in trial order
@@ -597,17 +600,7 @@ def monte_carlo_accuracy(
     count = partial(_correct_in_range, cfg, SimWorld(world), run_seed)
     workers = max(1, min(_available_cpus(), trials // MIN_TRIALS_PER_WORKER)) if hasattr(os, "fork") else 1
     bounds = [trials * k // workers for k in range(workers + 1)]
-    children: list[_ForkedRange] = []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append(_ForkedRange(count, start, stop))
-        correct = count(bounds[0], bounds[1])
-        for child in children:
-            correct += child.result()
-    finally:
-        for child in children:
-            child.reap()
-    return correct / trials
+    return sum(_map_forked(count, bounds)) / trials
 
 
 def standard_error(p: float, n: int) -> float:

@@ -211,7 +211,7 @@ class SearchConfig:
             problems.append("beam_width must divide candidates_per_stage")
         if self.retrace_limit < 0:
             problems.append("retrace_limit must be >= 0")
-        if not 1 <= self.min_pass_count <= max(1, self.beam_width):
+        if self.strategy is Strategy.SWIRES and not 1 <= self.min_pass_count <= max(1, self.beam_width):
             problems.append("min_pass_count must be in [1, beam_width]")
         if self.summary_candidates < 1:
             problems.append("summary_candidates must be >= 1")
@@ -229,7 +229,7 @@ class SearchConfig:
             order = [s for s in CANONICAL_ORDER if s in self.pipeline]
             if len(set(self.pipeline)) != len(self.pipeline) or list(self.pipeline) != order:
                 problems.append("pipeline must be a canonical-order subsequence of stages")
-        if isinstance(self.strategy, Strategy) and self.strategy is Strategy.SWIRES and self.pipeline:
+        if self.strategy is Strategy.SWIRES and self.pipeline:
             if self.retrace_start not in self.pipeline:
                 problems.append("retrace_start must be a pipeline stage")
             elif self.pipeline.index(self.retrace_start) >= len(self.pipeline) - 1:
@@ -862,9 +862,7 @@ def swires(
 
         cutoff = cfg.cutoff
         pool: list[Candidate] = []
-        last_pass = 0
         for pass_index in range(cfg.max_passes):
-            last_pass = pass_index
             parents = prefix_survivors
             cleared = 0
             for stage in body[:-1]:
@@ -892,7 +890,7 @@ def swires(
             raise SearchExhaustedError(
                 f"all candidates failed to parse at {pool_stage.name} across all passes"
             )
-        kept = engine.select(pool_stage, last_pass, pool)
+        kept = engine.select(pool_stage, pass_index, pool)
         return engine.conclude(pipeline[-1:], kept, len(kept))
 
 

@@ -365,6 +365,36 @@ def test_scale_reruns_identical_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_scale_min_pass_above_a_cells_width_runs_every_cell(tmp_path, capsys):
+    # min_pass_count binds SWIRES alone, so the width-1 cells run as well.
+    items = _write_items(tmp_path, 3)
+    table, logs = tmp_path / "curve.csv", tmp_path / "logs"
+    code = main(
+        ["scale", "--items", str(items), "--out", str(table), "--log-dir", str(logs),
+         "--min-pass", "2", "--seed", "1", "--zero-wall-time"]
+    )
+    assert code == EXIT_OK
+    rows = table.read_text().strip().splitlines()[1:]
+    assert len(rows) == 11
+    assert all(int(row.split(",")[2]) > 0 for row in rows)
+    records = [json.loads(line) for line in (logs / "run_records.jsonl").read_text().splitlines()]
+    assert len(records) == 33
+    assert all(r["error"] is None and r["generator_calls"] > 0 for r in records)
+
+
+def test_scale_grid_cell_with_a_bad_config_exits_2_before_any_file(tmp_path, capsys):
+    # Base beam is valid at --min-pass 5; the grid's SWIRES cells (width 2) are not.
+    items = _write_items(tmp_path, 2)
+    table, logs = tmp_path / "curve.csv", tmp_path / "logs"
+    code = main(
+        ["scale", "--items", str(items), "--out", str(table), "--log-dir", str(logs),
+         "--strategy", "beam", "--min-pass", "5"]
+    )
+    assert code == EXIT_CONFIG
+    assert "min_pass_count must be in [1, beam_width]" in capsys.readouterr().err
+    assert not table.exists() and not logs.exists()
+
+
 # ---------------------------------------------------------------------------
 # calibrate / datagen / simcheck
 # ---------------------------------------------------------------------------

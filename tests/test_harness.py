@@ -56,7 +56,7 @@ from stagewise.search import (
 )
 from stagewise.stages import StageKind
 
-from conftest import ScriptedGenerator, ScriptedScorer
+from conftest import CountingGenerator, ScriptedGenerator, ScriptedScorer
 
 
 def _mc_item(gold="B", options=None):
@@ -201,6 +201,28 @@ def test_run_benchmark_appends_each_record_as_its_item_finishes(tmp_path):
         )
     rows = [json.loads(line) for line in (tmp_path / "run_records.jsonl").read_text().splitlines()]
     assert [r["item_id"] for r in rows] == [items[0].id]
+
+
+def test_run_benchmark_bad_config_raises_before_any_call_or_file(tmp_path):
+    sim = _perfect_sim()
+    generator = CountingGenerator(sim)
+    out_dir = tmp_path / "runs"
+    cfg = SearchConfig(candidates_per_stage=3, beam_width=2)
+    with pytest.raises(ConfigError) as excinfo:
+        run_benchmark(make_sim_items(3), cfg, generator, sim, out_dir=out_dir)
+    assert str(excinfo.value) == "beam_width must divide candidates_per_stage"
+    assert generator.calls == 0
+    assert not out_dir.exists()
+
+
+def test_scaling_experiment_bad_cell_raises_before_any_cell_runs(tmp_path):
+    sim = _perfect_sim()
+    generator = CountingGenerator(sim)
+    grid = [harness.GridCell(1, SearchConfig()), harness.GridCell(2, SearchConfig(beam_width=3))]
+    with pytest.raises(ConfigError):
+        scaling_experiment(make_sim_items(2), generator, sim, grid, out_dir=tmp_path / "runs")
+    assert generator.calls == 0
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_benchmark_category_filter_and_empty():
@@ -599,6 +621,14 @@ def test_monte_carlo_accuracy_is_identical_for_any_worker_count(monkeypatch, for
         assert len(forks) == cpus - 1
         _assert_no_child_left()
     assert values[0] == values[1] == values[2]
+
+
+@needs_fork
+def test_map_forked_returns_each_range_result_in_range_order(forks):
+    shards = harness._map_forked(lambda start, stop: list(range(start, stop)), [0, 3, 7, 10])
+    assert shards == [[0, 1, 2], [3, 4, 5, 6], [7, 8, 9]]
+    assert len(forks) == 2
+    _assert_no_child_left()
 
 
 @needs_fork

@@ -228,6 +228,12 @@ def test_config_validate_names_each_problem(cfg, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("strategy", [Strategy.BEST_OF_N, Strategy.STAGE_BEAM])
+def test_config_min_pass_count_binds_only_swires(strategy):
+    # Only SWIRES reads min_pass_count; a width-1 cell of the scale grid inherits it.
+    SearchConfig(strategy=strategy, beam_width=1, min_pass_count=2).validate()
+
+
 def test_config_unknown_strategy_is_config_error():
     cfg = SearchConfig()
     object.__setattr__(cfg, "strategy", "mystery")
