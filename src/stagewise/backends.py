@@ -488,10 +488,11 @@ def oracle_correct(text: str) -> bool:
 
 
 def _normalize_stage_map(
-    value: Union[float, Mapping[StageKind, float]], default: float
+    value: Union[float, Mapping], default: float
 ) -> dict[StageKind, float]:
     if isinstance(value, Mapping):
-        table = {kind: float(value.get(kind, default)) for kind in CANONICAL_ORDER}
+        given = {StageKind.from_name(str(key)): p for key, p in value.items()}
+        table = {kind: float(given.get(kind, default)) for kind in CANONICAL_ORDER}
     else:
         table = {kind: float(value) for kind in CANONICAL_ORDER}
     for kind, p in table.items():
@@ -506,13 +507,16 @@ class SimWorldConfig:
 
     ``success`` gives each stage's probability of being correct when every
     prior stage is correct; ``recovery`` applies when some prior stage is
-    incorrect (0 by default: errors are never silently repaired). Rewards
-    are emitted at ``mean_correct``/``mean_incorrect`` plus Gaussian noise;
-    ``noise_std == 0`` is the perfect separating-reward regime.
+    incorrect (0 by default: errors are never silently repaired). Either is
+    one probability for every stage, or a map keyed by stage or stage name
+    in which a stage left out keeps the default; a key that names no stage
+    is a ValueError. Rewards are emitted at ``mean_correct``/
+    ``mean_incorrect`` plus Gaussian noise; ``noise_std == 0`` is the
+    perfect separating-reward regime.
     """
 
-    success: Union[float, Mapping[StageKind, float]] = 1.0
-    recovery: Union[float, Mapping[StageKind, float]] = 0.0
+    success: Union[float, Mapping[Union[StageKind, str], float]] = 1.0
+    recovery: Union[float, Mapping[Union[StageKind, str], float]] = 0.0
     mean_correct: float = 1.0
     mean_incorrect: float = -1.0
     noise_std: float = 0.0
@@ -539,14 +543,7 @@ class SimWorldConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SimWorldConfig":
-        kwargs = dict(data)
-        for key in ("success", "recovery"):
-            if key in kwargs and isinstance(kwargs[key], Mapping):
-                kwargs[key] = {
-                    StageKind.from_name(name): float(p)
-                    for name, p in kwargs[key].items()
-                }
-        return cls(**kwargs)
+        return cls(**data)
 
 
 # Per stage: the open tag, the label its sim text starts with, the close tag.

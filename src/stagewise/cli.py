@@ -130,8 +130,9 @@ def _number(key: str, value, default):
 def _search_config(base: SearchConfig, settings: dict) -> SearchConfig:
     """``base`` with ``settings``, keyed as in ``_SEARCH_SETTINGS``, replaced.
 
-    Enum settings are read by their value in any case; the reward mean and
-    std replace those of ``base.stats``, which keeps its sample count.
+    Enum settings are read by their value in any case, and a number must be
+    finite; the reward mean and std replace those of ``base.stats``, which
+    keeps its sample count.
     """
     kwargs = {}
     for key, value in settings.items():
@@ -143,6 +144,8 @@ def _search_config(base: SearchConfig, settings: dict) -> SearchConfig:
                 raise ConfigError(f"unknown {key.replace('_', ' ')}: {value!r}") from None
         else:
             kwargs[key] = _number(key, value, default)
+            if not math.isfinite(kwargs[key]):
+                raise ConfigError(f"{key} must be finite, got {kwargs[key]!r}")
     stats = {key: kwargs.pop(key) for key in _STATS_KEYS if key in kwargs}
     if stats:
         try:
@@ -207,15 +210,10 @@ def load_config(path: Optional[str]) -> AppConfig:
 
 
 def apply_flags(cfg: AppConfig, args: argparse.Namespace) -> AppConfig:
-    given = {k: v for k, v in vars(args).items() if k in _SEARCH_SETTINGS and v is not None}
-    cfg.search = _search_config(cfg.search, given)
-    if args.backend is not None:
-        cfg.backend = args.backend
-    if args.seed is not None:
-        cfg.run_seed = args.seed
-    if args.parallelism is not None:
-        cfg.parallelism = args.parallelism
-    return cfg
+    """``cfg`` with the flags given; each is stored under its setting's name."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    search = _search_config(cfg.search, {k: given.pop(k) for k in _SEARCH_SETTINGS if k in given})
+    return replace(cfg, search=search, **{k: v for k, v in given.items() if k in _TOP_KEYS})
 
 
 def make_generator(cfg: AppConfig) -> Generator:
@@ -418,9 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Staged reasoning search: best-of-N, stage-wise beam search, "
         "and stage-wise retracing search over generator/reward backends.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--backend", choices=["sim", "http"], help="backend kind")
+    # Each subcommand takes only the flags it reads, from these parents.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", help="JSON config file")
+    backend = argparse.ArgumentParser(add_help=False, parents=[config])
+    backend.add_argument("--backend", choices=["sim", "http"], help="backend kind")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", dest="run_seed", metavar="SEED", type=int,
+                      help="run seed for full determinism on sim")
+    search = argparse.ArgumentParser(add_help=False, parents=[backend, seed])
     for key, flag in _SEARCH_SETTINGS.items():
         if flag is not None:
             default = _default(key)
@@ -428,26 +432,25 @@ def build_parser() -> argparse.ArgumentParser:
                 kind = {"choices": [member.value for member in type(default)]}
             else:
                 kind = {"type": type(default)}
-            common.add_argument(flag[0], dest=key, help=flag[1], **kind)
-    common.add_argument("--seed", type=int, help="run seed for full determinism on sim")
-    common.add_argument("--parallelism", type=int, help="max concurrent backend calls")
+            search.add_argument(flag[0], dest=key, help=flag[1], **kind)
+    search.add_argument("--parallelism", type=int, help="max concurrent backend calls")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="answer one question")
+    p = sub.add_parser("solve", parents=[search], help="answer one question")
     p.add_argument("question")
     p.add_argument("--image", help="opaque image reference")
     p.add_argument("--trace", metavar="PATH", help="write the search trace here")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bench", parents=[common], help="run a benchmark file")
+    p = sub.add_parser("bench", parents=[search], help="run a benchmark file")
     p.add_argument("--items", required=True, help="benchmark items (JSON lines)")
     p.add_argument("--out", help="output directory for run records and traces")
     p.add_argument("--categories", help="comma-separated category filter")
     p.add_argument("--save-traces", action="store_true", help="persist per-item traces (needs --out)")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("scale", parents=[common], help="run the scaling grid")
+    p = sub.add_parser("scale", parents=[search], help="run the scaling grid")
     p.add_argument("--items", required=True, help="benchmark items (JSON lines)")
     p.add_argument("--out", required=True, help="curve table CSV path")
     p.add_argument("--log-dir", help="directory for per-cell run records")
@@ -458,17 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_scale)
 
-    p = sub.add_parser("calibrate", parents=[common], help="fit reward statistics")
+    p = sub.add_parser("calibrate", parents=[backend], help="fit reward statistics")
     p.add_argument("--corpus", required=True, help="JSON lines of {question, response}")
     p.add_argument("--out", help="write stats JSON here")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("datagen", parents=[common], help="run the dataset pipeline")
+    p = sub.add_parser("datagen", parents=[backend], help="run the dataset pipeline")
     p.add_argument("--sources", required=True, help="source records (JSON lines)")
     p.add_argument("--out", required=True, help="output records path (JSON lines)")
     p.set_defaults(func=cmd_datagen)
 
-    p = sub.add_parser("simcheck", parents=[common], help="enumeration vs Monte Carlo")
+    p = sub.add_parser("simcheck", parents=[config, seed], help="enumeration vs Monte Carlo")
     p.add_argument("--trials", type=int, default=20_000, help="Monte Carlo trials per check")
     p.set_defaults(func=cmd_simcheck)
 
@@ -480,7 +483,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = apply_flags(load_config(args.config), args)
-        cfg.search.validate()
         if cfg.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
         return args.func(cfg, args)

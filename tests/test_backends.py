@@ -185,6 +185,24 @@ def test_sim_world_config_round_trips_via_dict():
     assert again == cfg
 
 
+def test_sim_world_config_stage_maps_take_stage_names():
+    by_kind = SimWorldConfig(
+        success={StageKind.CAPTION: 0.2, StageKind.REASONING: 0.7}, recovery={StageKind.CONCLUSION: 0.4}
+    )
+    by_name = SimWorldConfig(success={"caption": 0.2, "Reasoning": 0.7}, recovery={"conclusion": 0.4})
+    assert by_name == by_kind
+    assert by_name.success == {_S: 1.0, _C: 0.2, _R: 0.7, _F: 1.0}
+    assert SimWorldConfig.from_dict(by_name.as_dict()) == by_name
+
+
+@pytest.mark.parametrize("field", ["success", "recovery"])
+@pytest.mark.parametrize("key", ["bogus", 5, ""])
+def test_sim_world_config_stage_key_that_names_no_stage_raises(field, key):
+    # An unknown key used to be dropped, leaving every stage at the default.
+    with pytest.raises(ValueError, match="unknown stage name"):
+        SimWorldConfig(**{field: {"caption": 0.2, key: 0.3}})
+
+
 _S, _C, _R, _F = CANONICAL_ORDER
 _PIN_WORLDS = (
     SimWorldConfig(success=0.5, rng_seed=3),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import stagewise
-from stagewise.backends import SimWorld
+from stagewise.backends import CORRECT_MARK, SimWorld
 from stagewise.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -158,6 +159,31 @@ def test_readme_search_table_matches_the_cli_settings():
     ]
 
 
+def test_readme_command_table_matches_each_subparsers_flags():
+    # Drift check: the README's table of subcommands lists, in parser order,
+    # every option each one takes; "search flags" stands for the flags of
+    # the search-key table.
+    from stagewise.cli import _SEARCH_SETTINGS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("Each subcommand takes only the flags it reads:", 1)[1].strip().splitlines()
+    search_flags = [flag[0] for flag in _SEARCH_SETTINGS.values() if flag]
+    table = {}
+    for line in lines[2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        command, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        table[command.strip("`")] = [
+            option for cell in flags.split(", ")
+            for option in (search_flags if cell == "search flags" else [cell.strip("`")])
+        ]
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert table == {
+        name: [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for name, sub in subparsers.choices.items()
+    }
+
+
 @pytest.mark.parametrize(
     "setting",
     [
@@ -177,11 +203,17 @@ def test_readme_search_table_matches_the_cli_settings():
         {"sim": {"success": {"caption": "0.5"}}},
         {"sim": {"noise_std": True}},
         {"generator": {"base_url": "http://x", "model": 5}},
+        {"search": {"cutoff_zscore": float("inf")}},
+        {"search": {"temperature": float("inf")}},
+        ["--z", "inf"],
+        ["--reward-mean", "inf"],
+        ["--z", "inf", "--reward-std", "0"],
     ],
     ids=["string-int", "float-int", "bool-int", "string-real", "nan-real", "alias",
          "search-list", "generator-string", "parallelism-0", "parallelism-flag-0",
          "nan-flag", "sim-float-int", "sim-string-real", "sim-string-stage-map",
-         "sim-bool-real", "endpoint-int-string"],
+         "sim-bool-real", "endpoint-int-string", "infinite-cutoff", "infinite-temperature",
+         "infinite-z-flag", "infinite-reward-mean-flag", "nan-cutoff-flags"],
 )
 def test_bad_setting_exits_2(tmp_path, capsys, setting):
     if isinstance(setting, dict):
@@ -221,6 +253,23 @@ def test_setting_that_would_fail_mid_run_exits_2_before_any_request(
     assert err.startswith("config error: invalid config value:")
     assert next(iter(setting)) in err
     assert server.requests == [] and calls == []
+
+
+def test_infinite_search_temperature_sends_no_request(tmp_path, capsys, stub_server):
+    # The request body could not be JSON; the config load refuses it first.
+    server = stub_server([(200, {"score": 1.0})])
+    endpoint = {"base_url": server.url, "retries": 0}
+    config = _write_config(
+        tmp_path,
+        {"backend": "http", "generator": endpoint, "reward": endpoint,
+         "search": {"temperature": float("inf")}},
+    )
+    items = _write_items(tmp_path, 2)
+    out = tmp_path / "out"
+    assert main(["bench", "--items", str(items), "--out", str(out), "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: temperature must be finite, got inf\n"
+    assert server.requests == []
+    assert not out.exists()
 
 
 def test_endpoint_type_error_names_the_key(tmp_path, capsys):
@@ -470,6 +519,92 @@ def test_datagen_on_sim(tmp_path, capsys):
     summary, _ = _last_json_line(capsys)
     assert summary["skipped"] == 3
     assert summary["valid"] == 0
+
+
+_NON_SEARCH_ARGV = {
+    "calibrate": ["calibrate", "--corpus", "CORPUS"],
+    "datagen": ["datagen", "--sources", "SOURCES", "--out", "generated.jsonl"],
+    "simcheck": ["simcheck", "--trials", "300"],
+}
+
+
+def _non_search_inputs(tmp_path):
+    marked = f"<SUMMARY>s {CORRECT_MARK}</SUMMARY><CAPTION>c {CORRECT_MARK}</CAPTION>"
+    (tmp_path / "CORPUS").write_text(json.dumps({"question": "q", "response": marked}) + "\n")
+    (tmp_path / "SOURCES").write_text(json.dumps({"id": "s", "question": "q", "gold_answer": "B"}) + "\n")
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("calibrate", ["--m", "3"]),
+        ("datagen", ["--m", "3"]),
+        ("simcheck", ["--m", "3"]),
+        ("calibrate", ["--seed", "1"]),
+        ("datagen", ["--seed", "1"]),
+        ("calibrate", ["--parallelism", "2"]),
+        ("datagen", ["--parallelism", "2"]),
+        ("simcheck", ["--parallelism", "2"]),
+        ("simcheck", ["--backend", "sim"]),
+        ("datagen", ["--strategy", "beam"]),
+    ],
+)
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch, command, flags):
+    monkeypatch.chdir(tmp_path)
+    _non_search_inputs(tmp_path)
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    monkeypatch.setattr(SimWorld, "score", lambda self, request: calls.append(request))
+    with pytest.raises(SystemExit) as exit_:
+        main([*_NON_SEARCH_ARGV[command], *flags])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(flags)}" in err
+    assert "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "generated.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_NON_SEARCH_ARGV))
+def test_command_that_never_searches_ignores_an_invalid_search_section(tmp_path, capsys, monkeypatch, command):
+    # beam_width 2 does not divide 3, which only a search would check.
+    monkeypatch.chdir(tmp_path)
+    _non_search_inputs(tmp_path)
+    argv = _NON_SEARCH_ARGV[command]
+    expected = main(argv)
+    assert expected != EXIT_CONFIG
+    expected_out = capsys.readouterr().out
+    (tmp_path / "generated.jsonl").unlink(missing_ok=True)
+    config = _write_config(tmp_path, {"search": {"candidates_per_stage": 3}})
+    assert main([*argv, "--config", str(config)]) == expected
+    captured = capsys.readouterr()
+    assert captured.out == expected_out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["solve", "q", "--trace", "trace.jsonl"], "trace.jsonl"),
+        (["bench", "--items", "ITEMS", "--out", "runs"], "runs"),
+        (["scale", "--items", "ITEMS", "--out", "curve.csv", "--log-dir", "logs"], "curve.csv"),
+    ],
+    ids=["solve", "bench", "scale"],
+)
+def test_searching_command_still_checks_the_search_section_first(
+    tmp_path, capsys, monkeypatch, argv, output
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ITEMS").write_text(json.dumps({"id": "a", "question": "q"}) + "\n")
+    config = _write_config(tmp_path, {"search": {"candidates_per_stage": 3}})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    monkeypatch.setattr(SimWorld, "score", lambda self, request: calls.append(request))
+    assert main([*argv, "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: beam_width must divide candidates_per_stage\n"
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 _GOOD_RESPONSE = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONING>"
