@@ -491,7 +491,12 @@ def _normalize_stage_map(
     value: Union[float, Mapping], default: float
 ) -> dict[StageKind, float]:
     if isinstance(value, Mapping):
-        given = {StageKind.from_name(str(key)): p for key, p in value.items()}
+        given = {}
+        for key, p in value.items():
+            kind = StageKind.from_name(str(key))
+            if kind in given:
+                raise ValueError(f"stage {kind.value!r} is named twice in one stage map")
+            given[kind] = p
         table = {kind: float(given.get(kind, default)) for kind in CANONICAL_ORDER}
     else:
         table = {kind: float(value) for kind in CANONICAL_ORDER}

@@ -114,17 +114,19 @@ def _number(key: str, value, default):
 
     An integer setting takes an int; a real one takes any number but NaN
     (which Python's JSON reader and ``float()`` accept), as a float. A bool
-    is neither.
+    is neither, and neither is an integer too large for a float.
     """
     integer = isinstance(default, int)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int if integer else (int, float))
-        or math.isnan(value)
-    ):
-        kind = "an integer" if integer else "a number"
+    kind = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ConfigError(f"{key} must be {kind}, got {value!r}")
-    return value if integer else float(value)
+    try:
+        real = float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} must fit a float, got an integer of {len(str(abs(value)))} digits") from None
+    if math.isnan(real):
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return value if integer else real
 
 
 def _search_config(base: SearchConfig, settings: dict) -> SearchConfig:
@@ -183,7 +185,7 @@ def load_config(path: Optional[str]) -> AppConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, a byte that is not UTF-8, or an integer past int()'s digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")

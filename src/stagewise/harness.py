@@ -470,6 +470,14 @@ def enumerate_swires_accuracy(world: SimWorldConfig, m: int, passes: int) -> flo
 
 # Fewer trials than this (about 50 ms of searches) are not worth a process of their own.
 MIN_TRIALS_PER_WORKER = 250
+# Trials per range a worker takes from the queue: about 2 ms of searches, so
+# the workers finish within about one range of each other.
+TRIALS_PER_RANGE = 10
+# Ranges per call at most. Their 4-byte tokens (4000 bytes) fit a Linux pipe's
+# smallest buffer, one 4096-byte page, so the caller writes them all before any
+# reader exists without blocking; at 1e5 trials a range holds 100.
+MAX_RANGES = 1000
+_TOKEN_BYTES = 4
 
 
 def _available_cpus() -> int:
@@ -496,27 +504,47 @@ def _correct_in_range(cfg: SearchConfig, sim: SimWorld, run_seed: int, start: in
     return correct
 
 
-def _map_forked(fn: Callable[[int, int], object], bounds: Sequence[int]) -> list:
+def _taken(queue: int):
+    """The range indices this process takes from the queue, one token per read, until end of file."""
+    while token := os.read(queue, _TOKEN_BYTES):
+        yield int.from_bytes(token, "little")
+
+
+def _map_forked(fn: Callable[[int, int], object], bounds: Sequence[int], workers: int) -> list:
     """``fn(start, stop)`` for each pair of consecutive ``bounds``, in range order.
 
-    The calling process runs the first range and a forked child runs each
-    other one. A child replies once over a pipe with its pickled result, or
-    the pickled exception its range raised. It writes nothing else, flushes
-    none of the stdio buffers it inherited and leaves by ``os._exit``, so it
-    never returns into its caller's stack. A fork copies only the calling
-    thread, so ``fn`` must start no thread and take no lock that another
-    thread of the caller could hold; sim searches at parallelism 1 do
-    neither. The first range that fails, in range order, raises its
-    exception here. Every child is waited for once before this returns or
+    ``workers`` processes share the ranges through one queue: the calling
+    process writes one token per range into a pipe and closes its write end,
+    then forks ``workers - 1`` children. No reader exists while it writes,
+    so a caller passes at most ``MAX_RANGES`` ranges. Each worker, the
+    caller too, reads one token, runs that range and reads the next, until
+    the pipe is empty; a worker that finishes early takes more ranges, so
+    none waits long for another. A child replies once over a pipe of its own
+    with its pickled ``{range index: result}``, or with its first failure
+    and that range's index; it writes nothing else, flushes none of the
+    stdio buffers it inherited and leaves by ``os._exit``, so it never
+    returns into its caller's stack. A fork copies only the calling thread,
+    so ``fn`` must start no thread and take no lock that another thread of
+    the caller could hold; sim searches at parallelism 1 do neither.
+
+    Failures: a child whose range raised takes no more tokens and drains
+    the queue, so the others stop after their current range. A range of
+    the caller's that raises is raised at once. Otherwise, once every child
+    has replied, the failure of the earliest range among the replies is
+    raised; a child that ends without a reply raises ``RuntimeError`` naming
+    its exit code. Every child is waited for once before this returns or
     raises; a child whose reply was not read is killed first.
     """
     import pickle
     import signal
 
     ranges = list(zip(bounds, bounds[1:]))
-    children: list[tuple[int, BinaryIO]] = []  # (pid, read end), in range order, not yet waited for
+    queue, tokens = os.pipe()
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end), in fork order, not yet waited for
     try:
-        for start, stop in ranges[1:]:
+        with open(tokens, "wb") as pipe:
+            pipe.write(b"".join(i.to_bytes(_TOKEN_BYTES, "little") for i in range(len(ranges))))
+        for _ in range(workers - 1):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -528,19 +556,25 @@ def _map_forked(fn: Callable[[int, int], object], bounds: Sequence[int]) -> list
                 status = 1
                 try:
                     os.close(read_fd)
-                    try:
-                        reply = pickle.dumps(fn(start, stop))
-                    except BaseException as exc:  # sent to the caller, which raises it
-                        reply = _pickled_exception(exc)
+                    done, failed = {}, None
+                    for index in _taken(queue):
+                        try:
+                            done[index] = fn(*ranges[index])
+                        except BaseException as exc:  # sent to the caller, which raises it
+                            failed = (index, _picklable(exc))
+                            while os.read(queue, 4096):
+                                pass
+                            break
                     with open(write_fd, "wb") as pipe:
-                        pipe.write(reply)
+                        pipe.write(pickle.dumps((done, failed)))
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        results = [fn(*ranges[0])]
-        for start, stop in ranges[1:]:
+        results = {index: fn(*ranges[index]) for index in _taken(queue)}
+        failures = []
+        while children:
             pid, pipe = children[0]
             with pipe:
                 data = pipe.read()
@@ -548,31 +582,33 @@ def _map_forked(fn: Callable[[int, int], object], bounds: Sequence[int]) -> list
             del children[0]
             if not data:
                 raise RuntimeError(
-                    f"Monte Carlo worker for trials {start}..{stop - 1} ended without a reply "
+                    f"forked worker {pid} ended without a reply "
                     f"(exit code {os.waitstatus_to_exitcode(status)})"
                 )
-            reply = pickle.loads(data)
-            if isinstance(reply, BaseException):
-                raise reply
-            results.append(reply)
-        return results
+            done, failed = pickle.loads(data)
+            results.update(done)
+            if failed is not None:
+                failures.append(failed)
+        if failures:
+            raise min(failures)[1]
+        return [results[index] for index in range(len(ranges))]
     finally:
+        os.close(queue)
         for pid, pipe in children:
             os.kill(pid, signal.SIGKILL)
             pipe.close()
             os.waitpid(pid, 0)
 
 
-def _pickled_exception(exc: BaseException) -> bytes:
-    """``exc`` pickled; one that does not survive the round trip goes as a RuntimeError naming it."""
+def _picklable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives a pickle round trip, else a RuntimeError naming it."""
     import pickle
 
     try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-        return data
+        pickle.loads(pickle.dumps(exc))
+        return exc
     except Exception:
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
 def monte_carlo_accuracy(
@@ -584,23 +620,26 @@ def monte_carlo_accuracy(
 ) -> float:
     """Fraction of ``trials`` independent sim searches returning a correct answer.
 
-    The trials are split into contiguous ranges, one per worker: up to one
-    per CPU available to the process, each of at least
-    ``MIN_TRIALS_PER_WORKER`` trials. ``_map_forked`` runs the first range
-    in the calling process and the others in forked children; where the
-    platform has no ``fork`` there is one range. Trial ``i`` depends on
-    ``i`` and ``run_seed`` alone, so the result is the same for any worker
-    count. Every child is waited for before this returns or raises. A range
-    that fails raises its exception here, the first range in trial order
-    first, as the same loop run in one process would.
+    The trials are cut into ranges of ``TRIALS_PER_RANGE`` trials, or into
+    ``MAX_RANGES`` larger ones when there are more, and ``_map_forked`` hands
+    them out from one queue to its workers: the calling process and forked
+    children, up to one worker per CPU available to the process and one per
+    ``MIN_TRIALS_PER_WORKER`` trials; where the platform has no ``fork`` the
+    caller runs every range. Trial ``i`` depends on ``i`` and ``run_seed``
+    alone, so the result is the same for any worker count and any schedule.
+    Every child is waited for before this returns or raises. A failure in
+    the caller's own range raises at once; otherwise the failure of the
+    earliest range among the children's replies is raised, and a child that
+    ended without a reply raises ``RuntimeError`` naming its exit code.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     cfg.validate()
     count = partial(_correct_in_range, cfg, SimWorld(world), run_seed)
     workers = max(1, min(_available_cpus(), trials // MIN_TRIALS_PER_WORKER)) if hasattr(os, "fork") else 1
-    bounds = [trials * k // workers for k in range(workers + 1)]
-    return sum(_map_forked(count, bounds)) / trials
+    ranges = min(MAX_RANGES, -(-trials // TRIALS_PER_RANGE))
+    bounds = [trials * k // ranges for k in range(ranges + 1)]
+    return sum(_map_forked(count, bounds, workers)) / trials
 
 
 def standard_error(p: float, n: int) -> float:

@@ -203,6 +203,17 @@ def test_sim_world_config_stage_key_that_names_no_stage_raises(field, key):
         SimWorldConfig(**{field: {"caption": 0.2, key: 0.3}})
 
 
+@pytest.mark.parametrize("field", ["success", "recovery"])
+@pytest.mark.parametrize(
+    "keys", [(StageKind.CAPTION, "caption"), ("caption", " CAPTION "), ("Caption", StageKind.CAPTION)]
+)
+def test_sim_world_config_stage_named_twice_raises(field, keys):
+    # The later key used to win without a word.
+    first, second = keys
+    with pytest.raises(ValueError, match="stage 'caption' is named twice in one stage map"):
+        SimWorldConfig(**{field: {first: 0.2, second: 0.9}})
+
+
 _S, _C, _R, _F = CANONICAL_ORDER
 _PIN_WORLDS = (
     SimWorldConfig(success=0.5, rng_seed=3),

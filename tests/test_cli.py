@@ -208,12 +208,17 @@ def test_readme_command_table_matches_each_subparsers_flags():
         ["--z", "inf"],
         ["--reward-mean", "inf"],
         ["--z", "inf", "--reward-std", "0"],
+        {"search": {"cutoff_zscore": 10**400}},
+        {"search": {"beam_width": 10**400}},
+        {"sim": {"noise_std": 10**400}},
+        {"sim": {"success": {"caption": 0.2, "Caption": 0.9}}},
     ],
     ids=["string-int", "float-int", "bool-int", "string-real", "nan-real", "alias",
          "search-list", "generator-string", "parallelism-0", "parallelism-flag-0",
          "nan-flag", "sim-float-int", "sim-string-real", "sim-string-stage-map",
          "sim-bool-real", "endpoint-int-string", "infinite-cutoff", "infinite-temperature",
-         "infinite-z-flag", "infinite-reward-mean-flag", "nan-cutoff-flags"],
+         "infinite-z-flag", "infinite-reward-mean-flag", "nan-cutoff-flags",
+         "huge-int-cutoff", "huge-int-beam-width", "huge-int-noise", "stage-named-twice"],
 )
 def test_bad_setting_exits_2(tmp_path, capsys, setting):
     if isinstance(setting, dict):
@@ -221,6 +226,40 @@ def test_bad_setting_exits_2(tmp_path, capsys, setting):
     assert main(["solve", "q", *setting]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"search": {"cutoff_zscore": 10**400}}, "cutoff_zscore"),
+        ({"search": {"beam_width": -(10**400)}}, "beam_width"),
+        ({"sim": {"noise_std": 10**400}}, "sim.noise_std"),
+        ({"sim": {"success": {"caption": 10**400}}}, "sim.success.caption"),
+        ({"parallelism": 10**400}, "parallelism"),
+    ],
+)
+def test_number_too_large_for_a_float_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, data, key):
+    # Such an integer made float() and math.isnan raise OverflowError, a traceback with exit 1.
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    assert main(["solve", "q", "--config", str(_write_config(tmp_path, data))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {key} must fit a float, got an integer of 401 digits\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'{"search": {', b'{"search": {"cutoff_zscore": 1' + b"0" * 5000 + b"}}", b'{"search": {}}\xff'],
+    ids=["truncated", "integer-past-the-digit-limit", "not-utf-8"],
+)
+def test_config_file_json_cannot_read_exits_2(tmp_path, capsys, text):
+    # The last two raised ValueError and UnicodeDecodeError from json.load: a traceback, exit 1.
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    assert main(["solve", "q", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {config} is not valid JSON: ")
     assert "Traceback" not in err
 
 

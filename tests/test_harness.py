@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -558,7 +560,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children the calling process forks."""
+    """The pids of the children the calling process forks; a child's copy holds those forked before it."""
     pids = []
     real_fork = os.fork
 
@@ -581,16 +583,43 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _scripted_trials(monkeypatch, **at):
-    """Stand-in searches: trial ``i`` runs ``at[f"t{i}"]()`` if given, else answers at once."""
+def _scripted_trials(monkeypatch, every=None):
+    """Stand-in searches: each trial runs ``every()`` if given, then answers correctly."""
 
-    def fake_run_strategy(question, *args, **kwargs):
-        action = at.get(f"t{question.rsplit(' ', 1)[1]}")
-        if action is not None:
-            action()
+    def fake_run_strategy(*args, **kwargs):
+        if every is not None:
+            every()
         return SimpleNamespace(final_text=CORRECT_MARK)
 
     monkeypatch.setattr(harness, "run_strategy", fake_run_strategy)
+
+
+def _by_process(in_caller=None, in_child=None):
+    """An action that runs ``in_caller`` in the test's own process and ``in_child`` in a forked child."""
+    caller = os.getpid()
+
+    def action():
+        chosen = in_caller if os.getpid() == caller else in_child
+        if chosen is not None:
+            chosen()
+
+    return action
+
+
+@contextmanager
+def _within(seconds):
+    """Turns a call that blocks for ``seconds`` into a TimeoutError."""
+
+    def blocked(signum, frame):
+        raise TimeoutError(f"blocked for {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _raise(exc):
@@ -602,6 +631,11 @@ def _raise(exc):
 
 def _hang():
     time.sleep(30)
+
+
+def _pause():
+    # Long enough per trial that a child always takes a range before the caller runs out.
+    time.sleep(0.002)
 
 
 class _UnpicklableError(Exception):
@@ -624,10 +658,30 @@ def test_monte_carlo_accuracy_is_identical_for_any_worker_count(monkeypatch, for
 
 
 @needs_fork
-def test_map_forked_returns_each_range_result_in_range_order(forks):
-    shards = harness._map_forked(lambda start, stop: list(range(start, stop)), [0, 3, 7, 10])
+def test_monte_carlo_accuracy_is_identical_with_a_slowed_child(monkeypatch, forks):
+    cfg = harness._simcheck_config(strategy=Strategy.SWIRES, loop_semantics=LoopSemantics.MAIN_TEXT)
+    _cpus(monkeypatch, 1)
+    alone = monte_carlo_accuracy(cfg, SIMCHECK_WORLD, 1001, run_seed=5)
+    real_run_strategy = harness.run_strategy
+    slow_in_child = _by_process(in_child=lambda: time.sleep(0.001))
+
+    def slowed(*args, **kwargs):
+        slow_in_child()
+        return real_run_strategy(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_strategy", slowed)
+    _cpus(monkeypatch, 2)
+    assert monte_carlo_accuracy(cfg, SIMCHECK_WORLD, 1001, run_seed=5) == alone
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_forked_returns_each_range_result_in_range_order(forks, workers):
+    shards = harness._map_forked(lambda start, stop: list(range(start, stop)), [0, 3, 7, 10], workers)
     assert shards == [[0, 1, 2], [3, 4, 5, 6], [7, 8, 9]]
-    assert len(forks) == 2
+    assert len(forks) == workers - 1
     _assert_no_child_left()
 
 
@@ -653,6 +707,63 @@ def test_monte_carlo_accuracy_gives_each_worker_at_least_min_trials(monkeypatch,
 
 
 @needs_fork
+def test_map_forked_runs_each_range_once_with_more_workers_than_cpus(forks):
+    # A token read by two workers, or by none, would repeat or lose a range.
+    with _within(60):
+        shards = harness._map_forked(lambda start, stop: (start, stop, os.getpid()), range(1001), 4)
+    assert [shard[:2] for shard in shards] == [(i, i + 1) for i in range(1000)]
+    assert {shard[2] for shard in shards} <= {os.getpid(), *forks}
+    assert len(forks) == 3
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_map_forked_gives_a_slow_worker_fewer_ranges(forks):
+    # The child sleeps 20 ms on each range, the caller 2 ms; a fixed split would give each 20 of 40.
+    caller = os.getpid()
+
+    def whose(start, stop):
+        time.sleep(0.002 if os.getpid() == caller else 0.02)
+        return os.getpid()
+
+    pids = harness._map_forked(whose, range(41), 2)
+    assert set(pids) <= {caller, *forks}
+    assert pids.count(caller) > 20
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_map_forked_raises_the_earliest_of_two_child_failures(tmp_path, forks):
+    # The first child runs one range for 0.2 s, then fails on its next one and drains the queue.
+    # The second fails on its first range, taken before that, but only after 0.4 s, so it replies
+    # with the earlier range even though it is read second. The caller paces itself at 50 ms a range.
+    caller = os.getpid()
+
+    def fail_in_children(start, stop):
+        if os.getpid() == caller:
+            time.sleep(0.05)
+            return None
+        first_child = not forks
+        ran = tmp_path / str(os.getpid())
+        if first_child and not ran.exists():
+            ran.write_text("")
+            time.sleep(0.2)
+            return None
+        if not first_child:
+            time.sleep(0.4)
+        (tmp_path / f"failed-{start}").write_text("")
+        raise ValueError(start)
+
+    with pytest.raises(ValueError) as excinfo:
+        harness._map_forked(fail_in_children, range(41), 3)
+    failed = sorted(int(p.name.split("-")[1]) for p in tmp_path.glob("failed-*"))
+    assert len(failed) == 2
+    assert excinfo.value.args == (failed[0],)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@needs_fork
 @pytest.mark.parametrize(
     "raised, expected",
     [
@@ -662,35 +773,66 @@ def test_monte_carlo_accuracy_gives_each_worker_at_least_min_trials(monkeypatch,
 )
 def test_monte_carlo_exception_in_a_child_is_raised_by_the_caller(monkeypatch, forks, raised, expected):
     _cpus(monkeypatch, 2)
-    _scripted_trials(monkeypatch, t900=_raise(raised))
+    caller_trials = []
+
+    def paced():
+        caller_trials.append(None)
+        _pause()
+
+    _scripted_trials(monkeypatch, every=_by_process(in_caller=paced, in_child=_raise(raised)))
     with pytest.raises(type(expected)) as excinfo:
         monte_carlo_accuracy(SearchConfig(), SIMCHECK_WORLD, 1000)
     assert type(excinfo.value) is type(expected)
     assert str(excinfo.value) == str(expected)
+    # The child drained the queue when its first range failed, so the caller stopped early.
+    assert len(caller_trials) < 500
     assert len(forks) == 1
     _assert_no_child_left()
 
 
 @needs_fork
-@pytest.mark.parametrize("raised", [ValueError("trial 10 failed"), KeyboardInterrupt()])
+@pytest.mark.parametrize("raised", [ValueError("trial failed"), KeyboardInterrupt()])
 def test_monte_carlo_failure_in_the_callers_range_kills_and_reaps_children(monkeypatch, forks, raised):
-    _cpus(monkeypatch, 2)
-    # Trial 500 is the child's first; it would hang the child for 30 s.
-    _scripted_trials(monkeypatch, t10=_raise(raised), t500=_hang)
+    # Whichever ranges the caller takes raise; whichever a child takes would hang it for 30 s.
+    _cpus(monkeypatch, 3)
+    _scripted_trials(monkeypatch, every=_by_process(in_caller=_raise(raised), in_child=_hang))
     started = time.monotonic()
     with pytest.raises(type(raised)):
         monte_carlo_accuracy(SearchConfig(), SIMCHECK_WORLD, 1000)
     assert time.monotonic() - started < 20
-    assert len(forks) == 1
+    assert len(forks) == 2
     _assert_no_child_left()
 
 
 @needs_fork
 def test_monte_carlo_child_that_dies_without_a_reply_raises(monkeypatch, forks):
     _cpus(monkeypatch, 2)
-    _scripted_trials(monkeypatch, t700=lambda: os._exit(3))
-    with pytest.raises(RuntimeError, match=r"trials 500\.\.999 ended without a reply \(exit code 3\)"):
+    _scripted_trials(monkeypatch, every=_by_process(in_caller=_pause, in_child=lambda: os._exit(3)))
+    with pytest.raises(RuntimeError) as excinfo:
         monte_carlo_accuracy(SearchConfig(), SIMCHECK_WORLD, 1000)
+    assert str(excinfo.value) == f"forked worker {forks[0]} ended without a reply (exit code 3)"
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_monte_carlo_large_call_writes_every_token_before_any_worker_reads(monkeypatch, forks):
+    # Uncapped, 200,000 trials would be 20,000 ranges: 80,000 bytes of tokens, more than a Linux
+    # pipe holds by default (65,536), so the write before the first fork would block for good.
+    _cpus(monkeypatch, 2)
+    _scripted_trials(monkeypatch)
+    range_counts = []
+    real_map_forked = harness._map_forked
+
+    def counting_map_forked(fn, bounds, workers):
+        range_counts.append(len(bounds) - 1)
+        return real_map_forked(fn, bounds, workers)
+
+    monkeypatch.setattr(harness, "_map_forked", counting_map_forked)
+    with _within(60):
+        assert monte_carlo_accuracy(SearchConfig(), SIMCHECK_WORLD, 200_000) == 1.0
+    assert range_counts == [harness.MAX_RANGES]
+    assert harness.MAX_RANGES * harness._TOKEN_BYTES <= 4096
+    assert len(forks) == 1
     _assert_no_child_left()
 
 
