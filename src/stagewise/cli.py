@@ -177,12 +177,24 @@ def _typed_section(data: dict, name: str, cls) -> dict:
     return checked
 
 
+def _object_of_unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key it names twice raises ConfigError (``json.load`` keeps the last)."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"config key {key!r} appears twice in one object")
+            seen.add(key)
+    return data
+
+
 def load_config(path: Optional[str]) -> AppConfig:
     if path is None:
         return AppConfig()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_object_of_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, a byte that is not UTF-8, or an integer past int()'s digit limit

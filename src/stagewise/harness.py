@@ -214,6 +214,10 @@ def run_benchmark(
 
     # A trace is built only to be written.
     collect_trace = collect_traces and out_path is not None
+    if collect_trace:
+        # str(out_path / name) for any trace file name, which holds no separator,
+        # so the join only appends it: "out/" + name, or name alone for ".".
+        trace_dir = str(out_path / "_")[:-1]
     totals = BudgetLedger()
     records: list[RunRecord] = []
     with records_file or nullcontext():
@@ -255,9 +259,8 @@ def run_benchmark(
                 except UngradableError:
                     record.ungradable = True
                 if result.trace is not None:
-                    trace_file = out_path / _trace_file_name(item.id)
-                    result.trace.write(trace_file)
-                    record.trace_file = str(trace_file)
+                    record.trace_file = trace_dir + _trace_file_name(item.id)
+                    result.trace.write(record.trace_file)
             records.append(record)
             if records_file is not None:
                 append_record(records_file, record.__dict__)

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import enum
 import json
-import math
+import operator
 import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .backends import (
@@ -191,6 +193,28 @@ class SearchConfig:
     temperature: float = 1.0
     max_new_tokens: int = 1024
 
+    @cached_property
+    def _trace_config(self) -> tuple[dict, str]:
+        """A trace header's ``config`` and its JSON, made once per instance.
+
+        Kept on the instance, not looked up by an equal config: configs that
+        compare equal can still encode differently (``1`` and ``1.0``, ``0.0``
+        and ``-0.0``). It is no field, so ``==``, ``hash`` and ``repr`` skip it.
+        """
+        config = {
+            "candidates_per_stage": self.candidates_per_stage,
+            "beam_width": self.beam_width,
+            "retrace_limit": self.retrace_limit,
+            "cutoff_zscore": self.cutoff_zscore,
+            "reward_mean": self.stats.reward_mean,
+            "reward_std": self.stats.reward_std,
+            "min_pass_count": self.min_pass_count,
+            "summary_candidates": self.summary_candidates,
+            "loop_semantics": self.loop_semantics.value,
+            "pipeline": [_LABEL[s] for s in self.pipeline],
+        }
+        return config, _TRACE_ENCODER.encode(config)
+
     @property
     def cutoff(self) -> float:
         return backtrack_cutoff(self.stats, self.cutoff_zscore)
@@ -303,7 +327,7 @@ _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 def _number(value) -> str:
     """``value`` as ``_TRACE_ENCODER`` writes it; finite floats and ints without the encoder."""
-    if type(value) is float and math.isfinite(value):
+    if type(value) is float and isfinite(value):
         return float.__repr__(value)
     if type(value) is int:
         return int.__repr__(value)
@@ -323,39 +347,46 @@ _NEG_INF_JSON = _number(NEG_INF)
 def _batch_lines(lines: list[str], entry: tuple, inputs: dict) -> None:
     """A batch's ``generate`` lines in slot order, then its ``score`` lines if it was scored."""
     _, label, pass_index, first_seq, question, parents, raws, children, errors, scored = entry
-    stage = _quote(label)
+    tail = f',"stage":{_quote(label)}}}'
+    seq = len(lines)
     if errors:
         rest = iter(children)
         outcomes = [errors[slot] if slot in errors else next(rest) for slot in range(len(raws))]
     else:
         outcomes = children
-    for slot, (parent, raw, outcome) in enumerate(zip(parents, raws, outcomes)):
+    for slot in range(len(raws)):
+        parent = parents[slot]
         cached = inputs.get(id(parent))
         if cached is None:
             digest = _quote(text_digest(question + "\n" + render_staged(parent.trajectory)))
             birth = parent.birth
             cached = inputs[id(parent)] = (digest, "null" if parent is _ROOT else f"[{birth[0]},{birth[1]}]")
+        outcome = outcomes[slot]
         error_json = f'"parse_error":{_quote(outcome)},' if type(outcome) is str else ""
         lines.append(
             f'{{"birth":[{pass_index},{first_seq + slot}],"event":"generate",'
-            f'"input_digest":{cached[0]},"output_digest":{_quote(text_digest(raw))},'
-            f'"parent":{cached[1]},{error_json}"pass":{pass_index},"seq":{len(lines)},'
-            f'"slot":{slot},"stage":{stage}}}'
+            f'"input_digest":{cached[0]},"output_digest":{_quote(text_digest(raws[slot]))},'
+            f'"parent":{cached[1]},{error_json}"pass":{pass_index},"seq":{seq},"slot":{slot}{tail}'
         )
+        seq += 1
     if not scored:
         return
-    for slot, outcome in enumerate(outcomes):
+    for slot in range(len(outcomes)):
+        outcome = outcomes[slot]
         if type(outcome) is str:
             lines.append(
                 f'{{"event":"score","parse_error":{_quote(outcome)},"pass":{pass_index},'
-                f'"score":{_NEG_INF_JSON},"seq":{len(lines)},"slot":{slot},"stage":{stage}}}'
+                f'"score":{_NEG_INF_JSON},"seq":{seq},"slot":{slot}{tail}'
             )
         else:
-            birth = outcome.birth
+            birth, score = outcome.birth, outcome.score
+            # A finite float is written as its repr, as _number would write it.
+            score_json = repr(score) if type(score) is float and isfinite(score) else _number(score)
             lines.append(
                 f'{{"birth":[{birth[0]},{birth[1]}],"event":"score","pass":{pass_index},'
-                f'"score":{_number(outcome.score)},"seq":{len(lines)},"slot":{slot},"stage":{stage}}}'
+                f'"score":{score_json},"seq":{seq},"slot":{slot}{tail}'
             )
+        seq += 1
 
 
 def _select_line(lines: list[str], entry: tuple, inputs: dict) -> None:
@@ -388,6 +419,27 @@ def _record_line(lines: list[str], entry: tuple, inputs: dict) -> None:
     lines.append(_TRACE_ENCODER.encode({"seq": len(lines), **entry[1]}))
 
 
+# The keys of the header ``_make_trace`` builds.
+_MADE_HEADER_KEYS = frozenset({"strategy", "question_digest", "run_seed", "config"})
+
+
+def _holds_the_same(config, cached: dict) -> bool:
+    """Whether ``config`` is a dict of the very objects in ``cached``, its pipeline a list of them.
+
+    Then the two encode alike. Equal values would not do: ``1``, ``1.0`` and
+    ``True`` are equal, as are ``0.0`` and ``-0.0``, and each is written apart.
+    """
+    if type(config) is not dict or config.keys() != cached.keys():
+        return False
+    pipeline = config["pipeline"]
+    return (
+        type(pipeline) is list
+        and len(pipeline) == len(cached["pipeline"])
+        and all(map(operator.is_, pipeline, cached["pipeline"]))
+        and all(config[key] is value for key, value in cached.items() if key != "pipeline")
+    )
+
+
 class SearchTrace:
     """Ordered audit log of every generation, score, selection, and retrace.
 
@@ -403,6 +455,8 @@ class SearchTrace:
     def __init__(self, header: Optional[dict] = None):
         self.header: dict = dict(header or {})
         self._entries: list[tuple] = []
+        # A search's header config and its JSON (``SearchConfig._trace_config``).
+        self._config: Optional[tuple[dict, str]] = None
 
     @property
     def events(self) -> list[dict]:
@@ -453,10 +507,30 @@ class SearchTrace:
             entry[0](lines, entry, inputs)
         return "\n".join(lines)
 
+    def _header_line(self) -> str:
+        """The header line: ``{"record": "header", **header}`` as ``_TRACE_ENCODER`` writes it.
+
+        While the header holds just what its search put there, the line is
+        formatted here, with the config's JSON, encoded once per
+        ``SearchConfig``, spliced in; any other header is encoded whole.
+        """
+        header = self.header
+        if self._config is not None and header.keys() == _MADE_HEADER_KEYS:
+            config, config_json = self._config
+            digest, seed, strategy = header["question_digest"], header["run_seed"], header["strategy"]
+            if (
+                type(digest) is str and type(seed) is int and type(strategy) is str
+                and _holds_the_same(header["config"], config)
+            ):
+                return (
+                    f'{{"config":{config_json},"question_digest":{_quote(digest)},"record":"header",'
+                    f'"run_seed":{int.__repr__(seed)},"strategy":{_quote(strategy)}}}'
+                )
+        return _TRACE_ENCODER.encode({"record": "header", **header})
+
     def to_jsonl(self) -> str:
-        head = _TRACE_ENCODER.encode({"record": "header", **self.header})
         body = self.events_jsonl()
-        return head + ("\n" + body if body else "")
+        return self._header_line() + ("\n" + body if body else "")
 
     def write(self, path) -> None:
         """Write the trace to ``path``: over any file there, then cut to length.
@@ -747,25 +821,18 @@ class _Engine:
 
 
 def _make_trace(cfg: SearchConfig, question_digest: str, run_seed: int) -> SearchTrace:
-    return SearchTrace(
+    config, config_json = cfg._trace_config
+    trace = SearchTrace(
         {
             "strategy": cfg.strategy.value,
             "question_digest": question_digest,
             "run_seed": run_seed,
-            "config": {
-                "candidates_per_stage": cfg.candidates_per_stage,
-                "beam_width": cfg.beam_width,
-                "retrace_limit": cfg.retrace_limit,
-                "cutoff_zscore": cfg.cutoff_zscore,
-                "reward_mean": cfg.stats.reward_mean,
-                "reward_std": cfg.stats.reward_std,
-                "min_pass_count": cfg.min_pass_count,
-                "summary_candidates": cfg.summary_candidates,
-                "loop_semantics": cfg.loop_semantics.value,
-                "pipeline": [_LABEL[s] for s in cfg.pipeline],
-            },
+            # A copy, pipeline too: the header is the caller's to change.
+            "config": {**config, "pipeline": list(config["pipeline"])},
         }
     )
+    trace._config = config, config_json
+    return trace
 
 
 # ---------------------------------------------------------------------------

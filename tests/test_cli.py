@@ -264,6 +264,26 @@ def test_config_file_json_cannot_read_exits_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"search": {"beam_width": 2, "beam_width": 1}}', "beam_width"),
+        ('{"sim": {"success": {"caption": 0.2, "caption": 0.9}}}', "caption"),
+        ('{"run_seed": 1, "backend": "sim", "run_seed": 2}', "run_seed"),
+    ],
+    ids=["search-key", "stage-in-a-success-map", "top-level-key"],
+)
+def test_config_key_named_twice_exits_2_naming_it_before_any_call(tmp_path, capsys, monkeypatch, text, key):
+    # json.load kept the last of the two: the first config ran width 1 and exited 0.
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["solve", "q", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config key {key!r} appears twice in one object\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
     "section, setting",
     [
         ("generator", {"backoff_s": -1.0, "retries": 1}),

@@ -416,6 +416,30 @@ def test_run_benchmark_trace_files_of_ids_that_are_not_file_names(tmp_path):
         assert header["question_digest"] == text_digest(item.question) and events
 
 
+@pytest.mark.parametrize(
+    "out_dir",
+    [".", "./out", "out/", "out//deep/./x", "absolute", "path"],
+)
+def test_run_benchmark_trace_file_is_the_joined_path(tmp_path, monkeypatch, out_dir):
+    # record.trace_file, and so run_records.jsonl, holds str(Path(out_dir) / name):
+    # "." gives the bare name, not "./name".
+    monkeypatch.chdir(tmp_path)
+    if out_dir == "absolute":
+        out_dir = str(tmp_path / "abs")
+    elif out_dir == "path":
+        out_dir = Path("out")
+    items = [BenchmarkItem(id=i, question=f"question {i}") for i in ("a/b", "../x", "plain")]
+    sim = _perfect_sim()
+    result = run_benchmark(
+        items, SearchConfig(), sim, sim, out_dir=out_dir, grader=oracle_grade, collect_traces=True
+    )
+    expected = [str(Path(out_dir) / harness._trace_file_name(item.id)) for item in items]
+    assert [record.trace_file for record in result.records] == expected
+    lines = (Path(out_dir) / "run_records.jsonl").read_text().splitlines()
+    assert [json.loads(line)["trace_file"] for line in lines] == expected
+    assert all(Path(path).is_file() for path in expected)
+
+
 def test_run_benchmark_rewrites_traces_of_an_earlier_run(tmp_path):
     # Item ids repeat, so the second run writes over the first run's trace
     # files; each must end up byte-equal to the same run in a fresh directory.

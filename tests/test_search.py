@@ -852,6 +852,7 @@ def test_trace_lines_are_canonical_json_of_their_events(monkeypatch, cfg, kinds)
     trace = result.trace
     lines = trace.events_jsonl().split("\n")
     assert trace.to_jsonl().split("\n")[1:] == lines
+    assert trace.to_jsonl().split("\n")[0] == search._TRACE_ENCODER.encode({"record": "header", **trace.header})
     for line in lines:
         assert search._TRACE_ENCODER.encode(json.loads(line)) == line
     events = trace.events
@@ -865,6 +866,82 @@ def test_trace_lines_are_canonical_json_of_their_events(monkeypatch, cfg, kinds)
             assert repr(event["threshold"]) == repr(cfg.cutoff)
         if event["event"] == "answer" and "score" not in kinds:
             assert event["score"] is None
+
+
+def _header_line(trace):
+    return trace.to_jsonl().split("\n")[0]
+
+
+def _encoded_header(trace):
+    return search._TRACE_ENCODER.encode({"record": "header", **trace.header})
+
+
+def test_trace_header_built_by_hand_is_encoded_whole():
+    config = {"beam_width": 2, "pipeline": ["caption"], "z": float("nan")}
+    for header in [
+        {},
+        {"strategy": "swires", "config": config},
+        {"strategy": "swires", "question_digest": "d", "run_seed": 1, "config": config},
+        {"config": config, "record": "mine", "a": [1.0, -0.0, float("-inf")], "\u00e9": "\ud800"},
+    ]:
+        trace = SearchTrace(header)
+        assert trace.to_jsonl() == search._TRACE_ENCODER.encode({"record": "header", **header})
+
+
+def test_trace_headers_of_configs_differing_in_one_field_stay_apart():
+    # Equal configs can encode apart (1 and 1.0), so neither may write the other's JSON.
+    sim = _world()
+    configs = [
+        SearchConfig(),
+        SearchConfig(beam_width=4),
+        SearchConfig(cutoff_zscore=1),
+        SearchConfig(cutoff_zscore=1.0),
+        SearchConfig(stats=CalibrationStats(0.5, -0.0)),
+        SearchConfig(stats=CalibrationStats(0.5, 0.0)),
+        SearchConfig(pipeline=(StageKind.CAPTION, StageKind.CONCLUSION)),
+    ]
+    assert configs[2] == configs[3] and configs[4] == configs[5]
+    for _ in range(2):
+        traces = [run_strategy("q", cfg, sim, sim, run_seed=5).trace for cfg in configs]
+        lines = [_header_line(trace) for trace in traces]
+        for trace, line in zip(traces, lines):
+            assert line == _encoded_header(trace)
+        assert len(set(lines)) == len(configs)
+    assert '"cutoff_zscore":1,' in lines[2] and '"cutoff_zscore":1.0,' in lines[3]
+    assert '"reward_std":-0.0,' in lines[4] and '"reward_std":0.0,' in lines[5]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda h: h["config"].update(beam_width=2.0),
+        lambda h: h["config"].update(reward_std=-0.0),
+        lambda h: h["config"].update(cutoff_zscore=True),
+        lambda h: h["config"]["pipeline"].append("extra"),
+        lambda h: h["config"]["pipeline"].__setitem__(0, "Caption"),
+        lambda h: h["config"].update(extra=1),
+        lambda h: h["config"].pop("beam_width"),
+        lambda h: h.update(config=tuple(h["config"])),
+        lambda h: h.update(record="mine"),
+        lambda h: h.update(run_seed=5.0),
+        lambda h: h.update(strategy=None),
+        lambda h: h.pop("question_digest"),
+        lambda h: h.update(note="a"),
+    ],
+    ids=[
+        "int-as-float", "zero-as-minus-zero", "float-as-bool", "stage-added", "stage-renamed",
+        "config-key-added", "config-key-removed", "config-not-a-dict", "record-key", "seed-as-float",
+        "strategy-none", "header-key-removed", "header-key-added",
+    ],
+)
+def test_trace_header_changed_by_hand_is_written_as_changed(change):
+    sim = _world()
+    cfg = SearchConfig(stats=CalibrationStats(0.5, 0.0), cutoff_zscore=1)
+    untouched = run_strategy("q", cfg, sim, sim, run_seed=5).trace
+    trace = run_strategy("q", cfg, sim, sim, run_seed=5).trace
+    change(trace.header)
+    assert _header_line(trace) == _encoded_header(trace) != _header_line(untouched)
+    assert _header_line(untouched) == _encoded_header(untouched)
 
 
 def test_trace_round_trips_through_file(tmp_path):
