@@ -221,6 +221,11 @@ class EndpointConfig:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http(s) URL with a host: {self.base_url!r}")
         url.port  # raises ValueError on a malformed port
+        target = url.path + url.query
+        if not (target.isascii() and target.isprintable()) or " " in target:
+            raise ValueError(
+                f"base_url path and query must be ASCII without spaces or control characters: {self.base_url!r}"
+            )
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
             raise ValueError(f"timeout_s must be a positive finite number, got {self.timeout_s!r}")
         if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
@@ -233,32 +238,35 @@ class _HttpClient:
     """JSON POSTs to one endpoint over keep-alive connections shared by threads.
 
     A call takes an idle connection or opens one, so the client never holds
-    more connections than there were concurrent calls. A connection goes
-    back after its reply is read in full, unless the server said it will
-    close it; any failure closes it. ``_post`` makes every attempt of a call.
+    more connections than there were concurrent calls. It speaks HTTP/1.1
+    itself: each request goes out in one write, with the head ``http.client``
+    would send, and ``_Connection`` reads the reply. A connection goes back
+    after its reply is read in full, unless the server said it will close it,
+    framed the body by closing, or sent bytes past the reply; any failure
+    closes it. ``_post`` makes every attempt of a call.
     """
 
     def __init__(self, config: EndpointConfig):
-        # The HTTP stack loads with the first client, so sim-only runs skip it.
-        import http.client
-
         self.config = config
         url = urlsplit(config.base_url)
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         if url.scheme == "https":
+            # The TLS stack loads with the first https client, so sim-only runs skip it.
             import ssl
 
-            context = ssl.create_default_context()
-            self._open = lambda: http.client.HTTPSConnection(
-                url.hostname, url.port, timeout=config.timeout_s, context=context
-            )
+            self._tls = ssl.create_default_context()
+            default_port = 443
         else:
-            self._open = lambda: http.client.HTTPConnection(
-                url.hostname, url.port, timeout=config.timeout_s
-            )
-        # What a failed attempt can raise, to be tried again.
-        self._attempt_errors = (OSError, http.client.HTTPException)
-        self._idle: list[http.client.HTTPConnection] = []
+            self._tls = None
+            default_port = 80
+        port = default_port if url.port is None else url.port
+        self._address = (url.hostname, port)
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        # The request head up to the body's length; ``_post`` writes the rest.
+        self._head = (
+            f"POST {path} HTTP/1.1\r\nHost: {_host_field(url.hostname, port, default_port)}\r\n"
+            "Accept-Encoding: identity\r\nContent-Length: "
+        )
+        self._idle: list[_Connection] = []
         self._lock = threading.Lock()
 
     def close(self) -> None:
@@ -266,9 +274,22 @@ class _HttpClient:
         with self._lock:
             idle, self._idle = self._idle, []
         for conn in idle:
-            conn.close()
+            conn.sock.close()
 
-    def _take(self) -> Optional[http.client.HTTPConnection]:
+    def _open(self) -> _Connection:
+        import socket
+
+        sock = socket.create_connection(self._address, self.config.timeout_s)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
+
+    def _take(self) -> Optional[_Connection]:
         """An idle connection the server has not closed, or None."""
         while True:
             with self._lock:
@@ -279,53 +300,56 @@ class _HttpClient:
                 return conn
             # An idle keep-alive socket only turns readable when the server
             # closed it (or broke protocol); either way it cannot carry a request.
-            conn.close()
+            conn.sock.close()
 
-    def _send(self, data: bytes, headers: dict) -> tuple[int, Mapping[str, str], bytes]:
-        """Send one POST and return the reply's status, headers and body."""
+    def _send(self, request: bytes) -> tuple[int, dict[str, str], bytes]:
+        """Send one request, head and body, in one write and return the
+        reply's status, headers (names lowercased) and body."""
         conn = self._take()
         reused = conn is not None
         if conn is None:
             conn = self._open()
         try:
             try:
-                conn.request("POST", self._path, data, headers)
-                reply = conn.getresponse()
+                conn.sock.sendall(request)
+                status, headers, persistent = conn.read_head()
             except (ConnectionResetError, BrokenPipeError):
-                # RemoteDisconnected is a ConnectionResetError. A reused
-                # connection that fails before any status line arrives was
-                # closed by the server before it read the request, so the
-                # request goes out once more on a fresh connection.
+                # A reused connection that fails before any status line
+                # arrives was closed by the server before it read the
+                # request, so the request goes out once more on a fresh one.
                 if not reused:
                     raise
-                conn.close()
+                conn.sock.close()
                 conn = self._open()
-                conn.request("POST", self._path, data, headers)
-                reply = conn.getresponse()
-            reply_data = reply.read()
+                conn.sock.sendall(request)
+                status, headers, persistent = conn.read_head()
+            body, at_boundary = conn.read_body(status, headers)
         except BaseException:
-            conn.close()
+            conn.sock.close()
             raise
-        if reply.will_close:
-            conn.close()
-        else:
+        if persistent and at_boundary:
             with self._lock:
                 self._idle.append(conn)
-        return reply.status, reply.headers, reply_data
+        else:
+            conn.sock.close()
+        return status, headers, body
 
     def _post(self, body: dict) -> dict:
         """POST ``body``, after the ``model`` key, and return the decoded JSON reply."""
         config = self.config
         try:
-            data = json.dumps({"model": config.model, **body}, allow_nan=False).encode("utf-8")
+            data = _JSON_ENCODER.encode({"model": config.model, **body}).encode("utf-8")
         except ValueError as exc:
             raise TransportError(
                 f"request body for {config.base_url} is not valid JSON: {exc}"
             ) from exc
-        headers = {"Content-Type": "application/json"}
         token = os.environ.get(config.token_env, "")
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
+        if not (token.isascii() and token.isprintable()):
+            raise TransportError(f"the token in {config.token_env} is not printable ASCII")
+        auth = f"Authorization: Bearer {token}\r\n" if token else ""
+        request = (
+            f"{self._head}{len(data)}\r\nContent-Type: application/json\r\n{auth}\r\n"
+        ).encode("ascii") + data
         last_error: Optional[Exception] = None
         wait: Optional[int] = None
         for attempt in range(config.retries + 1):
@@ -333,8 +357,8 @@ class _HttpClient:
                 time.sleep(config.backoff_s * 4 ** (attempt - 1) if wait is None else wait)
                 wait = None
             try:
-                status, reply_headers, reply = self._send(data, headers)
-            except self._attempt_errors as exc:
+                status, reply_headers, reply = self._send(request)
+            except _ATTEMPT_ERRORS as exc:
                 last_error = exc
                 continue
             if status // 100 == 2:
@@ -345,10 +369,158 @@ class _HttpClient:
             last_error = TransportError(f"HTTP {status} from {config.base_url}")
             if not _retryable(status):
                 break
-            wait = _retry_after_s(reply_headers.get("Retry-After", ""))
+            wait = _retry_after_s(reply_headers.get("retry-after", ""))
         raise TransportError(
             f"request to {config.base_url} failed after {attempt + 1} attempts: {last_error}"
         )
+
+
+def _host_field(hostname: str, port: int, default_port: int) -> str:
+    """The ``Host`` value ``http.client`` sends: IDNA for a non-ASCII name,
+    an IPv6 address in brackets, no port when it is the scheme's default."""
+    host = hostname if hostname.isascii() else hostname.encode("idna").decode("ascii")
+    if ":" in host:
+        host = f"[{host}]"
+    return host if port == default_port else f"{host}:{port}"
+
+
+# The body encoder, made once: json.dumps with any keyword builds one per call.
+_JSON_ENCODER = json.JSONEncoder(allow_nan=False)
+
+# http.client's limits: the longest reply line, with its line end, and the
+# most header lines in one head.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_RECV_SIZE = 65536
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+
+class _ProtocolError(Exception):
+    """A reply that breaks HTTP/1.1 framing or its limits."""
+
+
+# What a failed attempt can raise, to be tried again.
+_ATTEMPT_ERRORS = (OSError, _ProtocolError)
+
+
+class _Connection:
+    """One socket to the endpoint, and the bytes received on it not yet read."""
+
+    __slots__ = ("sock", "buf")
+
+    def __init__(self, sock) -> None:
+        self.sock = sock
+        self.buf = b""
+
+    def read_head(self) -> tuple[int, dict[str, str], bool]:
+        """The final reply's status and headers, names lowercased, past any
+        interim 1xx replies; and whether the server keeps the connection open."""
+        while True:
+            line = self._line()
+            if not line:
+                # http.client's RemoteDisconnected: the server closed the
+                # connection without a byte of reply.
+                raise ConnectionResetError("the server closed the connection without replying")
+            parts = line.split(None, 2)
+            code = parts[1] if len(parts) > 1 else b""
+            status = int(code) if len(code) == 3 and code.isdigit() else 0
+            if status < 100 or parts[0] not in (b"HTTP/1.1", b"HTTP/1.0"):
+                raise _ProtocolError(f"bad status line {line[:80]!r}")
+            headers = self._headers()
+            if status >= 200:
+                break
+        connection = headers.get("connection")
+        tokens = {token.strip() for token in connection.lower().split(",")} if connection else ()
+        persistent = "close" not in tokens and (parts[0] == b"HTTP/1.1" or "keep-alive" in tokens)
+        return status, headers, persistent
+
+    def read_body(self, status: int, headers: dict[str, str]) -> tuple[bytes, bool]:
+        """The body the head frames, and whether the reply ended where the
+        bytes received did, so the connection can carry another request."""
+        if status == 204 or status == 304:
+            body = b""
+        elif headers.get("transfer-encoding", "").rpartition(",")[2].strip().lower() == "chunked":
+            body = self._chunked()
+        elif "content-length" in headers:
+            length = headers["content-length"]
+            if not (length.isascii() and length.isdigit()):
+                raise _ProtocolError(f"bad Content-Length {length[:80]!r}")
+            body = self._exactly(int(length))
+        else:
+            # Framed by the server closing the connection.
+            chunks = [self.buf]
+            while data := self.sock.recv(_RECV_SIZE):
+                chunks.append(data)
+            self.buf = b""
+            return b"".join(chunks), False
+        return body, not self.buf
+
+    def _line(self) -> bytes:
+        """The next line with its line end, or b"" if the server closed before sending one."""
+        buf = self.buf
+        end = buf.find(b"\n")
+        while end < 0:
+            if len(buf) >= _MAX_LINE:
+                raise _ProtocolError(f"reply line longer than {_MAX_LINE} bytes")
+            data = self.sock.recv(_RECV_SIZE)
+            if not data:
+                if buf:
+                    raise _ProtocolError("the server closed the connection inside a reply line")
+                return b""
+            start = len(buf)
+            buf += data
+            end = buf.find(b"\n", start)
+        end += 1
+        if end > _MAX_LINE:
+            raise _ProtocolError(f"reply line longer than {_MAX_LINE} bytes")
+        self.buf = buf[end:]
+        return buf[:end]
+
+    def _headers(self) -> dict[str, str]:
+        """Header lines up to the blank line; a repeated name's values joined by commas."""
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._line()
+            if line == b"\r\n" or line == b"\n":
+                return headers
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise _ProtocolError(f"bad header line {line[:80]!r}")
+            key = name.decode("latin-1").lower()
+            value = value.strip().decode("latin-1")
+            headers[key] = f"{headers[key]}, {value}" if key in headers else value
+        raise _ProtocolError(f"reply head has more than {_MAX_HEADERS} header lines")
+
+    def _exactly(self, n: int) -> bytes:
+        buf = self.buf
+        if len(buf) < n:
+            chunks = [buf]
+            have = len(buf)
+            while have < n:
+                data = self.sock.recv(_RECV_SIZE)
+                if not data:
+                    raise _ProtocolError(f"reply body ended after {have} of {n} bytes")
+                chunks.append(data)
+                have += len(data)
+            buf = b"".join(chunks)
+        self.buf = buf[n:]
+        return buf[:n]
+
+    def _chunked(self) -> bytes:
+        chunks = []
+        while True:
+            line = self._line()
+            size = line.partition(b";")[0].strip()  # drops any chunk extension
+            if not size or size.lstrip(_HEX_DIGITS):
+                raise _ProtocolError(f"bad chunk size line {line[:80]!r}")
+            n = int(size, 16)
+            if n == 0:
+                break
+            chunks.append(self._exactly(n))
+            if self._line() not in (b"\r\n", b"\n"):
+                raise _ProtocolError("chunk data longer than its size")
+        self._headers()  # the trailer, read and dropped
+        return b"".join(chunks)
 
 
 def _readable(sock) -> bool:

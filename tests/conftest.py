@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -165,6 +166,114 @@ def stub_server():
 
     def factory(script, **kwargs):
         server = StubServer(script, **kwargs)
+        servers.append(server)
+        return server
+
+    yield factory
+    for server in servers:
+        server.close()
+
+
+class RawServer:
+    """Scripted HTTP endpoint on a raw socket, which records the bytes it receives.
+
+    ``script`` lists the replies in request order, the last one repeating.
+    Each is the raw bytes to send, or a pair (bytes, close) where a true
+    ``close`` hangs up after sending; otherwise the connection stays open for
+    the next request. A request is read as its head and the ``Content-Length``
+    bytes after it. ``requests`` records each as ``{"raw": bytes,
+    "connection": k}``, k counting connections from 0 in the order accepted.
+    ``host`` "::1" serves on the IPv6 loopback.
+    """
+
+    def __init__(self, script, host="127.0.0.1"):
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self.listener = socket.create_server((host, 0), family=family)
+        self.listener.settimeout(0.01)
+        self.script = script
+        self.lock = threading.Lock()
+        self.requests = []
+        self.connections = []
+        self.stopped = threading.Event()
+        self.thread = threading.Thread(target=self._accept, daemon=True)
+        self.thread.start()
+
+    @property
+    def port(self) -> int:
+        return self.listener.getsockname()[1]
+
+    @property
+    def url(self) -> str:
+        host = self.listener.getsockname()[0]
+        host = f"[{host}]" if ":" in host else host
+        return f"http://{host}:{self.port}/v1/endpoint"
+
+    def _accept(self):
+        while not self.stopped.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            except OSError:
+                return
+            conn.settimeout(10)
+            with self.lock:
+                index = len(self.connections)
+                self.connections.append(conn)
+            threading.Thread(target=self._serve, args=(conn, index), daemon=True).start()
+
+    def _serve(self, conn, index):
+        buf = b""
+        with conn:
+            while True:
+                try:
+                    while b"\r\n\r\n" not in buf:
+                        data = conn.recv(65536)
+                        if not data:
+                            return
+                        buf += data
+                    head, _, buf = buf.partition(b"\r\n\r\n")
+                    length = 0
+                    for line in head.split(b"\r\n")[1:]:
+                        name, _, value = line.partition(b":")
+                        if name.lower() == b"content-length":
+                            length = int(value)
+                    while len(buf) < length:
+                        data = conn.recv(65536)
+                        if not data:
+                            return
+                        buf += data
+                    with self.lock:
+                        self.requests.append(
+                            {"raw": head + b"\r\n\r\n" + buf[:length], "connection": index}
+                        )
+                        reply = self.script[min(len(self.requests), len(self.script)) - 1]
+                    buf = buf[length:]
+                    data, close = reply if isinstance(reply, tuple) else (reply, False)
+                    conn.sendall(data)
+                except OSError:
+                    return
+                if close:
+                    return
+
+    def close(self):
+        self.stopped.set()
+        self.thread.join(timeout=10)
+        self.listener.close()
+        with self.lock:
+            for conn in self.connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+
+
+@pytest.fixture
+def raw_server():
+    servers = []
+
+    def factory(script, **kwargs):
+        server = RawServer(script, **kwargs)
         servers.append(server)
         return server
 
