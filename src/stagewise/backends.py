@@ -296,7 +296,7 @@ class _HttpClient:
                 if not self._idle:
                     return None
                 conn = self._idle.pop()
-            if not _readable(conn.sock):
+            if not conn.readable():
                 return conn
             # An idle keep-alive socket only turns readable when the server
             # closed it (or broke protocol); either way it cannot carry a request.
@@ -393,6 +393,8 @@ _MAX_LINE = 65536
 _MAX_HEADERS = 100
 _RECV_SIZE = 65536
 _HEX_DIGITS = b"0123456789abcdefABCDEF"
+# The bytes a field name is made of (RFC 9110 section 5.6.2).
+_TOKEN_CHARS = b"!#$%&'*+-.^_`|~0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 
 class _ProtocolError(Exception):
@@ -404,13 +406,26 @@ _ATTEMPT_ERRORS = (OSError, _ProtocolError)
 
 
 class _Connection:
-    """One socket to the endpoint, and the bytes received on it not yet read."""
+    """One socket to the endpoint, the bytes received on it not yet read,
+    and a check, made once per connection, for input waiting on it."""
 
-    __slots__ = ("sock", "buf")
+    __slots__ = ("sock", "buf", "_poll")
 
     def __init__(self, sock) -> None:
+        import select
+
         self.sock = sock
         self.buf = b""
+        if hasattr(select, "poll"):
+            poller = select.poll()
+            poller.register(sock, select.POLLIN)
+            self._poll = poller.poll
+        else:
+            self._poll = lambda timeout: select.select([sock], [], [], timeout)[0]
+
+    def readable(self) -> bool:
+        """Whether bytes, or the server's close, wait on the socket now."""
+        return bool(self._poll(0))
 
     def read_head(self) -> tuple[int, dict[str, str], bool]:
         """The final reply's status and headers, names lowercased, past any
@@ -439,7 +454,7 @@ class _Connection:
         bytes received did, so the connection can carry another request."""
         if status == 204 or status == 304:
             body = b""
-        elif headers.get("transfer-encoding", "").rpartition(",")[2].strip().lower() == "chunked":
+        elif headers.get("transfer-encoding", "").rpartition(",")[2].strip(" \t").lower() == "chunked":
             body = self._chunked()
         elif "content-length" in headers:
             length = headers["content-length"]
@@ -456,7 +471,10 @@ class _Connection:
         return body, not self.buf
 
     def _line(self) -> bytes:
-        """The next line with its line end, or b"" if the server closed before sending one."""
+        """The next line with its line end, or b"" if the server closed before sending one.
+
+        A CR anywhere but just before the line's LF is refused (RFC 9112 section 2.2).
+        """
         buf = self.buf
         end = buf.find(b"\n")
         while end < 0:
@@ -473,8 +491,11 @@ class _Connection:
         end += 1
         if end > _MAX_LINE:
             raise _ProtocolError(f"reply line longer than {_MAX_LINE} bytes")
+        line = buf[:end]
+        if 0 <= line.find(b"\r") < end - 2:
+            raise _ProtocolError(f"bare CR in reply line {line[:80]!r}")
         self.buf = buf[end:]
-        return buf[:end]
+        return line
 
     def _headers(self) -> dict[str, str]:
         """Header lines up to the blank line; a repeated name's values joined by commas."""
@@ -483,11 +504,12 @@ class _Connection:
             line = self._line()
             if line == b"\r\n" or line == b"\n":
                 return headers
-            name, colon, value = line.partition(b":")
-            if not colon:
+            name, _, value = line.partition(b":")
+            # A line without a colon leaves its line end in ``name``, which is no token.
+            if not name or name.translate(None, _TOKEN_CHARS):
                 raise _ProtocolError(f"bad header line {line[:80]!r}")
             key = name.decode("latin-1").lower()
-            value = value.strip().decode("latin-1")
+            value = value.strip(b" \t\r\n").decode("latin-1")  # OWS and the line end
             headers[key] = f"{headers[key]}, {value}" if key in headers else value
         raise _ProtocolError(f"reply head has more than {_MAX_HEADERS} header lines")
 
@@ -517,20 +539,10 @@ class _Connection:
             if n == 0:
                 break
             chunks.append(self._exactly(n))
-            if self._line() not in (b"\r\n", b"\n"):
-                raise _ProtocolError("chunk data longer than its size")
+            if self._line() != b"\r\n":
+                raise _ProtocolError("chunk data not ended by CRLF")
         self._headers()  # the trailer, read and dropped
         return b"".join(chunks)
-
-
-def _readable(sock) -> bool:
-    import select
-
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        return bool(poller.poll(0))
-    return bool(select.select([sock], [], [], 0)[0])
 
 
 def _retryable(status: int) -> bool:

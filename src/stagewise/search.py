@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import json
-import operator
 import os
 import threading
 import time
@@ -194,14 +193,14 @@ class SearchConfig:
     max_new_tokens: int = 1024
 
     @cached_property
-    def _trace_config(self) -> tuple[dict, str]:
-        """A trace header's ``config`` and its JSON, made once per instance.
+    def _trace_config(self) -> str:
+        """A trace header's ``config`` as JSON, encoded once per instance.
 
         Kept on the instance, not looked up by an equal config: configs that
         compare equal can still encode differently (``1`` and ``1.0``, ``0.0``
         and ``-0.0``). It is no field, so ``==``, ``hash`` and ``repr`` skip it.
         """
-        config = {
+        return _TRACE_ENCODER.encode({
             "candidates_per_stage": self.candidates_per_stage,
             "beam_width": self.beam_width,
             "retrace_limit": self.retrace_limit,
@@ -212,8 +211,7 @@ class SearchConfig:
             "summary_candidates": self.summary_candidates,
             "loop_semantics": self.loop_semantics.value,
             "pipeline": [_LABEL[s] for s in self.pipeline],
-        }
-        return config, _TRACE_ENCODER.encode(config)
+        })
 
     @property
     def cutoff(self) -> float:
@@ -419,27 +417,6 @@ def _record_line(lines: list[str], entry: tuple, inputs: dict) -> None:
     lines.append(_TRACE_ENCODER.encode({"seq": len(lines), **entry[1]}))
 
 
-# The keys of the header ``_make_trace`` builds.
-_MADE_HEADER_KEYS = frozenset({"strategy", "question_digest", "run_seed", "config"})
-
-
-def _holds_the_same(config, cached: dict) -> bool:
-    """Whether ``config`` is a dict of the very objects in ``cached``, its pipeline a list of them.
-
-    Then the two encode alike. Equal values would not do: ``1``, ``1.0`` and
-    ``True`` are equal, as are ``0.0`` and ``-0.0``, and each is written apart.
-    """
-    if type(config) is not dict or config.keys() != cached.keys():
-        return False
-    pipeline = config["pipeline"]
-    return (
-        type(pipeline) is list
-        and len(pipeline) == len(cached["pipeline"])
-        and all(map(operator.is_, pipeline, cached["pipeline"]))
-        and all(config[key] is value for key, value in cached.items() if key != "pipeline")
-    )
-
-
 class SearchTrace:
     """Ordered audit log of every generation, score, selection, and retrace.
 
@@ -449,14 +426,18 @@ class SearchTrace:
     byte-identical event records. The trace keeps compact entries, one per
     generate/score batch and one per other event, and formats them only when
     it is serialized, after the search has stopped its clock: the digests of
-    each reply and of each parent's input are taken then too.
+    each reply and of each parent's input are taken then too. The header
+    line is fixed when the trace is made.
     """
 
     def __init__(self, header: Optional[dict] = None):
-        self.header: dict = dict(header or {})
+        self._header = _TRACE_ENCODER.encode({"record": "header", **(header or {})})
         self._entries: list[tuple] = []
-        # A search's header config and its JSON (``SearchConfig._trace_config``).
-        self._config: Optional[tuple[dict, str]] = None
+
+    @property
+    def header(self) -> dict:
+        """The header record, decoded from its line: a fresh copy each time."""
+        return json.loads(self._header)
 
     @property
     def events(self) -> list[dict]:
@@ -507,30 +488,9 @@ class SearchTrace:
             entry[0](lines, entry, inputs)
         return "\n".join(lines)
 
-    def _header_line(self) -> str:
-        """The header line: ``{"record": "header", **header}`` as ``_TRACE_ENCODER`` writes it.
-
-        While the header holds just what its search put there, the line is
-        formatted here, with the config's JSON, encoded once per
-        ``SearchConfig``, spliced in; any other header is encoded whole.
-        """
-        header = self.header
-        if self._config is not None and header.keys() == _MADE_HEADER_KEYS:
-            config, config_json = self._config
-            digest, seed, strategy = header["question_digest"], header["run_seed"], header["strategy"]
-            if (
-                type(digest) is str and type(seed) is int and type(strategy) is str
-                and _holds_the_same(header["config"], config)
-            ):
-                return (
-                    f'{{"config":{config_json},"question_digest":{_quote(digest)},"record":"header",'
-                    f'"run_seed":{int.__repr__(seed)},"strategy":{_quote(strategy)}}}'
-                )
-        return _TRACE_ENCODER.encode({"record": "header", **header})
-
     def to_jsonl(self) -> str:
         body = self.events_jsonl()
-        return self._header_line() + ("\n" + body if body else "")
+        return self._header + ("\n" + body if body else "")
 
     def write(self, path) -> None:
         """Write the trace to ``path``: over any file there, then cut to length.
@@ -821,17 +781,12 @@ class _Engine:
 
 
 def _make_trace(cfg: SearchConfig, question_digest: str, run_seed: int) -> SearchTrace:
-    config, config_json = cfg._trace_config
-    trace = SearchTrace(
-        {
-            "strategy": cfg.strategy.value,
-            "question_digest": question_digest,
-            "run_seed": run_seed,
-            # A copy, pipeline too: the header is the caller's to change.
-            "config": {**config, "pipeline": list(config["pipeline"])},
-        }
+    """A search's trace, its header line formatted around the config's JSON, encoded once."""
+    trace = SearchTrace()
+    trace._header = (
+        f'{{"config":{cfg._trace_config},"question_digest":{_quote(question_digest)},"record":"header",'
+        f'"run_seed":{_number(run_seed)},"strategy":{_quote(cfg.strategy.value)}}}'
     )
-    trace._config = config, config_json
     return trace
 
 

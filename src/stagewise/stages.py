@@ -129,16 +129,6 @@ class StagedResponse:
         return tuple(b.kind for b in self.blocks)
 
     @property
-    def is_complete(self) -> bool:
-        return self.kinds == CANONICAL_ORDER
-
-    def text_of(self, kind: StageKind) -> Optional[str]:
-        for b in self.blocks:
-            if b.kind is kind:
-                return b.text
-        return None
-
-    @property
     def final_text(self) -> str:
         """Text of the last block; the answer surfaced to the caller."""
         if not self.blocks:

@@ -154,7 +154,7 @@ def test_sim_multi_stage_without_stop_renders_complete():
         seed=5,
     )
     resp = parse_staged(sim.generate(req), require_complete=True)
-    assert resp.is_complete
+    assert resp.kinds == CANONICAL_ORDER
 
 
 def test_sim_judge_mode_reads_marks():
@@ -912,6 +912,25 @@ def test_http_broken_reply_is_retried_then_transport(raw_server, reply, fault):
         _score(scorer)
     assert len(server.requests) == 3
     assert scorer._idle == []
+
+
+def test_http_pooled_connection_with_late_stray_bytes_is_not_reused(raw_server):
+    import select
+
+    server = raw_server([_json_reply({"score": 1.0})])
+    scorer = HttpRewardScorer(_endpoint(server.url))
+    try:
+        assert _score(scorer) == 1.0
+        (pooled,) = scorer._idle
+        # The reply was read in full before the stray bytes were sent.
+        server.connections[0].sendall(b"HTTP/1.1 200 OK\r\n")
+        assert select.select([pooled.sock], [], [], 10)[0]
+        assert _score(scorer) == 1.0
+        assert pooled.sock.fileno() == -1  # closed
+        assert pooled not in scorer._idle
+    finally:
+        scorer.close()
+    assert [r["connection"] for r in server.requests] == [0, 1]
 
 
 def test_http_reply_limits_are_inclusive(raw_server):

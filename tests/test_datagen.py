@@ -24,7 +24,7 @@ from stagewise.datagen import (
     run_pipeline,
 )
 from stagewise.search import ConfigError
-from stagewise.stages import MissingStageError, StrayTextError, parse_staged
+from stagewise.stages import CANONICAL_ORDER, MissingStageError, StrayTextError, parse_staged
 
 from conftest import CountingGenerator, ScriptedGenerator
 
@@ -120,7 +120,7 @@ def _one_record(tmp_path, reply):
 
 
 def test_validate_and_extract_success(tmp_path):
-    assert parse_staged(WELL_FORMED, require_complete=True).is_complete
+    assert parse_staged(WELL_FORMED, require_complete=True).kinds == CANONICAL_ORDER
     row = _one_record(tmp_path, WELL_FORMED)
     assert row["status"] == STATUS_VALID
     assert row["conclusion"] == "B"

@@ -262,7 +262,7 @@ def test_best_of_one_single_calls():
     assert gen.calls == 1 and rew.calls == 1
     assert result.ledger.generator_calls == 1
     assert result.ledger.reward_calls == 1
-    assert result.answer.is_complete
+    assert result.answer.kinds == CANONICAL_ORDER
 
 
 def test_best_of_n_ledger_counts_exact():
@@ -911,37 +911,15 @@ def test_trace_headers_of_configs_differing_in_one_field_stay_apart():
     assert '"reward_std":-0.0,' in lines[4] and '"reward_std":0.0,' in lines[5]
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        lambda h: h["config"].update(beam_width=2.0),
-        lambda h: h["config"].update(reward_std=-0.0),
-        lambda h: h["config"].update(cutoff_zscore=True),
-        lambda h: h["config"]["pipeline"].append("extra"),
-        lambda h: h["config"]["pipeline"].__setitem__(0, "Caption"),
-        lambda h: h["config"].update(extra=1),
-        lambda h: h["config"].pop("beam_width"),
-        lambda h: h.update(config=tuple(h["config"])),
-        lambda h: h.update(record="mine"),
-        lambda h: h.update(run_seed=5.0),
-        lambda h: h.update(strategy=None),
-        lambda h: h.pop("question_digest"),
-        lambda h: h.update(note="a"),
-    ],
-    ids=[
-        "int-as-float", "zero-as-minus-zero", "float-as-bool", "stage-added", "stage-renamed",
-        "config-key-added", "config-key-removed", "config-not-a-dict", "record-key", "seed-as-float",
-        "strategy-none", "header-key-removed", "header-key-added",
-    ],
-)
-def test_trace_header_changed_by_hand_is_written_as_changed(change):
+def test_trace_header_is_a_decoded_copy_of_its_line():
     sim = _world()
-    cfg = SearchConfig(stats=CalibrationStats(0.5, 0.0), cutoff_zscore=1)
-    untouched = run_strategy("q", cfg, sim, sim, run_seed=5).trace
-    trace = run_strategy("q", cfg, sim, sim, run_seed=5).trace
-    change(trace.header)
-    assert _header_line(trace) == _encoded_header(trace) != _header_line(untouched)
-    assert _header_line(untouched) == _encoded_header(untouched)
+    trace = run_strategy("q", SearchConfig(cutoff_zscore=1), sim, sim, run_seed=5).trace
+    written = trace.to_jsonl()
+    header = trace.header
+    assert header == json.loads(_header_line(trace)) and header["record"] == "header"
+    header["config"]["beam_width"] = 2.0
+    header["run_seed"] = 6
+    assert trace.header != header and trace.to_jsonl() == written
 
 
 def test_trace_round_trips_through_file(tmp_path):

@@ -36,7 +36,6 @@ def test_parse_minimal_complete():
     resp = parse_staged(WELL_FORMED, require_complete=True)
     assert [b.text for b in resp.blocks] == ["a", "b", "c", "d"]
     assert resp.kinds == CANONICAL_ORDER
-    assert resp.is_complete
 
 
 def test_parse_unbalanced_tag():
@@ -205,8 +204,8 @@ def test_parse_stage_continuation_rejects_embedded_tags():
 
 def test_staged_response_helpers():
     resp = parse_staged(WELL_FORMED)
-    assert resp.text_of(StageKind.CAPTION) == "b"
-    assert resp.text_of(StageKind.CONCLUSION) == "d"
+    assert resp.blocks[1] == StageBlock(StageKind.CAPTION, "b")
+    assert resp.blocks[3] == StageBlock(StageKind.CONCLUSION, "d")
     assert resp.final_text == "d"
     assert EMPTY_RESPONSE.final_text == ""
     grown = EMPTY_RESPONSE.append(StageBlock(StageKind.SUMMARY, "s"))
