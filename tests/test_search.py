@@ -922,6 +922,44 @@ def test_trace_header_is_a_decoded_copy_of_its_line():
     assert trace.header != header and trace.to_jsonl() == written
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda h: h["config"].update(beam_width=2.0),
+        lambda h: h["config"].update(reward_std=-0.0),
+        lambda h: h["config"].update(cutoff_zscore=True),
+        lambda h: h["config"]["pipeline"].append("extra"),
+        lambda h: h["config"]["pipeline"].__setitem__(0, "Caption"),
+        lambda h: h["config"].update(extra=1),
+        lambda h: h["config"].pop("beam_width"),
+        lambda h: h.update(config=tuple(h["config"])),
+        lambda h: h.update(record="mine"),
+        lambda h: h.update(run_seed=5.0),
+        lambda h: h.update(strategy=None),
+        lambda h: h.pop("question_digest"),
+        lambda h: h.update(note="a"),
+    ],
+    ids=[
+        "int-as-float", "zero-as-minus-zero", "float-as-bool", "stage-added", "stage-renamed",
+        "config-key-added", "config-key-removed", "config-not-a-dict", "record-key", "seed-as-float",
+        "strategy-none", "header-key-removed", "header-key-added",
+    ],
+)
+def test_trace_header_edited_is_written_only_by_a_trace_built_from_it(change):
+    # Editing the decoded copy leaves the made trace as it was; a trace built by
+    # hand from the edited copy writes the edit, even where it compares equal.
+    sim = _world()
+    cfg = SearchConfig(stats=CalibrationStats(0.5, 0.0), cutoff_zscore=1)
+    trace = run_strategy("q", cfg, sim, sim, run_seed=5).trace
+    made = _header_line(trace)
+    header = trace.header
+    assert SearchTrace(header).to_jsonl() == made
+    change(header)
+    assert _header_line(trace) == made == _encoded_header(trace)
+    built = SearchTrace(header)
+    assert built.to_jsonl() == search._TRACE_ENCODER.encode({"record": "header", **header}) != made
+
+
 def test_trace_round_trips_through_file(tmp_path):
     sim = _world()
     result = run_strategy("q", SearchConfig(), sim, sim, run_seed=5)
