@@ -277,11 +277,17 @@ def _check_writable(path) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _corpus_record(data: dict) -> tuple[str, StagedResponse]:
+    question = string_field(data, "question")
+    response = parse_staged(string_field(data, "response"))
+    if not response.blocks:
+        raise ValueError("response holds no stage block")
+    return question, response
+
+
 def _load_corpus(path) -> list[tuple[str, StagedResponse]]:
-    """Calibration corpus: JSON lines of {question, response}."""
-    return read_jsonl(
-        path, "corpus record", lambda d: (string_field(d, "question"), parse_staged(d["response"]))
-    )
+    """Calibration corpus: JSON lines of {question, response}; a response must hold a stage block."""
+    return read_jsonl(path, "corpus record", _corpus_record)
 
 
 def _grader_for(cfg: AppConfig):

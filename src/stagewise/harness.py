@@ -3,9 +3,9 @@
 Questions load from line-delimited JSON, run under any strategy with exact
 call accounting, and grade locally (option-letter extraction for multiple
 choice, normalized exact match for free-form). Against the simulated world
-the oracle grader reads the hidden correctness mark instead, and closed-form
-enumeration of small worlds provides exact accuracies that Monte Carlo runs
-of the real engine must reproduce.
+the oracle grader reads the hidden correctness mark instead, and
+``exact_accuracy`` gives, in closed form, the accuracy of a search config
+in a small world that Monte Carlo runs of the real engine must reproduce.
 """
 
 from __future__ import annotations
@@ -68,10 +68,18 @@ class BenchmarkItem:
     def __post_init__(self) -> None:
         if self.kind not in (MULTIPLE_CHOICE, FREE_FORM):
             raise ValueError(f"unknown item kind: {self.kind!r}")
-        if self.kind == MULTIPLE_CHOICE and self.gold.upper() not in {
-            k.upper() for k in self.options
-        }:
+        letters = {k.upper() for k in self.options}
+        if len(letters) < len(self.options):
+            raise ValueError(f"option letters repeat when case is ignored: {sorted(self.options)}")
+        if self.kind == MULTIPLE_CHOICE and self.gold.upper() not in letters:
             raise ValueError(f"gold {self.gold!r} is not an option letter")
+
+
+def _options(data: dict) -> dict[str, str]:
+    options = data.get("options", {})
+    if not isinstance(options, dict) or not all(isinstance(text, str) for text in options.values()):
+        raise TypeError(f"options must be a JSON object of string texts, got {options!r}")
+    return options
 
 
 def _item(data: dict) -> BenchmarkItem:
@@ -79,7 +87,7 @@ def _item(data: dict) -> BenchmarkItem:
         id=id_field(data),
         question=string_field(data, "question"),
         kind=data.get("kind", FREE_FORM),
-        options=dict(data.get("options", {})),
+        options=_options(data),
         gold=string_field(data, "gold") if "gold" in data else "",
         image_ref=string_field(data, "image_ref", optional=True),
         category=string_field(data, "category", optional=True),
@@ -404,66 +412,50 @@ def make_sim_items(count: int, prefix: str = "sim") -> list[BenchmarkItem]:
 
 
 # ---------------------------------------------------------------------------
-# Exact-accuracy oracles for small sim worlds
+# The exact referee for small sim worlds
 # ---------------------------------------------------------------------------
-#
-# The oracles below never call the search engine. They are closed forms of
-# the documented selection rules under these restrictions: beam width 1,
-# recovery probability 0, zero reward noise (so selection always prefers a
-# correct candidate). Within those bounds they are exact for any per-stage
-# success probabilities, candidate count, and pass budget.
 
 
-def _chain_probability(world: SimWorldConfig) -> float:
-    p = 1.0
-    for kind in CANONICAL_ORDER:
-        p *= world.success[kind]
-    return p
+def exact_accuracy(cfg: SearchConfig, world: SimWorldConfig) -> float:
+    """P(a search under ``cfg`` in ``world`` answers correctly), in closed form.
 
-
-def _require_oracle_world(world: SimWorldConfig) -> None:
+    It never runs the engine. The domain is ``noise_std == 0``,
+    ``mean_incorrect < mean_correct``, recovery 0, and beam width 1 for a
+    stage search; outside it this raises ValueError, and a config the engine
+    refuses raises its ConfigError. There a selection keeps a correct
+    candidate when its batch holds one, and a child is correct only if its
+    parent is. A beam search is one pass with every stage but the last in
+    the prefix. Below ``mean_incorrect`` every candidate clears the cutoff,
+    so one pass runs.
+    """
+    cfg.validate()
     if world.noise_std != 0:
-        raise ValueError("oracle enumeration requires noise_std == 0")
+        raise ValueError("exact_accuracy requires noise_std == 0")
+    if not world.mean_incorrect < world.mean_correct:
+        raise ValueError("exact_accuracy requires mean_incorrect < mean_correct")
     if any(r != 0 for r in world.recovery.values()):
-        raise ValueError("oracle enumeration requires recovery == 0")
+        raise ValueError("exact_accuracy requires recovery == 0")
+    if cfg.strategy is not Strategy.BEST_OF_N and cfg.beam_width != 1:
+        raise ValueError("exact_accuracy requires beam_width == 1 for a stage search")
+    q, pipeline, m = world.success, cfg.pipeline, cfg.candidates_per_stage
+    if cfg.strategy is Strategy.BEST_OF_N:
+        return _any_correct(math.prod(q[k] for k in pipeline), cfg.beam_width)
+    # Drawn once per search, the summary draws summary_candidates and any other stage M.
+    once = {k: _any_correct(q[k], cfg.summary_candidates if k is StageKind.SUMMARY else m) for k in pipeline}
+    if len(pipeline) == 1:
+        return once[pipeline[0]]
+    start, passes = len(pipeline) - 1, 1
+    if cfg.strategy is Strategy.SWIRES:
+        start = pipeline.index(cfg.retrace_start)
+        passes = 1 if cfg.cutoff < world.mean_incorrect else cfg.max_passes
+    prefix = math.prod(once[k] for k in pipeline[:start])
+    per_pass = math.prod(_any_correct(q[k], m) for k in pipeline[start:-1])
+    return prefix * _any_correct(per_pass, passes) * q[pipeline[-1]]
 
 
-def enumerate_best_of_n_accuracy(world: SimWorldConfig, n: int) -> float:
-    """P(best-of-n returns a correct answer) under a separating reward."""
-    _require_oracle_world(world)
-    return 1.0 - (1.0 - _chain_probability(world)) ** n
-
-
-def _pass_success_probability(world: SimWorldConfig, m: int) -> float:
-    """P(one caption/reasoning pass yields a correct reasoning), beam width 1.
-
-    Correct-first selection keeps a correct caption when any of the M is
-    correct; with recovery 0 only its M reasonings can then be correct.
-    """
-    qc = world.success[StageKind.CAPTION]
-    qr = world.success[StageKind.REASONING]
-    return (1.0 - (1.0 - qc) ** m) * (1.0 - (1.0 - qr) ** m)
-
-
-def enumerate_stage_beam_accuracy(world: SimWorldConfig, m: int) -> float:
-    """Exact beam-width-1 accuracy of stage-wise beam search: one SWIRES pass."""
-    return enumerate_swires_accuracy(world, m, passes=1)
-
-
-def enumerate_swires_accuracy(world: SimWorldConfig, m: int, passes: int) -> float:
-    """Exact beam-width-1 accuracy of retracing search over ``passes`` passes.
-
-    With a separating reward and a cutoff between the two reward means, a
-    pass is accepted exactly when it produced a correct reasoning, and the
-    pooled selection returns a correct reasoning exactly when any pass did.
-    """
-    _require_oracle_world(world)
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
-    qs = world.success[StageKind.SUMMARY]
-    qco = world.success[StageKind.CONCLUSION]
-    per_pass = _pass_success_probability(world, m)
-    return qs * (1.0 - (1.0 - per_pass) ** passes) * qco
+def _any_correct(p: float, draws: int) -> float:
+    """P(some of ``draws`` independent draws is correct), each with probability ``p``."""
+    return 1.0 - (1.0 - p) ** draws
 
 
 # ---------------------------------------------------------------------------
@@ -675,37 +667,22 @@ def _simcheck_config(**overrides) -> SearchConfig:
 
 
 def run_simcheck(trials: int = 20_000, run_seed: int = 0) -> list[dict]:
-    """Compare exact enumeration with engine Monte Carlo on the small world.
+    """Compare ``exact_accuracy`` with engine Monte Carlo on the small world.
 
     Returns one row per check with the exact value, the Monte Carlo value,
     and whether they agree within three standard errors.
     """
-    world = SIMCHECK_WORLD
-    checks: list[tuple[str, float, SearchConfig]] = [
-        (
-            "best_of_n(n=2)",
-            enumerate_best_of_n_accuracy(world, 2),
-            _simcheck_config(strategy=Strategy.BEST_OF_N, beam_width=2),
-        ),
-        (
-            "beam(m=2,n=1)",
-            enumerate_stage_beam_accuracy(world, 2),
-            _simcheck_config(strategy=Strategy.STAGE_BEAM),
-        ),
-        (
-            "swires(m=2,n=1,single pass)",
-            enumerate_swires_accuracy(world, 2, passes=1),
-            _simcheck_config(strategy=Strategy.SWIRES, loop_semantics=LoopSemantics.ALGORITHM_ONE),
-        ),
-        (
-            "swires(m=2,n=1,two passes)",
-            enumerate_swires_accuracy(world, 2, passes=2),
-            _simcheck_config(strategy=Strategy.SWIRES, loop_semantics=LoopSemantics.MAIN_TEXT),
-        ),
+    swires = partial(_simcheck_config, strategy=Strategy.SWIRES)
+    checks = [
+        ("best_of_n(n=2)", _simcheck_config(strategy=Strategy.BEST_OF_N, beam_width=2)),
+        ("beam(m=2,n=1)", _simcheck_config(strategy=Strategy.STAGE_BEAM)),
+        ("swires(m=2,n=1,single pass)", swires(loop_semantics=LoopSemantics.ALGORITHM_ONE)),
+        ("swires(m=2,n=1,two passes)", swires(loop_semantics=LoopSemantics.MAIN_TEXT)),
     ]
     rows = []
-    for name, exact, cfg in checks:
-        measured = monte_carlo_accuracy(cfg, world, trials, run_seed=run_seed)
+    for name, cfg in checks:
+        exact = exact_accuracy(cfg, SIMCHECK_WORLD)
+        measured = monte_carlo_accuracy(cfg, SIMCHECK_WORLD, trials, run_seed=run_seed)
         tolerance = 3.0 * standard_error(exact, trials)
         rows.append(
             {

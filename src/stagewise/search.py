@@ -417,6 +417,11 @@ def _record_line(lines: list[str], entry: tuple, inputs: dict) -> None:
     lines.append(_TRACE_ENCODER.encode({"seq": len(lines), **entry[1]}))
 
 
+# The header line of a trace made without header fields; a search's trace
+# replaces it (``_make_trace``), so the search encodes no header to discard.
+_BARE_HEADER = _TRACE_ENCODER.encode({"record": "header"})
+
+
 class SearchTrace:
     """Ordered audit log of every generation, score, selection, and retrace.
 
@@ -431,7 +436,7 @@ class SearchTrace:
     """
 
     def __init__(self, header: Optional[dict] = None):
-        self._header = _TRACE_ENCODER.encode({"record": "header", **(header or {})})
+        self._header = _TRACE_ENCODER.encode({"record": "header", **header}) if header else _BARE_HEADER
         self._entries: list[tuple] = []
 
     @property

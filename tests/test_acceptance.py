@@ -26,14 +26,11 @@ from stagewise.datagen import (
     run_pipeline,
 )
 from stagewise.harness import (
-    SIMCHECK_WORLD,
     default_grid,
-    enumerate_best_of_n_accuracy,
-    enumerate_stage_beam_accuracy,
-    enumerate_swires_accuracy,
     make_sim_items,
     monte_carlo_accuracy,
     oracle_grade,
+    run_simcheck,
     sample_calibration_corpus,
     scaling_experiment,
     standard_error,
@@ -108,52 +105,13 @@ def test_a2_call_accounting():
 
 
 def test_a3_oracle_equivalence_small_world():
-    # Two stochastic stages (caption, reasoning) between deterministic ones;
-    # M=2, N=1, C=1, zero reward noise, cutoff 0 between the reward means.
-    world = SIMCHECK_WORLD
-    base = SearchConfig(
-        candidates_per_stage=2,
-        beam_width=1,
-        retrace_limit=1,
-        stats=CalibrationStats(0.0, 0.0),
-        cutoff_zscore=0.0,
-    )
-    checks = [
-        (
-            "A3 best-of-2 matches enumeration",
-            enumerate_best_of_n_accuracy(world, 2),
-            SearchConfig(
-                candidates_per_stage=2, beam_width=2, strategy=Strategy.BEST_OF_N
-            ),
-        ),
-        (
-            "A3 beam(M=2,N=1) matches enumeration",
-            enumerate_stage_beam_accuracy(world, 2),
-            SearchConfig(
-                candidates_per_stage=2, beam_width=1, strategy=Strategy.STAGE_BEAM
-            ),
-        ),
-        (
-            "A3 swires C=1 (single pass) matches enumeration",
-            enumerate_swires_accuracy(world, 2, passes=1),
-            base,
-        ),
-        (
-            "A3 swires C=1 (initial pass + retrace) matches enumeration",
-            enumerate_swires_accuracy(world, 2, passes=2),
-            SearchConfig(
-                candidates_per_stage=2,
-                beam_width=1,
-                retrace_limit=1,
-                stats=CalibrationStats(0.0, 0.0),
-                cutoff_zscore=0.0,
-                loop_semantics=LoopSemantics.MAIN_TEXT,
-            ),
-        ),
-    ]
-    for label, exact, cfg in checks:
-        with criterion(f"{label} within 3 standard errors at {TRIALS} trials"):
-            measured = monte_carlo_accuracy(cfg, world, TRIALS, run_seed=11)
+    # simcheck's four checks: best-of-2, beam and SWIRES under both loop
+    # semantics on SIMCHECK_WORLD, whose caption and reasoning are the two
+    # stochastic stages; M=2, N=1, C=1, zero reward noise, cutoff 0 between
+    # the reward means.
+    for row in run_simcheck(trials=TRIALS, run_seed=11):
+        exact, measured = row["exact"], row["monte_carlo"]
+        with criterion(f"A3 {row['check']} matches exact_accuracy within 3 standard errors at {TRIALS} trials"):
             assert abs(measured - exact) <= 3.0 * standard_error(exact, TRIALS), (
                 f"exact={exact:.5f} measured={measured:.5f}"
             )

@@ -733,6 +733,15 @@ _GOOD_RESPONSE = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONIN
         ("bench", "--items", ['{"id": "a", "question": "q", "gold": 5}'], "in.jsonl:1"),
         ("datagen", "--sources", ['{"id": "", "question": "q", "gold_answer": "B"}'], "in.jsonl:1"),
         ("datagen", "--sources", ['{"id": "s", "question": "", "gold_answer": "B"}'], "in.jsonl:1"),
+        *(
+            ("bench", "--items", [json.dumps({"id": "a", "question": "q", "kind": "multiple_choice",
+                                              "options": options, "gold": "A"})], "in.jsonl:1")
+            for options in (["AB", "CD"], {"A": "x", "a": "y"}, {"A": 5, "B": "y"}, "AB", None)
+        ),
+        *(
+            ("calibrate", "--corpus", [json.dumps({"question": "q", "response": response})], "in.jsonl:1")
+            for response in ("", "   ", 5, None)
+        ),
     ],
 )
 def test_bad_input_file_exits_2_naming_file_and_line(

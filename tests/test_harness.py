@@ -4,6 +4,7 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,9 +33,7 @@ from stagewise.harness import (
     EmptyBenchmarkError,
     UngradableError,
     default_grid,
-    enumerate_best_of_n_accuracy,
-    enumerate_stage_beam_accuracy,
-    enumerate_swires_accuracy,
+    exact_accuracy,
     filter_items,
     grade,
     load_items,
@@ -45,8 +44,10 @@ from stagewise.harness import (
     run_simcheck,
     sample_calibration_corpus,
     scaling_experiment,
+    standard_error,
 )
 from stagewise.search import (
+    CalibrationStats,
     ConfigError,
     LoopSemantics,
     SearchConfig,
@@ -533,26 +534,100 @@ def test_scaling_point_counts_match_run_records(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_enumeration_matches_closed_forms():
+def _old_pass_success(m):
+    """The closed forms ``exact_accuracy`` replaced, restated on SIMCHECK_WORLD as a reference."""
+    qc, qr = SIMCHECK_WORLD.success[StageKind.CAPTION], SIMCHECK_WORLD.success[StageKind.REASONING]
+    return (1 - (1 - qc) ** m) * (1 - (1 - qr) ** m)
+
+
+def _old_swires(m, passes):
+    qs, qco = SIMCHECK_WORLD.success[StageKind.SUMMARY], SIMCHECK_WORLD.success[StageKind.CONCLUSION]
+    return qs * (1 - (1 - _old_pass_success(m)) ** passes) * qco
+
+
+def _old_best_of_n(n):
+    chain = 1.0
+    for q in SIMCHECK_WORLD.success.values():
+        chain *= q
+    return 1 - (1 - chain) ** n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_exact_accuracy_agrees_with_the_old_closed_forms(m):
     world = SIMCHECK_WORLD
-    qc, qr = 0.5, 0.6
-    pass_success = (1 - (1 - qc) ** 2) * (1 - (1 - qr) ** 2)
-    assert enumerate_stage_beam_accuracy(world, 2) == pytest.approx(pass_success, abs=1e-12)
-    assert enumerate_swires_accuracy(world, 2, passes=2) == pytest.approx(
-        1 - (1 - pass_success) ** 2, abs=1e-12
-    )
-    assert enumerate_best_of_n_accuracy(world, 3) == pytest.approx(
-        1 - (1 - qc * qr) ** 3, abs=1e-12
-    )
+    best_of = harness._simcheck_config(strategy=Strategy.BEST_OF_N, beam_width=m)
+    assert exact_accuracy(best_of, world) == pytest.approx(_old_best_of_n(m), abs=1e-12)
+    beam = harness._simcheck_config(strategy=Strategy.STAGE_BEAM, candidates_per_stage=m)
+    assert exact_accuracy(beam, world) == pytest.approx(_old_swires(m, 1), abs=1e-12)
+    for passes in (1, 2, 3):
+        for semantics, retraces in ((LoopSemantics.ALGORITHM_ONE, passes), (LoopSemantics.MAIN_TEXT, passes - 1)):
+            cfg = harness._simcheck_config(
+                strategy=Strategy.SWIRES, candidates_per_stage=m, retrace_limit=retraces, loop_semantics=semantics
+            )
+            assert cfg.max_passes == passes
+            assert exact_accuracy(cfg, world) == pytest.approx(_old_swires(m, passes), abs=1e-12)
 
 
-def test_enumeration_rejects_noisy_or_recovering_worlds():
-    noisy = SimWorldConfig(noise_std=0.5)
-    with pytest.raises(ValueError):
-        enumerate_best_of_n_accuracy(noisy, 2)
-    recovering = SimWorldConfig(recovery=0.5)
-    with pytest.raises(ValueError):
-        enumerate_stage_beam_accuracy(recovering, 2)
+@pytest.mark.parametrize(
+    "world, cfg",
+    [
+        (replace(SIMCHECK_WORLD, noise_std=0.5), harness._simcheck_config(strategy=Strategy.BEST_OF_N)),
+        (replace(SIMCHECK_WORLD, mean_incorrect=1.0), harness._simcheck_config(strategy=Strategy.BEST_OF_N)),
+        (replace(SIMCHECK_WORLD, mean_correct=-2.0), harness._simcheck_config(strategy=Strategy.SWIRES)),
+        (replace(SIMCHECK_WORLD, recovery={StageKind.REASONING: 0.1}), harness._simcheck_config()),
+        (SIMCHECK_WORLD, harness._simcheck_config(strategy=Strategy.STAGE_BEAM, beam_width=2)),
+        (SIMCHECK_WORLD, harness._simcheck_config(strategy=Strategy.SWIRES, beam_width=2)),
+    ],
+    ids=["noise", "equal-means", "reversed-means", "recovery", "beam-width-2", "swires-width-2"],
+)
+def test_exact_accuracy_refuses_a_world_or_config_outside_its_domain(world, cfg):
+    with pytest.raises(ValueError, match="exact_accuracy requires"):
+        exact_accuracy(cfg, world)
+
+
+# Summary and conclusion are stochastic here too, so summary_candidates and
+# sub-pipelines change the answer. World and run seeds were fixed before the
+# first run.
+_ORACLE_WORLD = SimWorldConfig(
+    success={StageKind.SUMMARY: 0.7, StageKind.CAPTION: 0.5, StageKind.REASONING: 0.6, StageKind.CONCLUSION: 0.9},
+    rng_seed=31,
+)
+_ORACLE_TRIALS = 10_000
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        harness._simcheck_config(
+            strategy=Strategy.SWIRES,
+            summary_candidates=3,
+            retrace_limit=2,
+            loop_semantics=LoopSemantics.MAIN_TEXT,
+            stats=CalibrationStats(-2.0, 0.0),
+        ),
+        harness._simcheck_config(
+            strategy=Strategy.SWIRES,
+            retrace_start=StageKind.SUMMARY,
+            retrace_limit=2,
+            loop_semantics=LoopSemantics.MAIN_TEXT,
+            stats=CalibrationStats(1.0, 0.0),
+        ),
+        harness._simcheck_config(
+            strategy=Strategy.STAGE_BEAM,
+            candidates_per_stage=3,
+            pipeline=(StageKind.CAPTION, StageKind.REASONING, StageKind.CONCLUSION),
+        ),
+        harness._simcheck_config(
+            strategy=Strategy.BEST_OF_N, beam_width=3, pipeline=(StageKind.CAPTION, StageKind.CONCLUSION)
+        ),
+    ],
+    ids=["swires-summaries-3-cutoff-below", "swires-from-summary-cutoff-at-correct", "beam-sub-pipeline",
+         "best-of-3-sub-pipeline"],
+)
+def test_exact_accuracy_matches_monte_carlo_within_3_se(cfg):
+    exact = exact_accuracy(cfg, _ORACLE_WORLD)
+    measured = monte_carlo_accuracy(cfg, _ORACLE_WORLD, _ORACLE_TRIALS, run_seed=17)
+    assert abs(measured - exact) <= 3.0 * standard_error(exact, _ORACLE_TRIALS), (exact, measured)
 
 
 def test_run_simcheck_small_sample():
