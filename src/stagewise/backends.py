@@ -198,6 +198,13 @@ class RewardScorer(abc.ABC):
 # ---------------------------------------------------------------------------
 
 
+# The longest timeout or backoff wait an endpoint may set. Socket timeouts and
+# time.sleep count in signed 64-bit nanoseconds, about 9.22e9 s in all, and a
+# sleep's deadline adds the monotonic clock, which on Linux counts from boot:
+# this bound leaves some seven years of uptime.
+MAX_WAIT_S = 9_000_000_000
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     """Connection settings for one HTTP endpoint.
@@ -206,7 +213,8 @@ class EndpointConfig:
     ``token_env``, never from configuration files. Retries back off at
     ``backoff_s`` seconds, quadrupling per attempt (1 s then 4 s at the
     defaults). A retried reply with ``Retry-After`` in whole seconds waits
-    that long instead, at most ``RETRY_AFTER_CAP_S``.
+    that long instead, at most ``RETRY_AFTER_CAP_S``. The timeout and the
+    longest backoff wait are at most ``MAX_WAIT_S``.
     """
 
     base_url: str
@@ -226,12 +234,28 @@ class EndpointConfig:
             raise ValueError(
                 f"base_url path and query must be ASCII without spaces or control characters: {self.base_url!r}"
             )
-        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
-            raise ValueError(f"timeout_s must be a positive finite number, got {self.timeout_s!r}")
-        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
-            raise ValueError(f"backoff_s must be a finite number >= 0, got {self.backoff_s!r}")
+        if not 0 < self.timeout_s <= MAX_WAIT_S:
+            raise ValueError(f"timeout_s must be above 0 and at most {MAX_WAIT_S}, got {self.timeout_s!r}")
+        if not 0 <= self.backoff_s <= MAX_WAIT_S:
+            raise ValueError(f"backoff_s must be from 0 to {MAX_WAIT_S}, got {self.backoff_s!r}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if _backoff_wait(self.backoff_s, self.retries) > MAX_WAIT_S:
+            raise ValueError(
+                f"backoff_s {self.backoff_s!r} with retries {self.retries} waits longer than {MAX_WAIT_S} s"
+            )
+
+
+def _backoff_wait(backoff_s: float, attempt: int) -> float:
+    """The backoff before retry ``attempt``, counted from 1: ``backoff_s * 4 ** (attempt - 1)``.
+
+    ``ldexp`` scales by the power of two exactly and never makes the power a
+    float, which cannot hold ``4 ** 512``. A wait too long for a float is inf.
+    """
+    try:
+        return math.ldexp(backoff_s, 2 * (attempt - 1))
+    except OverflowError:
+        return math.inf
 
 
 class _HttpClient:
@@ -354,7 +378,7 @@ class _HttpClient:
         wait: Optional[int] = None
         for attempt in range(config.retries + 1):
             if attempt > 0:
-                time.sleep(config.backoff_s * 4 ** (attempt - 1) if wait is None else wait)
+                time.sleep(_backoff_wait(config.backoff_s, attempt) if wait is None else wait)
                 wait = None
             try:
                 status, reply_headers, reply = self._send(request)
@@ -364,7 +388,7 @@ class _HttpClient:
             if status // 100 == 2:
                 try:
                     return json.loads(reply)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise MalformedReplyError(f"non-JSON reply: {exc}") from exc
             last_error = TransportError(f"HTTP {status} from {config.base_url}")
             if not _retryable(status):
@@ -648,7 +672,12 @@ class HttpRewardScorer(_HttpClient, RewardScorer):
         # A JSON number only: float() would also take "0.5" and true.
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MalformedReplyError(f"reply lacks a numeric 'score' field, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise MalformedReplyError(
+                f"reward score must fit a float, got an integer of {len(str(abs(value)))} digits"
+            ) from None
         if not math.isfinite(value):
             raise MalformedReplyError(f"reward score {value!r} is not finite")
         return value

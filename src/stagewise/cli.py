@@ -38,7 +38,7 @@ from .harness import (
     run_simcheck,
     scaling_experiment,
 )
-from .jsonl import read_jsonl, string_field
+from .jsonl import RepeatedKeyError, decode, read_jsonl, string_field
 from .search import (
     ConfigError,
     SearchConfig,
@@ -177,27 +177,17 @@ def _typed_section(data: dict, name: str, cls) -> dict:
     return checked
 
 
-def _object_of_unique_keys(pairs: list) -> dict:
-    """A JSON object's dict; a key it names twice raises ConfigError (``json.load`` keeps the last)."""
-    data = dict(pairs)
-    if len(data) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ConfigError(f"config key {key!r} appears twice in one object")
-            seen.add(key)
-    return data
-
-
 def load_config(path: Optional[str]) -> AppConfig:
     if path is None:
         return AppConfig()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_object_of_unique_keys)
+            data = decode(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, a byte that is not UTF-8, or an integer past int()'s digit limit
+    except RepeatedKeyError as exc:
+        raise ConfigError(f"config {exc}") from exc
+    except ValueError as exc:  # bad JSON or UTF-8, an integer past int()'s digit limit, deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -312,7 +302,7 @@ def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
         make_reward(cfg),
         image_ref=args.image,
         run_seed=cfg.run_seed,
-        collect_trace=True,
+        collect_trace=args.trace is not None,
         parallelism=cfg.parallelism,
     )
     for block in result.answer.blocks:

@@ -1,5 +1,6 @@
 """Line-delimited JSON record files: one reader for inputs and earlier outputs,
-one open to append that first cuts a line a killed run left short, one record writer."""
+one open to append that first cuts a line a killed run left short, one record writer;
+and the one JSON decoder of input files and the config."""
 
 from __future__ import annotations
 
@@ -8,12 +9,45 @@ import os
 from typing import Callable, Optional
 
 
+class RepeatedKeyError(ValueError):
+    """A JSON object names one key twice; ``json.loads`` alone would keep the last."""
+
+
+def _object_of_unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key it names twice raises RepeatedKeyError."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise RepeatedKeyError(f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return data
+
+
+# Built once: json.loads with any keyword argument builds a new decoder per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_of_unique_keys)
+
+
+def decode(text: str):
+    """``text`` as JSON, each object a dict.
+
+    A key named twice in one object raises RepeatedKeyError, and nesting
+    deeper than the interpreter's recursion limit ValueError, where
+    ``json.loads`` raises RecursionError.
+    """
+    try:
+        return _DECODER.decode(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def read_jsonl(path, what: str, build: Callable[[dict], object]) -> list:
     """``build(obj)`` for each line of ``path``, a JSON object, in file order.
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; blank lines are skipped. A line
-    that is not UTF-8, not JSON or not an object, or whose object ``build``
-    rejects with KeyError, TypeError or ValueError, raises
+    that is not UTF-8, not JSON (as ``decode`` reads it) or not an object, or
+    whose object ``build`` rejects with KeyError, TypeError or ValueError, raises
     ``ValueError("FILE:LINE: bad <what>: <reason>")``.
     """
     built = []
@@ -27,7 +61,7 @@ def read_jsonl(path, what: str, build: Callable[[dict], object]) -> list:
             try:
                 if not line.isascii():
                     line = line.encode("utf-8", "surrogateescape").decode("utf-8")
-                obj = json.loads(line)
+                obj = decode(line)
                 if not isinstance(obj, dict):
                     raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
                 built.append(build(obj))

@@ -332,19 +332,20 @@ def _number(value) -> str:
     return _TRACE_ENCODER.encode(value)
 
 
-# Each entry a trace keeps is a tuple: its formatter, then the values that
-# formatter needs. A formatter appends its entry's event lines to ``lines``,
-# each exactly as ``_TRACE_ENCODER`` would write the event's dict, keys in
-# sorted order, with ``seq`` the line's index. ``inputs`` caches, by ``id`` of
-# the parent, the JSON of each parent's input digest and birth, taken once
-# per serialisation.
+# Each event line is written exactly as ``_TRACE_ENCODER`` would write the
+# event's dict, keys in sorted order, with ``seq`` the line's index among the
+# events.
 
 _NEG_INF_JSON = _number(NEG_INF)
 
 
-def _batch_lines(lines: list[str], entry: tuple, inputs: dict) -> None:
-    """A batch's ``generate`` lines in slot order, then its ``score`` lines if it was scored."""
-    _, label, pass_index, first_seq, question, parents, raws, children, errors, scored = entry
+def _batch_lines(lines: list[str], batch: tuple, inputs: dict) -> None:
+    """A batch's ``generate`` lines in slot order, then its ``score`` lines if it was scored.
+
+    ``inputs`` caches, by ``id`` of the parent, the JSON of each parent's
+    input digest and birth, taken once per serialisation.
+    """
+    label, pass_index, first_seq, question, parents, raws, children, errors, scored = batch
     tail = f',"stage":{_quote(label)}}}'
     seq = len(lines)
     if errors:
@@ -387,36 +388,6 @@ def _batch_lines(lines: list[str], entry: tuple, inputs: dict) -> None:
         seq += 1
 
 
-def _select_line(lines: list[str], entry: tuple, inputs: dict) -> None:
-    _, label, pass_index, kept = entry
-    kept_json = ",".join([f"[{birth[0]},{birth[1]}]" for birth in kept])
-    lines.append(
-        f'{{"event":"select","kept":[{kept_json}],"pass":{pass_index},"seq":{len(lines)},'
-        f'"stage":{_quote(label)}}}'
-    )
-
-
-def _retrace_line(lines: list[str], entry: tuple, inputs: dict) -> None:
-    _, label, pass_index, threshold, cleared, required = entry
-    lines.append(
-        f'{{"cleared":{cleared},"event":"retrace","pass":{pass_index},'
-        f'"required":{_number(required)},"seq":{len(lines)},"stage":{_quote(label)},'
-        f'"threshold":{_number(threshold)}}}'
-    )
-
-
-def _answer_line(lines: list[str], entry: tuple, inputs: dict) -> None:
-    _, label, birth, score = entry
-    lines.append(
-        f'{{"birth":[{birth[0]},{birth[1]}],"event":"answer","score":{_number(score)},'
-        f'"seq":{len(lines)},"stage":{_quote(label)}}}'
-    )
-
-
-def _record_line(lines: list[str], entry: tuple, inputs: dict) -> None:
-    lines.append(_TRACE_ENCODER.encode({"seq": len(lines), **entry[1]}))
-
-
 # The header line of a trace made without header fields; a search's trace
 # replaces it (``_make_trace``), so the search encodes no header to discard.
 _BARE_HEADER = _TRACE_ENCODER.encode({"record": "header"})
@@ -428,16 +399,20 @@ class SearchTrace:
     Serializes to line-delimited JSON: one header record followed by one
     record per event, whose ``seq`` is its line's index among the events.
     Events carry no wall-clock data, so two runs with the same seeds produce
-    byte-identical event records. The trace keeps compact entries, one per
-    generate/score batch and one per other event, and formats them only when
-    it is serialized, after the search has stopped its clock: the digests of
-    each reply and of each parent's input are taken then too. The header
-    line is fixed when the trace is made.
+    byte-identical event records. Each ``select``, ``retrace``, ``answer``
+    and ``log`` event is formatted when it is logged. A generate/score batch
+    is kept as one compact entry and formatted only when the trace is
+    serialized, after the search has stopped its clock: the digests of each
+    reply and of each parent's input are taken then too. The header line is
+    fixed when the trace is made.
     """
 
     def __init__(self, header: Optional[dict] = None):
         self._header = _TRACE_ENCODER.encode({"record": "header", **header}) if header else _BARE_HEADER
-        self._entries: list[tuple] = []
+        # Finished event lines, and one tuple per batch for ``_batch_lines``.
+        self._entries: list = []
+        # The event lines logged so far, a batch's included: the next line's seq.
+        self._count = 0
 
     @property
     def header(self) -> dict:
@@ -450,11 +425,13 @@ class SearchTrace:
         body = self.events_jsonl()
         return [json.loads(line) for line in body.split("\n")] if body else []
 
+    def _finish(self, line: str) -> None:
+        self._entries.append(line)
+        self._count += 1
+
     def log(self, event: str, fields: dict) -> None:
-        """An event of any kind from its fields, encoded by ``_TRACE_ENCODER`` when written."""
-        record = {"event": event}
-        record.update(fields)
-        self._entries.append((_record_line, record))
+        """An event of any kind from its fields, as ``_TRACE_ENCODER`` writes it."""
+        self._finish(_TRACE_ENCODER.encode({"seq": self._count, "event": event, **fields}))
 
     def log_batch(self, label: str, pass_index: int, first_seq: int, question: str,
                   parents: Sequence[Candidate], raws: Sequence[str], children: Sequence[Candidate],
@@ -470,27 +447,40 @@ class SearchTrace:
         question, a newline and the parent's rendered trajectory, and its
         ``output_digest`` is ``text_digest(raw)``.
         """
-        self._entries.append(
-            (_batch_lines, label, pass_index, first_seq, question, parents, raws, children, errors, scored)
-        )
+        self._entries.append((label, pass_index, first_seq, question, parents, raws, children, errors, scored))
+        self._count += 2 * len(raws) if scored else len(raws)
 
     def log_select(self, label: str, pass_index: int, kept: list[tuple[int, int]]) -> None:
         """A ``select`` event: the births of the candidates kept, best first."""
-        self._entries.append((_select_line, label, pass_index, kept))
+        kept_json = ",".join([f"[{birth[0]},{birth[1]}]" for birth in kept])
+        self._finish(
+            f'{{"event":"select","kept":[{kept_json}],"pass":{pass_index},"seq":{self._count},'
+            f'"stage":{_quote(label)}}}'
+        )
 
     def log_retrace(self, label: str, pass_index: int, threshold, cleared: int, required) -> None:
         """A ``retrace`` event: ``cleared`` candidates beat ``threshold``, fewer than ``required``."""
-        self._entries.append((_retrace_line, label, pass_index, threshold, cleared, required))
+        self._finish(
+            f'{{"cleared":{cleared},"event":"retrace","pass":{pass_index},'
+            f'"required":{_number(required)},"seq":{self._count},"stage":{_quote(label)},'
+            f'"threshold":{_number(threshold)}}}'
+        )
 
     def log_answer(self, label: str, birth: tuple[int, int], score) -> None:
         """The ``answer`` event: the winner's birth and score (None if unscored)."""
-        self._entries.append((_answer_line, label, birth, score))
+        self._finish(
+            f'{{"birth":[{birth[0]},{birth[1]}],"event":"answer","score":{_number(score)},'
+            f'"seq":{self._count},"stage":{_quote(label)}}}'
+        )
 
     def events_jsonl(self) -> str:
         lines: list[str] = []
         inputs: dict = {}
         for entry in self._entries:
-            entry[0](lines, entry, inputs)
+            if type(entry) is str:
+                lines.append(entry)
+            else:
+                _batch_lines(lines, entry, inputs)
         return "\n".join(lines)
 
     def to_jsonl(self) -> str:

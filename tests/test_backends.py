@@ -17,6 +17,7 @@ import stagewise
 from stagewise.backends import (
     CORRECT_MARK,
     INCORRECT_MARK,
+    MAX_WAIT_S,
     EndpointConfig,
     GeneratorRequest,
     HttpGenerator,
@@ -474,10 +475,11 @@ def test_http_generator_connection_error_is_transport():
 
 
 def test_http_generator_malformed_reply(stub_server):
-    server = stub_server([(200, {"nonsense": True})])
+    server = stub_server([(200, {"nonsense": True}), (200, {"choices": [{"message": {"content": 5}}]})])
     gen = HttpGenerator(_endpoint(server.url))
-    with pytest.raises(MalformedReplyError):
-        gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,)))
+    for fault in ("reply lacks choices", "reply text content is not a string"):
+        with pytest.raises(MalformedReplyError, match=fault):
+            gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,)))
 
 
 def test_http_generator_reply_that_is_not_utf8_is_malformed(stub_server):
@@ -544,6 +546,13 @@ def test_endpoint_config_validation():
         with pytest.raises(ValueError):
             EndpointConfig(base_url="http://x", **bad)
     EndpointConfig(base_url="http://x", backoff_s=0.0)
+    # The longest wait: 4**16 s at the 17th retry fits MAX_WAIT_S, 4**17 s at the 18th does not.
+    EndpointConfig(base_url="http://x", backoff_s=1.0, retries=17)
+    EndpointConfig(base_url="http://x", backoff_s=0.0, retries=10**30, timeout_s=MAX_WAIT_S)
+    for bad in ({"backoff_s": 1.0, "retries": 18}, {"backoff_s": 5e-324, "retries": 10**30},
+                {"timeout_s": MAX_WAIT_S * 1.001}, {"backoff_s": MAX_WAIT_S * 1.001, "retries": 0}):
+        with pytest.raises(ValueError, match="backoff_s|timeout_s"):
+            EndpointConfig(base_url="http://x", **bad)
     for url in ("ftp://x/v1", "localhost:8000/v1", "http:///v1", "http://x:port/v1"):
         with pytest.raises(ValueError):
             EndpointConfig(base_url=url)
@@ -912,6 +921,68 @@ def test_http_broken_reply_is_retried_then_transport(raw_server, reply, fault):
         _score(scorer)
     assert len(server.requests) == 3
     assert scorer._idle == []
+
+
+def test_http_reused_connection_closed_before_replying_resends_once_on_a_new_one(raw_server, monkeypatch):
+    # The server reads the second request, then hangs up without a byte of reply.
+    sleeps = _record_sleeps(monkeypatch)
+    server = raw_server([_json_reply({"score": 1.0}), (b"", True), _json_reply({"score": 2.0})])
+    scorer = HttpRewardScorer(_endpoint(server.url, retries=0))
+    try:
+        assert [_score(scorer), _score(scorer)] == [1.0, 2.0]
+    finally:
+        scorer.close()
+    assert sleeps == []
+    assert [r["connection"] for r in server.requests] == [0, 0, 1]
+
+
+def test_http_fresh_connection_closed_before_replying_is_a_failed_attempt(raw_server, monkeypatch):
+    sleeps = _record_sleeps(monkeypatch)
+    server = raw_server([(b"", True), (b"", True), _json_reply({"score": 1.0})])
+    with pytest.raises(TransportError, match="after 1 attempts: the server closed the connection without replying"):
+        _score(HttpRewardScorer(_endpoint(server.url, retries=0)))
+    scorer = HttpRewardScorer(_endpoint(server.url, retries=1, backoff=0.5))
+    try:
+        assert _score(scorer) == 1.0
+    finally:
+        scorer.close()
+    assert sleeps == [0.5]
+    assert [r["connection"] for r in server.requests] == [0, 1, 2]
+
+
+def test_http_zero_backoff_takes_more_retries_than_a_float_power_of_4_allows(monkeypatch):
+    # 4 ** 512 is no float, so 0.0 * 4 ** (attempt - 1) raised OverflowError at attempt 514.
+    sleeps = _record_sleeps(monkeypatch)
+    scorer = HttpRewardScorer(_endpoint("http://127.0.0.1:9/v1", retries=600, backoff=0.0))
+
+    def refused(request):
+        raise ConnectionRefusedError("refused")
+
+    monkeypatch.setattr(scorer, "_send", refused)
+    with pytest.raises(TransportError, match="after 601 attempts: refused"):
+        _score(scorer)
+    assert sleeps == [0.0] * 600
+
+
+@pytest.mark.parametrize(
+    "body, fault",
+    [
+        (b'{"score": 9' + b"9" * 399 + b"}", "reward score must fit a float, got an integer of 400 digits"),
+        (b'{"score": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "non-JSON reply: maximum recursion depth"),
+        (b'{"score": Infinity}', "reward score inf is not finite"),
+    ],
+    ids=["integer-too-large-for-a-float", "nested-past-the-recursion-limit", "json-infinity"],
+)
+def test_http_reward_reply_python_reads_but_no_score_fits_is_malformed(raw_server, body, fault):
+    # The first two raised OverflowError and RecursionError, which no search or run records.
+    server = raw_server([_raw_reply(body, b"Content-Length: %d" % len(body))])
+    scorer = HttpRewardScorer(_endpoint(server.url, retries=2))
+    try:
+        with pytest.raises(MalformedReplyError, match=fault):
+            _score(scorer)
+    finally:
+        scorer.close()
+    assert len(server.requests) == 1
 
 
 def test_http_pooled_connection_with_late_stray_bytes_is_not_reused(raw_server):

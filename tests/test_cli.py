@@ -19,6 +19,7 @@ from stagewise.cli import (
     load_config,
     main,
 )
+from stagewise import search
 from stagewise.search import ConfigError, LoopSemantics, SearchTrace, Strategy
 
 
@@ -250,11 +251,12 @@ def test_number_too_large_for_a_float_exits_2_naming_its_key(tmp_path, capsys, m
 
 @pytest.mark.parametrize(
     "text",
-    [b'{"search": {', b'{"search": {"cutoff_zscore": 1' + b"0" * 5000 + b"}}", b'{"search": {}}\xff'],
-    ids=["truncated", "integer-past-the-digit-limit", "not-utf-8"],
+    [b'{"search": {', b'{"search": {"cutoff_zscore": 1' + b"0" * 5000 + b"}}", b'{"search": {}}\xff',
+     b'{"search": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
+    ids=["truncated", "integer-past-the-digit-limit", "not-utf-8", "nested-past-the-recursion-limit"],
 )
 def test_config_file_json_cannot_read_exits_2(tmp_path, capsys, text):
-    # The last two raised ValueError and UnicodeDecodeError from json.load: a traceback, exit 1.
+    # The last three raised ValueError, UnicodeDecodeError and RecursionError from json.load: a traceback, exit 1.
     config = tmp_path / "config.json"
     config.write_bytes(text)
     assert main(["solve", "q", "--config", str(config)]) == EXIT_CONFIG
@@ -292,9 +294,14 @@ def test_config_key_named_twice_exits_2_naming_it_before_any_call(tmp_path, caps
         ("sim", {"noise_std": float("inf")}),
         ("sim", {"mean_correct": float("inf")}),
         ("sim", {"mean_incorrect": float("-inf")}),
+        # Past what socket timeouts and time.sleep take: OverflowError at the first connection or retry.
+        ("generator", {"timeout_s": 1e10}),
+        ("reward", {"backoff_s": 1e10, "retries": 1}),
+        ("generator", {"retries": 600, "backoff_s": 1e-9}),
     ],
     ids=["negative-backoff", "infinite-timeout", "infinite-backoff", "infinite-noise",
-         "infinite-mean-correct", "infinite-mean-incorrect"],
+         "infinite-mean-correct", "infinite-mean-incorrect", "timeout-past-the-platform",
+         "backoff-past-the-platform", "retries-whose-last-backoff-is-past-the-platform"],
 )
 def test_setting_that_would_fail_mid_run_exits_2_before_any_request(
     tmp_path, capsys, monkeypatch, stub_server, section, setting
@@ -352,6 +359,16 @@ def test_solve_sim_default_world(capsys, tmp_path):
     assert "[CONCLUSION]" in "\n".join(out)
     assert "ANSWER:" in "\n".join(out)
     assert trace_path.exists()
+
+
+def test_solve_makes_a_trace_only_to_write_it(tmp_path, monkeypatch, capsys):
+    made = []
+    make_trace = search._make_trace
+    monkeypatch.setattr(search, "_make_trace", lambda *args: made.append(args) or make_trace(*args))
+    assert main(["solve", "q"]) == EXIT_OK
+    assert made == []
+    assert main(["solve", "q", "--trace", str(tmp_path / "trace.jsonl")]) == EXIT_OK
+    assert len(made) == 1
 
 
 def test_solve_swires_no_retrace_matches_beam_output(capsys):
@@ -742,6 +759,20 @@ _GOOD_RESPONSE = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONIN
             ("calibrate", "--corpus", [json.dumps({"question": "q", "response": response})], "in.jsonl:1")
             for response in ("", "   ", 5, None)
         ),
+        # Nested past the recursion limit: json.loads raised RecursionError, a traceback with exit 1.
+        ("bench", "--items", ['{"id": "a", "question": "q"}', '{"id": "b", "question": "q", "options": '
+                              + "[" * 100_000 + "]" * 100_000 + "}"], "in.jsonl:2"),
+        ("calibrate", "--corpus", ['{"question": "q", "response": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+         "in.jsonl:1"),
+        ("datagen", "--sources", ['{"id": "s", "question": "q", "gold_answer": "B", "turns": '
+                                  + '{"t": ' * 100_000 + "1" + "}" * 100_000 + "}"], "in.jsonl:1"),
+        # A key named twice: json.loads kept the last, so the item ran "q2" and bench exited 0.
+        ("bench", "--items", ['{"id": "a", "question": "q1", "question": "q2"}'], "in.jsonl:1"),
+        ("calibrate", "--corpus", [json.dumps({"question": "q", "response": _GOOD_RESPONSE})[:-1]
+                                   + ', "question": "q2"}'], "in.jsonl:1"),
+        ("datagen", "--sources", ['{"id": "s", "question": "q", "gold_answer": "B", '
+                                  '"turns": [{"question": "t", "gold_answer": "C", "gold_answer": "D"}]}'],
+         "in.jsonl:1"),
     ],
 )
 def test_bad_input_file_exits_2_naming_file_and_line(

@@ -17,6 +17,7 @@ from stagewise.backends import (
     EndpointConfig,
     Generator,
     HttpGenerator,
+    HttpRewardScorer,
     RewardScorer,
     SimWorld,
     SimWorldConfig,
@@ -337,6 +338,31 @@ def test_run_benchmark_records_a_generator_reply_that_is_not_utf8(stub_server, t
     assert (failed.generator_calls, failed.reward_calls, failed.trace_file) == (1, 0, None)
     assert passed.error is None and passed.correct
     assert (passed.trace_file is not None) == collect_traces
+    lines = (tmp_path / "run_records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["item_id"] for line in lines] == ["sim-0", "sim-1"]
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (b'{"score": 1' + b"0" * 399 + b"}", "reward score must fit a float, got an integer of 400 digits"),
+        (b"[" * 100_000 + b"]" * 100_000, "non-JSON reply: maximum recursion depth exceeded"),
+    ],
+    ids=["integer-too-large-for-a-float", "nested-past-the-recursion-limit"],
+)
+def test_run_benchmark_records_a_reward_reply_no_score_fits_and_goes_on(raw_server, tmp_path, body, error):
+    # These replies raised OverflowError and RecursionError out of run_benchmark, before any record.
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    scorer = HttpRewardScorer(EndpointConfig(raw_server([reply]).url, retries=0))
+    try:
+        result = run_benchmark(
+            make_sim_items(2), SearchConfig(), SimWorld(SimWorldConfig()), scorer,
+            out_dir=tmp_path, grader=oracle_grade,
+        )
+    finally:
+        scorer.close()
+    assert [record.error.startswith(f"MalformedReplyError: {error}") for record in result.records] == [True, True]
+    assert [(record.generator_calls, record.reward_calls) for record in result.records] == [(5, 1), (5, 1)]
     lines = (tmp_path / "run_records.jsonl").read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["item_id"] for line in lines] == ["sim-0", "sim-1"]
 
