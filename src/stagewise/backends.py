@@ -21,6 +21,7 @@ from hashlib import blake2b
 from typing import Callable, Mapping, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
+from .jsonl import RepeatedKeyError, decode
 from .stages import (
     CANONICAL_ORDER,
     DEFAULT_SCHEMA,
@@ -214,7 +215,8 @@ class EndpointConfig:
     ``backoff_s`` seconds, quadrupling per attempt (1 s then 4 s at the
     defaults). A retried reply with ``Retry-After`` in whole seconds waits
     that long instead, at most ``RETRY_AFTER_CAP_S``. The timeout and the
-    longest backoff wait are at most ``MAX_WAIT_S``.
+    longest backoff wait are at most ``MAX_WAIT_S``. A ``base_url`` host the
+    IDNA codec refuses, which ``socket`` and ``ssl`` would refuse, is a ValueError.
     """
 
     base_url: str
@@ -228,12 +230,26 @@ class EndpointConfig:
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http(s) URL with a host: {self.base_url!r}")
-        url.port  # raises ValueError on a malformed port
+        try:
+            host = url.hostname.encode("idna").decode("ascii")
+        except UnicodeError as exc:
+            raise ValueError(f"base_url host is not a valid IDNA name ({exc}): {self.base_url!r}") from None
+        default_port = 443 if url.scheme == "https" else 80
+        port = default_port if url.port is None else url.port  # url.port raises ValueError if malformed
         target = url.path + url.query
         if not (target.isascii() and target.isprintable()) or " " in target:
             raise ValueError(
                 f"base_url path and query must be ASCII without spaces or control characters: {self.base_url!r}"
             )
+        # What the client sends, kept out of the fields and so out of ==, hash and repr:
+        # the address, TLS or not, and http.client's request head up to the body's length.
+        field = f"[{host}]" if ":" in host else host  # an IPv6 address in brackets
+        field += "" if port == default_port else f":{port}"
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        head = f"POST {path} HTTP/1.1\r\nHost: {field}\r\nAccept-Encoding: identity\r\nContent-Length: "
+        object.__setattr__(self, "_address", (host, port))
+        object.__setattr__(self, "_tls", default_port == 443)
+        object.__setattr__(self, "_head", head)
         if not 0 < self.timeout_s <= MAX_WAIT_S:
             raise ValueError(f"timeout_s must be above 0 and at most {MAX_WAIT_S}, got {self.timeout_s!r}")
         if not 0 <= self.backoff_s <= MAX_WAIT_S:
@@ -272,24 +288,13 @@ class _HttpClient:
 
     def __init__(self, config: EndpointConfig):
         self.config = config
-        url = urlsplit(config.base_url)
-        if url.scheme == "https":
+        # The request head runs up to the body's length; ``_post`` writes the rest.
+        self._address, self._head, self._tls = config._address, config._head, None
+        if config._tls:
             # The TLS stack loads with the first https client, so sim-only runs skip it.
             import ssl
 
             self._tls = ssl.create_default_context()
-            default_port = 443
-        else:
-            self._tls = None
-            default_port = 80
-        port = default_port if url.port is None else url.port
-        self._address = (url.hostname, port)
-        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        # The request head up to the body's length; ``_post`` writes the rest.
-        self._head = (
-            f"POST {path} HTTP/1.1\r\nHost: {_host_field(url.hostname, port, default_port)}\r\n"
-            "Accept-Encoding: identity\r\nContent-Length: "
-        )
         self._idle: list[_Connection] = []
         self._lock = threading.Lock()
 
@@ -359,7 +364,7 @@ class _HttpClient:
         return status, headers, body
 
     def _post(self, body: dict) -> dict:
-        """POST ``body``, after the ``model`` key, and return the decoded JSON reply."""
+        """POST ``body``, after the ``model`` key, and return the reply as ``jsonl.decode`` reads it."""
         config = self.config
         try:
             data = _JSON_ENCODER.encode({"model": config.model, **body}).encode("utf-8")
@@ -387,8 +392,11 @@ class _HttpClient:
                 continue
             if status // 100 == 2:
                 try:
-                    return json.loads(reply)
-                except (ValueError, RecursionError) as exc:
+                    # The bytes to text as json.loads turns them.
+                    return decode(reply.decode(json.detect_encoding(reply), "surrogatepass"))
+                except RepeatedKeyError as exc:
+                    raise MalformedReplyError(f"reply {exc}") from exc
+                except ValueError as exc:
                     raise MalformedReplyError(f"non-JSON reply: {exc}") from exc
             last_error = TransportError(f"HTTP {status} from {config.base_url}")
             if not _retryable(status):
@@ -397,15 +405,6 @@ class _HttpClient:
         raise TransportError(
             f"request to {config.base_url} failed after {attempt + 1} attempts: {last_error}"
         )
-
-
-def _host_field(hostname: str, port: int, default_port: int) -> str:
-    """The ``Host`` value ``http.client`` sends: IDNA for a non-ASCII name,
-    an IPv6 address in brackets, no port when it is the scheme's default."""
-    host = hostname if hostname.isascii() else hostname.encode("idna").decode("ascii")
-    if ":" in host:
-        host = f"[{host}]"
-    return host if port == default_port else f"{host}:{port}"
 
 
 # The body encoder, made once: json.dumps with any keyword builds one per call.

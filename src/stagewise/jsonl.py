@@ -104,15 +104,17 @@ _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 def open_append(path):
     """``path`` opened to append UTF-8 text, after cutting an unterminated last line.
 
-    The search for the last newline runs back from the end of a memory map,
-    so it reads only the file's tail. A missing file is made.
+    A line ends at ``\\n`` or ``\\r``, as ``read_jsonl`` reads it. The search for
+    the last line end runs back from the end of a memory map, so it reads only
+    the file's tail. A missing file is made.
     """
     if os.path.exists(path) and os.path.getsize(path):
         import mmap  # imported here: only appends to an existing file need it
 
         with open(path, "r+b") as fh:
             with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
-                end, size = view.rfind(b"\n") + 1, len(view)
+                lf = view.rfind(b"\n")
+                end, size = max(lf, view.rfind(b"\r", lf + 1)) + 1, len(view)
             if end < size:
                 fh.truncate(end)
     return open(path, "a", encoding="utf-8")

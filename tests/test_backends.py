@@ -556,6 +556,26 @@ def test_endpoint_config_validation():
     for url in ("ftp://x/v1", "localhost:8000/v1", "http:///v1", "http://x:port/v1"):
         with pytest.raises(ValueError):
             EndpointConfig(base_url=url)
+    # Hosts the IDNA codec refuses, as socket.getaddrinfo and ssl would at the first request.
+    for url in ("http://a..b/v1", f"http://{'a' * 64}.example/v1", "http://\ud800x/v1"):
+        with pytest.raises(ValueError, match="base_url host is not a valid IDNA name"):
+            EndpointConfig(base_url=url)
+    EndpointConfig(base_url=f"http://{'a' * 63}.example./v1")
+
+
+def test_endpoint_config_compares_and_prints_by_its_fields_alone():
+    # What the client sends is fixed at construction, outside the fields.
+    config = EndpointConfig(base_url="https://bücher.example:8443/v1?a=1", model="m")
+    assert config == EndpointConfig(base_url="https://bücher.example:8443/v1?a=1", model="m")
+    assert hash(config) == hash(dataclasses.astuple(config))
+    assert repr(config) == (
+        "EndpointConfig(base_url='https://bücher.example:8443/v1?a=1', model='m', "
+        "token_env='STAGEWISE_API_KEY', timeout_s=30.0, retries=2, backoff_s=1.0)"
+    )
+    assert config._address == ("xn--bcher-kva.example", 8443)
+    assert config._tls is True
+    assert config._head.startswith("POST /v1?a=1 HTTP/1.1\r\nHost: xn--bcher-kva.example:8443\r\n")
+    assert dataclasses.replace(config, base_url="http://[::1]/")._address == ("::1", 80)
 
 
 def test_sim_world_config_rejects_nonfinite_means_and_noise():
@@ -970,11 +990,14 @@ def test_http_zero_backoff_takes_more_retries_than_a_float_power_of_4_allows(mon
         (b'{"score": 9' + b"9" * 399 + b"}", "reward score must fit a float, got an integer of 400 digits"),
         (b'{"score": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "non-JSON reply: maximum recursion depth"),
         (b'{"score": Infinity}', "reward score inf is not finite"),
+        (b'{"score": 1, "score": 5}', "reply key 'score' appears twice in one object"),
     ],
-    ids=["integer-too-large-for-a-float", "nested-past-the-recursion-limit", "json-infinity"],
+    ids=["integer-too-large-for-a-float", "nested-past-the-recursion-limit", "json-infinity",
+         "key-named-twice"],
 )
 def test_http_reward_reply_python_reads_but_no_score_fits_is_malformed(raw_server, body, fault):
-    # The first two raised OverflowError and RecursionError, which no search or run records.
+    # The first two raised OverflowError and RecursionError, which no search or run records;
+    # json.loads kept the last of the two scores, 5.
     server = raw_server([_raw_reply(body, b"Content-Length: %d" % len(body))])
     scorer = HttpRewardScorer(_endpoint(server.url, retries=2))
     try:
@@ -983,6 +1006,31 @@ def test_http_reward_reply_python_reads_but_no_score_fits_is_malformed(raw_serve
     finally:
         scorer.close()
     assert len(server.requests) == 1
+
+
+@pytest.mark.parametrize("poll", [True, False], ids=["poll", "select"])
+def test_connection_is_readable_once_its_peer_writes_or_closes(monkeypatch, poll):
+    import select
+
+    from stagewise.backends import _Connection
+
+    if not poll:
+        monkeypatch.delattr(select, "poll")  # as on a platform without it
+    elif not hasattr(select, "poll"):
+        pytest.skip("no select.poll")
+    ours, peer = socket.socketpair()
+    try:
+        conn = _Connection(ours)
+        assert not conn.readable()
+        peer.sendall(b"x")
+        assert conn.readable()
+        assert ours.recv(1) == b"x"
+        assert not conn.readable()
+        peer.close()
+        assert conn.readable()
+    finally:
+        ours.close()
+        peer.close()
 
 
 def test_http_pooled_connection_with_late_stray_bytes_is_not_reused(raw_server):

@@ -185,6 +185,16 @@ def test_readme_command_table_matches_each_subparsers_flags():
     }
 
 
+def test_readme_config_example_loads(tmp_path):
+    # Drift check: the JSON example under "Config file" is a config that
+    # loads, so a key renamed or refused there fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(example, encoding="utf-8")
+    assert load_config(str(path)).generator.model == "my-vlm"
+
+
 @pytest.mark.parametrize(
     "setting",
     [
@@ -298,10 +308,15 @@ def test_config_key_named_twice_exits_2_naming_it_before_any_call(tmp_path, caps
         ("generator", {"timeout_s": 1e10}),
         ("reward", {"backoff_s": 1e10, "retries": 1}),
         ("generator", {"retries": 600, "backoff_s": 1e-9}),
+        # Hosts the IDNA codec refuses: UnicodeError at the first request, or as the client was made.
+        ("generator", {"base_url": "http://a..b/v1"}),
+        ("reward", {"base_url": f"http://{'a' * 64}.example/v1"}),
+        ("generator", {"base_url": "http://\ud800x/v1"}),
     ],
     ids=["negative-backoff", "infinite-timeout", "infinite-backoff", "infinite-noise",
          "infinite-mean-correct", "infinite-mean-incorrect", "timeout-past-the-platform",
-         "backoff-past-the-platform", "retries-whose-last-backoff-is-past-the-platform"],
+         "backoff-past-the-platform", "retries-whose-last-backoff-is-past-the-platform",
+         "host-with-an-empty-label", "host-with-a-64-byte-label", "host-with-a-lone-surrogate"],
 )
 def test_setting_that_would_fail_mid_run_exits_2_before_any_request(
     tmp_path, capsys, monkeypatch, stub_server, section, setting
@@ -336,6 +351,26 @@ def test_infinite_search_temperature_sends_no_request(tmp_path, capsys, stub_ser
     assert capsys.readouterr().err == "config error: temperature must be finite, got inf\n"
     assert server.requests == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config {path}: [Errno 2] "),
+        ("DIRECTORY", "cannot read config {path}: [Errno 21] "),
+        ("[1]", "config root must be a JSON object"),
+        ('{"backend": "grpc"}', "backend must be 'sim' or 'http', got 'grpc'"),
+    ],
+    ids=["missing-file", "directory", "root-not-an-object", "unknown-backend"],
+)
+def test_config_file_that_gives_no_config_exits_2_saying_why(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    if text == "DIRECTORY":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    assert main(["solve", "q", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: " + message.format(path=path))
 
 
 def test_endpoint_type_error_names_the_key(tmp_path, capsys):
@@ -423,6 +458,16 @@ def test_solve_search_exhausted_exits_4(tmp_path, stub_server):
 
 def test_http_backend_without_endpoints_is_config_error(capsys):
     assert main(["solve", "q", "--backend", "http"]) == EXIT_CONFIG
+
+
+def test_calibrate_http_without_a_reward_endpoint_exits_2(tmp_path, capsys, stub_server):
+    server = stub_server([(200, {"score": 1.0})])
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"question": "q", "response": "<SUMMARY>s</SUMMARY>"}) + "\n")
+    config = _write_config(tmp_path, {"backend": "http", "generator": {"base_url": server.url}})
+    assert main(["calibrate", "--corpus", str(corpus), "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: http backend requires a reward endpoint config\n"
+    assert server.requests == []
 
 
 # ---------------------------------------------------------------------------

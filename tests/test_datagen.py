@@ -343,6 +343,20 @@ def test_pipeline_resume_after_truncated_last_line(tmp_path):
     assert [r["id"] for r in rows] == ["s0", "s1", "s2"]
 
 
+def test_pipeline_resume_over_records_that_end_in_a_bare_cr(tmp_path):
+    # read_jsonl ends a line at a bare CR, so open_append must too: cutting
+    # after the last LF emptied the file, and both records were generated again.
+    sources = [SourceRecord(f"s{i}", f"q{i}", "B") for i in range(2)]
+    out = tmp_path / "out.jsonl"
+    run_pipeline(sources, ScriptedGenerator([WELL_FORMED]), ScriptedGenerator(["valid"]), out)
+    data = out.read_bytes().replace(b"\n", b"\r")
+    out.write_bytes(data)
+    gen = CountingGenerator(ScriptedGenerator([WELL_FORMED]))
+    counts = run_pipeline(sources, gen, ScriptedGenerator(["valid"]), out)
+    assert (counts["skipped"], counts[STATUS_VALID], gen.calls) == (2, 0, 0)
+    assert out.read_bytes() == data
+
+
 def test_pipeline_reads_output_ids_as_input_ids_are_read(tmp_path):
     out = tmp_path / "out.jsonl"
     out.write_text(json.dumps({"id": 5}) + "\n")

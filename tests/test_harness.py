@@ -180,6 +180,18 @@ def test_run_benchmark_cuts_a_cut_short_records_line_before_appending(tmp_path):
     assert [r["item_id"] for r in rows] == ["w", "sim-0", "sim-1"]
 
 
+def test_run_benchmark_appends_after_records_that_end_in_a_bare_cr(tmp_path):
+    # open_append cut after the last LF only, so both records were cut away.
+    records = tmp_path / "run_records.jsonl"
+    earlier = "".join(json.dumps({"item_id": k}) + "\r" for k in ("w1", "w2"))
+    records.write_bytes(earlier.encode("ascii"))
+    sim = _perfect_sim()
+    run_benchmark(make_sim_items(1), SearchConfig(), sim, sim, out_dir=tmp_path, grader=oracle_grade)
+    text = records.read_bytes().decode("utf-8")
+    assert text.startswith(earlier)
+    assert [json.loads(line)["item_id"] for line in text.splitlines()] == ["w1", "w2", "sim-0"]
+
+
 def test_run_records_line_is_sorted_json_with_raw_utf8_text(tmp_path):
     sim = _perfect_sim()
     items = [BenchmarkItem(id="é-日本", question="què?")]
@@ -225,6 +237,15 @@ def test_scaling_experiment_bad_cell_raises_before_any_cell_runs(tmp_path):
     grid = [harness.GridCell(1, SearchConfig()), harness.GridCell(2, SearchConfig(beam_width=3))]
     with pytest.raises(ConfigError):
         scaling_experiment(make_sim_items(2), generator, sim, grid, out_dir=tmp_path / "runs")
+    assert generator.calls == 0
+    assert not (tmp_path / "runs").exists()
+
+
+def test_scaling_experiment_empty_grid_raises_before_any_call(tmp_path):
+    sim = _perfect_sim()
+    generator = CountingGenerator(sim)
+    with pytest.raises(EmptyBenchmarkError, match="scaling grid is empty"):
+        scaling_experiment(make_sim_items(2), generator, sim, [], out_dir=tmp_path / "runs")
     assert generator.calls == 0
     assert not (tmp_path / "runs").exists()
 

@@ -96,6 +96,16 @@ def test_backtrack_cutoff_degenerate_inputs():
     assert backtrack_cutoff(CalibrationStats(5.0, 0.0), 0.2533) == 5.0
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"reward_std": -1.0}, "reward_std must be >= 0"), ({"sample_count": 0}, "sample_count must be positive")],
+    ids=["negative-std", "no-samples"],
+)
+def test_calibration_stats_refuse_a_negative_std_or_no_samples(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        CalibrationStats(**{"reward_mean": 0.0, "reward_std": 1.0, **kwargs})
+
+
 def test_calibrate_textbook_sample_std():
     traj = StagedResponse((StageBlock(StageKind.SUMMARY, "s"),))
     scorer = ScriptedScorer([1.0, 2.0, 3.0])
