@@ -216,7 +216,8 @@ class EndpointConfig:
     defaults). A retried reply with ``Retry-After`` in whole seconds waits
     that long instead, at most ``RETRY_AFTER_CAP_S``. The timeout and the
     longest backoff wait are at most ``MAX_WAIT_S``. A ``base_url`` host the
-    IDNA codec refuses, which ``socket`` and ``ssl`` would refuse, is a ValueError.
+    IDNA codec refuses, which ``socket`` and ``ssl`` would refuse, or port 0,
+    which no connection reaches, is a ValueError.
     """
 
     base_url: str
@@ -236,6 +237,8 @@ class EndpointConfig:
             raise ValueError(f"base_url host is not a valid IDNA name ({exc}): {self.base_url!r}") from None
         default_port = 443 if url.scheme == "https" else 80
         port = default_port if url.port is None else url.port  # url.port raises ValueError if malformed
+        if port == 0:
+            raise ValueError(f"base_url port must not be 0, which no connection can reach: {self.base_url!r}")
         target = url.path + url.query
         if not (target.isascii() and target.isprintable()) or " " in target:
             raise ValueError(

@@ -84,6 +84,8 @@ _SEARCH_SETTINGS = {
     "temperature": None,
     "max_new_tokens": None,
 }
+# The settings ``default_grid`` fixes in every cell: ``scale`` takes no flag for them.
+_GRID_SETTINGS = ("strategy", "retrace_limit", "loop_semantics")
 _STATS_KEYS = ("reward_mean", "reward_std")
 _DEFAULT_SEARCH = SearchConfig()
 _TOP_KEYS = {f.name for f in fields(AppConfig)}
@@ -434,16 +436,21 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", dest="run_seed", metavar="SEED", type=int,
                       help="run seed for full determinism on sim")
-    search = argparse.ArgumentParser(add_help=False, parents=[backend, seed])
-    for key, flag in _SEARCH_SETTINGS.items():
-        if flag is not None:
-            default = _default(key)
-            if isinstance(default, Enum):
-                kind = {"choices": [member.value for member in type(default)]}
-            else:
-                kind = {"type": type(default)}
-            search.add_argument(flag[0], dest=key, help=flag[1], **kind)
-    search.add_argument("--parallelism", type=int, help="max concurrent backend calls")
+
+    def search_flags(skip=()) -> argparse.ArgumentParser:
+        search = argparse.ArgumentParser(add_help=False, parents=[backend, seed])
+        for key, flag in _SEARCH_SETTINGS.items():
+            if flag is not None and key not in skip:
+                default = _default(key)
+                if isinstance(default, Enum):
+                    kind = {"choices": [member.value for member in type(default)]}
+                else:
+                    kind = {"type": type(default)}
+                search.add_argument(flag[0], dest=key, help=flag[1], **kind)
+        search.add_argument("--parallelism", type=int, help="max concurrent backend calls")
+        return search
+
+    search = search_flags()
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -460,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-traces", action="store_true", help="persist per-item traces (needs --out)")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("scale", parents=[search], help="run the scaling grid")
+    p = sub.add_parser("scale", parents=[search_flags(_GRID_SETTINGS)], help="run the scaling grid")
     p.add_argument("--items", required=True, help="benchmark items (JSON lines)")
     p.add_argument("--out", required=True, help="curve table CSV path")
     p.add_argument("--log-dir", help="directory for per-cell run records")

@@ -206,6 +206,9 @@ def run_benchmark(
     finishes. A bad ``cfg`` raises its ConfigError before anything else is
     done, and an ``out_dir`` that cannot be made, or whose records file
     ``jsonl.open_append`` cannot open, raises ConfigError before any backend call.
+    A trace or record that cannot be written later raises ConfigError too,
+    keeping the records appended before it; that item gets no record, since
+    a record names only a trace that was written.
     """
     cfg.validate()
     selected = filter_items(items, categories)
@@ -214,9 +217,10 @@ def run_benchmark(
     out_path = Path(out_dir) if out_dir is not None else None
     records_file = None
     if out_path is not None:
+        records_path = out_path / "run_records.jsonl"
         try:
             out_path.mkdir(parents=True, exist_ok=True)
-            records_file = open_append(out_path / "run_records.jsonl")
+            records_file = open_append(records_path)
         except OSError as exc:
             raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
 
@@ -266,12 +270,16 @@ def run_benchmark(
                     record.correct = grader(item, record.conclusion)
                 except UngradableError:
                     record.ungradable = True
-                if result.trace is not None:
-                    record.trace_file = trace_dir + _trace_file_name(item.id)
-                    result.trace.write(record.trace_file)
             records.append(record)
-            if records_file is not None:
-                append_record(records_file, record.__dict__)
+            try:
+                if result is not None and result.trace is not None:
+                    path = record.trace_file = trace_dir + _trace_file_name(item.id)
+                    result.trace.write(path)
+                if records_file is not None:
+                    path = records_path
+                    append_record(records_file, record.__dict__)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
 
     return BenchmarkResult(sum(1 for r in records if r.correct) / len(records), totals, records)
 

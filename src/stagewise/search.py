@@ -26,12 +26,13 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .backends import (
     BackendError,
     Generator,
     GeneratorRequest,
+    MalformedReplyError,
     RewardRequest,
     RewardScorer,
     SamplingParams,
@@ -128,7 +129,8 @@ def calibrate(
     The trajectories are expected to run through the stage whose score
     distribution sets the retrace cutoff (the reasoning stage by default).
     Standard deviation uses the sample (n-1) convention and is 0.0 for a
-    single-item corpus.
+    single-item corpus. Scores too large to fit their mean or std in a float
+    raise MalformedReplyError.
     """
     if not corpus:
         raise EmptyCorpusError("calibration corpus is empty")
@@ -137,8 +139,10 @@ def calibrate(
     scores = [
         reward.score(RewardRequest(question=q, trajectory=traj)) for q, traj in corpus
     ]
-    std = stdev(scores) if len(scores) > 1 else 0.0
-    return CalibrationStats(fmean(scores), std, len(scores))
+    try:
+        return CalibrationStats(fmean(scores), stdev(scores) if len(scores) > 1 else 0.0, len(scores))
+    except OverflowError as exc:
+        raise MalformedReplyError(f"reward scores overflow a float in their mean or std: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +349,25 @@ def _batch_lines(lines: list[str], batch: tuple, inputs: dict) -> None:
     ``inputs`` caches, by ``id`` of the parent, the JSON of each parent's
     input digest and birth, taken once per serialisation.
     """
-    label, pass_index, first_seq, question, parents, raws, children, errors, scored = batch
+    label, pass_index, first_seq, question, parents, raws, outcomes, scored = batch
     tail = f',"stage":{_quote(label)}}}'
     seq = len(lines)
-    if errors:
-        rest = iter(children)
-        outcomes = [errors[slot] if slot in errors else next(rest) for slot in range(len(raws))]
-    else:
-        outcomes = children
-    for slot in range(len(raws)):
-        parent = parents[slot]
+    for slot, (parent, raw, outcome) in enumerate(zip(parents, raws, outcomes)):
         cached = inputs.get(id(parent))
         if cached is None:
             digest = _quote(text_digest(question + "\n" + render_staged(parent.trajectory)))
             birth = parent.birth
             cached = inputs[id(parent)] = (digest, "null" if parent is _ROOT else f"[{birth[0]},{birth[1]}]")
-        outcome = outcomes[slot]
         error_json = f'"parse_error":{_quote(outcome)},' if type(outcome) is str else ""
         lines.append(
             f'{{"birth":[{pass_index},{first_seq + slot}],"event":"generate",'
-            f'"input_digest":{cached[0]},"output_digest":{_quote(text_digest(raws[slot]))},'
+            f'"input_digest":{cached[0]},"output_digest":{_quote(text_digest(raw))},'
             f'"parent":{cached[1]},{error_json}"pass":{pass_index},"seq":{seq},"slot":{slot}{tail}'
         )
         seq += 1
     if not scored:
         return
-    for slot in range(len(outcomes)):
-        outcome = outcomes[slot]
+    for slot, outcome in enumerate(outcomes):
         if type(outcome) is str:
             lines.append(
                 f'{{"event":"score","parse_error":{_quote(outcome)},"pass":{pass_index},'
@@ -434,20 +430,19 @@ class SearchTrace:
         self._finish(_TRACE_ENCODER.encode({"seq": self._count, "event": event, **fields}))
 
     def log_batch(self, label: str, pass_index: int, first_seq: int, question: str,
-                  parents: Sequence[Candidate], raws: Sequence[str], children: Sequence[Candidate],
-                  errors: dict[int, str], scored: bool) -> None:
+                  parents: Sequence[Candidate], raws: Sequence[str],
+                  outcomes: Sequence[Union[Candidate, str]], scored: bool) -> None:
         """A batch: a ``generate`` event per slot, then a ``score`` event per slot if ``scored``.
 
         Slot ``i`` was generated from ``parents[i]``, got reply ``raws[i]`` and
-        birth ``(pass_index, first_seq + i)``. ``errors`` maps each slot whose
-        reply failed to parse to the error's text; ``children`` are the other
-        slots' candidates in slot order, whose scores are read when written. A
-        failed slot's ``score`` event has score -inf and no birth. A
-        ``generate`` event's ``input_digest`` is ``text_digest`` of the
-        question, a newline and the parent's rendered trajectory, and its
-        ``output_digest`` is ``text_digest(raw)``.
+        birth ``(pass_index, first_seq + i)``. ``outcomes[i]`` is the slot's
+        candidate, whose score is read when written, or the text of its
+        reply's parse error. A failed slot's ``score`` event has score -inf
+        and no birth. A ``generate`` event's ``input_digest`` is
+        ``text_digest`` of the question, a newline and the parent's rendered
+        trajectory, and its ``output_digest`` is ``text_digest(raw)``.
         """
-        self._entries.append((label, pass_index, first_seq, question, parents, raws, children, errors, scored))
+        self._entries.append((label, pass_index, first_seq, question, parents, raws, outcomes, scored))
         self._count += 2 * len(raws) if scored else len(raws)
 
     def log_select(self, label: str, pass_index: int, kept: list[tuple[int, int]]) -> None:
@@ -701,8 +696,8 @@ class _Engine:
         raws = self.run_calls(self.generator.generate, requests, self.ledger.tally_generate, label)
 
         scorable: list[Candidate] = []
-        # Slot -> the text of its reply's parse error.
-        errors: dict[int, str] = {}
+        # Per slot: its candidate, or the text of its reply's parse error.
+        outcomes: list[Union[Candidate, str]] = []
         first_seq = self._seq
         self._seq = first_seq + len(raws)
         for slot, (parent, raw) in enumerate(zip(assignments, raws)):
@@ -714,9 +709,10 @@ class _Engine:
                     block = parse_stage_continuation(raw, first)
                     child = Candidate(parent.trajectory.append(block), birth)
             except StageFormatError as exc:
-                errors[slot] = f"{type(exc).__name__}: {exc}"
+                outcomes.append(f"{type(exc).__name__}: {exc}")
             else:
                 scorable.append(child)
+                outcomes.append(child)
 
         if do_score:
             values = self.run_calls(
@@ -728,7 +724,7 @@ class _Engine:
             for candidate, value in zip(scorable, values):
                 candidate.score = value
         if self.trace is not None:
-            self.trace.log_batch(label, pass_index, first_seq, question, assignments, raws, scorable, errors, do_score)
+            self.trace.log_batch(label, pass_index, first_seq, question, assignments, raws, outcomes, do_score)
         return scorable
 
     # -- steps the strategies are built from -------------------------------

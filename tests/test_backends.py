@@ -561,6 +561,10 @@ def test_endpoint_config_validation():
         with pytest.raises(ValueError, match="base_url host is not a valid IDNA name"):
             EndpointConfig(base_url=url)
     EndpointConfig(base_url=f"http://{'a' * 63}.example./v1")
+    # Port 0, which every connection is refused at.
+    for url in ("http://127.0.0.1:0/v1", "https://x:00/v1"):
+        with pytest.raises(ValueError, match="base_url port must not be 0"):
+            EndpointConfig(base_url=url)
 
 
 def test_endpoint_config_compares_and_prints_by_its_fields_alone():

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -312,11 +313,14 @@ def test_config_key_named_twice_exits_2_naming_it_before_any_call(tmp_path, caps
         ("generator", {"base_url": "http://a..b/v1"}),
         ("reward", {"base_url": f"http://{'a' * 64}.example/v1"}),
         ("generator", {"base_url": "http://\ud800x/v1"}),
+        # Port 0: every connection is refused, after every backoff at the default retries.
+        ("reward", {"base_url": "http://127.0.0.1:0/v1"}),
     ],
     ids=["negative-backoff", "infinite-timeout", "infinite-backoff", "infinite-noise",
          "infinite-mean-correct", "infinite-mean-incorrect", "timeout-past-the-platform",
          "backoff-past-the-platform", "retries-whose-last-backoff-is-past-the-platform",
-         "host-with-an-empty-label", "host-with-a-64-byte-label", "host-with-a-lone-surrogate"],
+         "host-with-an-empty-label", "host-with-a-64-byte-label", "host-with-a-lone-surrogate",
+         "port-0"],
 )
 def test_setting_that_would_fail_mid_run_exits_2_before_any_request(
     tmp_path, capsys, monkeypatch, stub_server, section, setting
@@ -556,13 +560,37 @@ def test_scale_grid_cell_with_a_bad_config_exits_2_before_any_file(tmp_path, cap
     # Base beam is valid at --min-pass 5; the grid's SWIRES cells (width 2) are not.
     items = _write_items(tmp_path, 2)
     table, logs = tmp_path / "curve.csv", tmp_path / "logs"
+    config = _write_config(tmp_path, {"search": {"strategy": "beam"}})
     code = main(
         ["scale", "--items", str(items), "--out", str(table), "--log-dir", str(logs),
-         "--strategy", "beam", "--min-pass", "5"]
+         "--config", str(config), "--min-pass", "5"]
     )
     assert code == EXIT_CONFIG
     assert "min_pass_count must be in [1, beam_width]" in capsys.readouterr().err
     assert not table.exists() and not logs.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--strategy", "best_of_n"], ["--retraces", "7"], ["--loop-semantics", "algorithm_one"]],
+    ids=["strategy", "retraces", "loop-semantics"],
+)
+def test_scale_flag_for_a_setting_the_grid_fixes_is_a_usage_error(tmp_path, capsys, monkeypatch, flags):
+    # default_grid sets each cell's strategy, retrace budget and loop semantics,
+    # so these flags left the curve byte-identical.
+    monkeypatch.chdir(tmp_path)
+    items = _write_items(tmp_path, 2)
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    monkeypatch.setattr(SimWorld, "score", lambda self, request: calls.append(request))
+    with pytest.raises(SystemExit) as exit_:
+        main(["scale", "--items", str(items), "--out", "curve.csv", "--log-dir", "logs", *flags])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(flags)}" in err
+    assert "Traceback" not in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["items.jsonl"]
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +623,25 @@ def test_calibrate_fixture_corpus(tmp_path, capsys, stub_server, endpoints):
     assert summary["sample_count"] == 3
     saved = json.loads(stats_out.read_text())
     assert saved["reward_mean"] == pytest.approx(2.0)
+
+
+def test_calibrate_http_scores_whose_fit_overflows_exit_3(tmp_path, capsys, stub_server):
+    # Each score fits a float; their sum does not.
+    server = stub_server([(200, {"score": 1.7e308})])
+    corpus = tmp_path / "corpus.jsonl"
+    rows = [{"question": f"q{k}", "response": "<SUMMARY>s</SUMMARY>"} for k in range(3)]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    config = _write_config(tmp_path, {"backend": "http", "reward": {"base_url": server.url}})
+    stats_out = tmp_path / "stats.json"
+    code = main(["calibrate", "--corpus", str(corpus), "--config", str(config), "--out", str(stats_out)])
+    assert code == EXIT_BACKEND
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "backend failure: reward scores overflow a float in their mean or std: intermediate overflow in fsum\n"
+    )
+    assert captured.out == ""
+    assert len(server.requests) == 3
+    assert not stats_out.exists()
 
 
 def test_datagen_http_with_dedicated_judge(tmp_path, capsys, stub_server):
@@ -997,6 +1044,46 @@ def test_output_path_that_cannot_be_written_exits_2_before_any_call(tmp_path, ca
     assert "Traceback" not in err
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_bench_trace_that_cannot_be_written_mid_run_exits_2_keeping_earlier_records(tmp_path, capsys):
+    # A directory where item b's trace goes: its calls are made, its trace cannot be written.
+    items = tmp_path / "items.jsonl"
+    items.write_text("".join(json.dumps({"id": i, "question": "q"}) + "\n" for i in "ab"))
+    out = tmp_path / "out"
+    (out / "trace-b.jsonl").mkdir(parents=True)
+    assert main(["bench", "--items", str(items), "--out", str(out), "--save-traces"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / 'trace-b.jsonl'}: [Errno ")
+    assert "Traceback" not in err
+    # Item a's record stays; b gets none, since a record names only a trace that was written.
+    (record,) = [json.loads(line) for line in (out / "run_records.jsonl").read_text().splitlines()]
+    assert record["item_id"] == "a" and record["trace_file"] == str(out / "trace-a.jsonl")
+    assert SearchTrace.read(record["trace_file"])[1]
+
+
+def test_bench_record_that_cannot_be_appended_mid_run_exits_2(tmp_path, capsys, monkeypatch):
+    from stagewise import harness
+
+    appended = []
+
+    def append_record(fh, record):
+        appended.append(record["item_id"])
+        if len(appended) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_append_record(fh, record)
+
+    real_append_record = harness.append_record
+    monkeypatch.setattr(harness, "append_record", append_record)
+    items = _write_items(tmp_path, 3)
+    out = tmp_path / "out"
+    assert main(["bench", "--items", str(items), "--out", str(out)]) == EXIT_CONFIG
+    records = out / "run_records.jsonl"
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {records}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert appended == ["i0", "i1"]
+    assert [json.loads(line)["item_id"] for line in records.read_text().splitlines()] == ["i0"]
 
 
 @pytest.mark.parametrize("existing", [True, False], ids=["existing-file", "new-file"])

@@ -211,10 +211,12 @@ def test_run_benchmark_appends_each_record_as_its_item_finishes(tmp_path):
     items = make_sim_items(2)
     (tmp_path / f"trace-{items[1].id}.jsonl").mkdir()
     sim = _perfect_sim()
-    with pytest.raises(IsADirectoryError):
+    with pytest.raises(ConfigError) as excinfo:
         run_benchmark(
             items, SearchConfig(), sim, sim, out_dir=tmp_path, grader=oracle_grade, collect_traces=True
         )
+    assert str(excinfo.value).startswith(f"cannot write {tmp_path / f'trace-{items[1].id}.jsonl'}: ")
+    assert isinstance(excinfo.value.__cause__, IsADirectoryError)
     rows = [json.loads(line) for line in (tmp_path / "run_records.jsonl").read_text().splitlines()]
     assert [r["item_id"] for r in rows] == [items[0].id]
 
@@ -667,9 +669,16 @@ _ORACLE_TRIALS = 10_000
         harness._simcheck_config(
             strategy=Strategy.BEST_OF_N, beam_width=3, pipeline=(StageKind.CAPTION, StageKind.CONCLUSION)
         ),
+        # One-stage pipelines: the answer is the one batch's best, drawn at M, or at the summary count.
+        harness._simcheck_config(
+            strategy=Strategy.STAGE_BEAM, candidates_per_stage=3, pipeline=(StageKind.CAPTION,)
+        ),
+        harness._simcheck_config(
+            strategy=Strategy.STAGE_BEAM, summary_candidates=2, pipeline=(StageKind.SUMMARY,)
+        ),
     ],
     ids=["swires-summaries-3-cutoff-below", "swires-from-summary-cutoff-at-correct", "beam-sub-pipeline",
-         "best-of-3-sub-pipeline"],
+         "best-of-3-sub-pipeline", "beam-caption-only", "beam-summary-only"],
 )
 def test_exact_accuracy_matches_monte_carlo_within_3_se(cfg):
     exact = exact_accuracy(cfg, _ORACLE_WORLD)

@@ -17,6 +17,7 @@ from stagewise.backends import (
     GeneratorRequest,
     HttpGenerator,
     HttpRewardScorer,
+    MalformedReplyError,
     RewardRequest,
     RewardScorer,
     SamplingParams,
@@ -134,6 +135,21 @@ def test_calibrate_balanced_corpus_mean_zero():
 def test_calibrate_empty_corpus():
     with pytest.raises(EmptyCorpusError):
         calibrate(ScriptedScorer([1.0]), [])
+
+
+@pytest.mark.parametrize(
+    "scores, reason",
+    [([1.7e308] * 3, "intermediate overflow in fsum"),
+     ([1.7e308, -1.7e308], "integer division result too large for a float")],
+    ids=["mean", "std"],
+)
+def test_calibrate_scores_whose_fit_overflows_are_a_malformed_reply(scores, reason):
+    # Finite scores whose sum, or sum of squares, is past the float range.
+    traj = StagedResponse((StageBlock(StageKind.SUMMARY, "s"),))
+    scorer = ScriptedScorer(scores)
+    with pytest.raises(MalformedReplyError, match=f"reward scores overflow a float in their mean or std: {reason}"):
+        calibrate(scorer, [(str(k), traj) for k in range(len(scores))])
+    assert scorer.calls == len(scores)
 
 
 # ---------------------------------------------------------------------------
