@@ -11,9 +11,11 @@ that only the sim scorer and the oracle grader ever read.
 from __future__ import annotations
 
 import abc
+import ipaddress
 import json
 import math
 import os
+import string
 import threading
 import time
 from dataclasses import dataclass
@@ -206,6 +208,12 @@ class RewardScorer(abc.ABC):
 MAX_WAIT_S = 9_000_000_000
 
 
+# The characters of a host name that is not an IP literal. RFC 3986 section
+# 3.2.2 lets a reg-name hold more (sub-delims, "~", percent-escapes), but the
+# name lookup a connection makes finds no host by such a name.
+_HOST_NAME_CHARS = frozenset(string.ascii_letters + string.digits + "-_.")
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     """Connection settings for one HTTP endpoint.
@@ -216,8 +224,13 @@ class EndpointConfig:
     defaults). A retried reply with ``Retry-After`` in whole seconds waits
     that long instead, at most ``RETRY_AFTER_CAP_S``. The timeout and the
     longest backoff wait are at most ``MAX_WAIT_S``. A ``base_url`` host the
-    IDNA codec refuses, which ``socket`` and ``ssl`` would refuse, or port 0,
-    which no connection reaches, is a ValueError.
+    IDNA codec refuses, which ``socket`` and ``ssl`` would refuse, one that
+    after IDNA encoding is neither an IP literal nor made of letters, digits,
+    ``-``, ``_`` and ``.``, which no name lookup finds, one in brackets that is
+    not an IP address (an IPvFuture such as ``[v1.x]``), or port 0, which no
+    connection reaches, is a ValueError. So is a user name or password in
+    ``base_url``, which the client would not send: the message leaves the
+    URL out, so the password is not printed.
     """
 
     base_url: str
@@ -229,12 +242,21 @@ class EndpointConfig:
 
     def __post_init__(self) -> None:
         url = urlsplit(self.base_url)
+        if "@" in url.netloc:
+            raise ValueError("base_url must hold no user name or password; the token comes from token_env")
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http(s) URL with a host: {self.base_url!r}")
         try:
             host = url.hostname.encode("idna").decode("ascii")
         except UnicodeError as exc:
             raise ValueError(f"base_url host is not a valid IDNA name ({exc}): {self.base_url!r}") from None
+        if url.netloc.startswith("[") or not set(host) <= _HOST_NAME_CHARS:
+            try:
+                ipaddress.ip_address(host)
+            except ValueError:
+                raise ValueError(
+                    f"base_url host must be an IP literal or letters, digits, '-', '_' and '.': {self.base_url!r}"
+                ) from None
         default_port = 443 if url.scheme == "https" else 80
         port = default_port if url.port is None else url.port  # url.port raises ValueError if malformed
         if port == 0:

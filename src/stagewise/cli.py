@@ -163,7 +163,8 @@ def _typed_section(data: dict, name: str, cls) -> dict:
     """The ``name`` section with each value checked against its field of ``cls``.
 
     A field with a numeric default takes a number of that kind (``_number``),
-    ``success`` and ``recovery`` an object of numbers too, any other a string.
+    ``success`` and ``recovery`` an object of numbers too, any other a string
+    of UTF-8 text (``string_field``).
     """
     defaults = {f.name: f.default for f in fields(cls)}
     checked = {}
@@ -173,8 +174,11 @@ def _typed_section(data: dict, name: str, cls) -> dict:
             value = {stage: _number(f"{label}.{stage}", p, 0.0) for stage, p in value.items()}
         elif isinstance(default, (int, float)):
             value = _number(label, value, default)
-        elif not isinstance(value, str):
-            raise ConfigError(f"{label} must be a string, got {value!r}")
+        else:
+            try:
+                value = string_field({label: value}, label)
+            except TypeError as exc:  # a wrong type reads as _number's does
+                raise ConfigError(str(exc)) from None
         checked[key] = value
     return checked
 
@@ -296,6 +300,11 @@ def _summary(payload: dict) -> None:
 
 
 def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
+    try:
+        string_field(vars(args), "question")
+        string_field({"--image": args.image}, "--image", optional=True)
+    except ValueError as exc:  # an argument's bytes that are not UTF-8
+        raise ConfigError(str(exc)) from None
     _check_writable(args.trace)
     result = run_strategy(
         args.question,

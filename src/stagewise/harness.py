@@ -203,14 +203,17 @@ def run_benchmark(
     and counted incorrect, with the calls the search made before it failed
     in the record and the totals; the run continues. Each record is appended
     to ``out_dir/run_records.jsonl`` by ``jsonl.append_record`` as its item
-    finishes. A bad ``cfg`` raises its ConfigError before anything else is
-    done, and an ``out_dir`` that cannot be made, or whose records file
-    ``jsonl.open_append`` cannot open, raises ConfigError before any backend call.
+    finishes. A bad ``cfg``, or a ``parallelism`` below 1, raises its
+    ConfigError before anything else is done, and an ``out_dir`` that cannot
+    be made, or whose records file ``jsonl.open_append`` cannot open, raises
+    ConfigError before any backend call.
     A trace or record that cannot be written later raises ConfigError too,
     keeping the records appended before it; that item gets no record, since
     a record names only a trace that was written.
     """
     cfg.validate()
+    if parallelism < 1:
+        raise ConfigError("parallelism must be >= 1")
     selected = filter_items(items, categories)
     if not selected:
         raise EmptyBenchmarkError("no benchmark items to run")

@@ -384,11 +384,6 @@ def _batch_lines(lines: list[str], batch: tuple, inputs: dict) -> None:
         seq += 1
 
 
-# The header line of a trace made without header fields; a search's trace
-# replaces it (``_make_trace``), so the search encodes no header to discard.
-_BARE_HEADER = _TRACE_ENCODER.encode({"record": "header"})
-
-
 class SearchTrace:
     """Ordered audit log of every generation, score, selection, and retrace.
 
@@ -403,8 +398,10 @@ class SearchTrace:
     fixed when the trace is made.
     """
 
-    def __init__(self, header: Optional[dict] = None):
-        self._header = _TRACE_ENCODER.encode({"record": "header", **header}) if header else _BARE_HEADER
+    def __init__(self, header: str):
+        if not isinstance(header, str):
+            raise TypeError(f"a trace takes its header line as a str, got {type(header).__name__}")
+        self._header = header
         # Finished event lines, and one tuple per batch for ``_batch_lines``.
         self._entries: list = []
         # The event lines logged so far, a batch's included: the next line's seq.
@@ -566,13 +563,15 @@ class _Engine:
         parallelism: int,
     ):
         cfg.validate()
+        if parallelism < 1:
+            raise ConfigError("parallelism must be >= 1")
         self.started = time.perf_counter()
         self.question = question
         self.cfg = cfg
         self.generator = generator
         self.reward = reward
         self.image_ref = image_ref
-        self.parallelism = max(1, parallelism)
+        self.parallelism = parallelism
         self.whole_response = cfg.strategy is Strategy.BEST_OF_N
         self.qdigest = text_digest(question)
         self.trace = _make_trace(cfg, self.qdigest, run_seed) if collect_trace else None
@@ -773,12 +772,10 @@ class _Engine:
 
 def _make_trace(cfg: SearchConfig, question_digest: str, run_seed: int) -> SearchTrace:
     """A search's trace, its header line formatted around the config's JSON, encoded once."""
-    trace = SearchTrace()
-    trace._header = (
+    return SearchTrace(
         f'{{"config":{cfg._trace_config},"question_digest":{_quote(question_digest)},"record":"header",'
         f'"run_seed":{_number(run_seed)},"strategy":{_quote(cfg.strategy.value)}}}'
     )
-    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -877,16 +874,16 @@ def swires(
         pool: list[Candidate] = []
         for pass_index in range(cfg.max_passes):
             parents = prefix_survivors
-            cleared = 0
             for stage in body[:-1]:
                 batch = engine.expand_and_score(
                     (stage,), pass_index, parents, cfg.candidates_per_stage, True
                 )
                 if not batch:
-                    parents = []
+                    # Every reply failed to parse: the pass ends before its pool stage.
+                    cleared = 0
                     break
                 parents = engine.select(stage, pass_index, batch)
-            if parents:
+            else:
                 additions = engine.expand_and_score(
                     (pool_stage,), pass_index, parents, cfg.candidates_per_stage, True
                 )

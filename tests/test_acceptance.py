@@ -109,7 +109,16 @@ def test_a3_oracle_equivalence_small_world():
     # semantics on SIMCHECK_WORLD, whose caption and reasoning are the two
     # stochastic stages; M=2, N=1, C=1, zero reward noise, cutoff 0 between
     # the reward means.
-    for row in run_simcheck(trials=TRIALS, run_seed=11):
+    rows = run_simcheck(trials=TRIALS, run_seed=11)
+    with criterion("A3 runs simcheck's four checks, in order"):
+        # A check dropped from simcheck would otherwise drop out of A3 unseen.
+        assert [row["check"] for row in rows] == [
+            "best_of_n(n=2)",
+            "beam(m=2,n=1)",
+            "swires(m=2,n=1,single pass)",
+            "swires(m=2,n=1,two passes)",
+        ]
+    for row in rows:
         exact, measured = row["exact"], row["monte_carlo"]
         with criterion(f"A3 {row['check']} matches exact_accuracy within 3 standard errors at {TRIALS} trials"):
             assert abs(measured - exact) <= 3.0 * standard_error(exact, TRIALS), (

@@ -315,12 +315,21 @@ def test_config_key_named_twice_exits_2_naming_it_before_any_call(tmp_path, caps
         ("generator", {"base_url": "http://\ud800x/v1"}),
         # Port 0: every connection is refused, after every backoff at the default retries.
         ("reward", {"base_url": "http://127.0.0.1:0/v1"}),
+        # Hosts IDNA takes but no name lookup finds: every call fails to resolve.
+        ("generator", {"base_url": "http://a b/v1"}),
+        ("generator", {"base_url": "http://a;b/v1"}),
+        ("reward", {"base_url": 'http://a"b/v1'}),
+        ("reward", {"base_url": "http://a,b/v1"}),
+        ("generator", {"base_url": "http://a%20b/v1"}),
+        ("reward", {"base_url": "http://a\x7f/v1"}),
+        ("generator", {"base_url": "http://a\u0000b/v1"}),
     ],
     ids=["negative-backoff", "infinite-timeout", "infinite-backoff", "infinite-noise",
          "infinite-mean-correct", "infinite-mean-incorrect", "timeout-past-the-platform",
          "backoff-past-the-platform", "retries-whose-last-backoff-is-past-the-platform",
          "host-with-an-empty-label", "host-with-a-64-byte-label", "host-with-a-lone-surrogate",
-         "port-0"],
+         "port-0", "host-with-a-space", "host-with-a-semicolon", "host-with-a-quote",
+         "host-with-a-comma", "host-with-a-percent-escape", "host-with-a-delete", "host-with-a-nul"],
 )
 def test_setting_that_would_fail_mid_run_exits_2_before_any_request(
     tmp_path, capsys, monkeypatch, stub_server, section, setting
@@ -383,6 +392,43 @@ def test_endpoint_type_error_names_the_key(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: generator.retries must be an integer, got '2'\n"
 
 
+def test_endpoint_string_type_error_names_the_key_as_a_number_does(tmp_path, capsys):
+    path = _write_config(tmp_path, {"generator": {"base_url": "http://x", "model": 1}})
+    assert main(["solve", "q", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: generator.model must be a string, got 1\n"
+
+
+def test_endpoint_user_and_password_exit_2_before_any_request_and_are_not_printed(
+    tmp_path, capsys, stub_server
+):
+    # The client would drop them and print the URL, password and all, in each failure.
+    server = stub_server([(200, {"score": 1.0})])
+    endpoint = {"base_url": server.url.replace("http://", "http://user:pw@"), "retries": 0}
+    path = _write_config(tmp_path, {"backend": "http", "generator": endpoint, "reward": endpoint})
+    assert main(["solve", "q", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: invalid config value: "
+        "base_url must hold no user name or password; the token comes from token_env\n"
+    )
+    assert server.requests == []
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_endpoint_string_setting_not_utf8_exits_2_before_any_request(tmp_path, capsys, stub_server, command):
+    # os.environ.get raised UnicodeEncodeError on the name at the first request.
+    server = stub_server([(200, {"score": 1.0})])
+    endpoint = {"base_url": server.url, "retries": 0}
+    data = {"backend": "http", "generator": {**endpoint, "token_env": "\ud800"}, "reward": endpoint}
+    path = _write_config(tmp_path, data)
+    out = tmp_path / "out"
+    args = ["q"] if command == "solve" else ["--items", str(_write_items(tmp_path, 2)), "--out", str(out)]
+    assert main([command, *args, "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: invalid config value: generator.token_env is not valid UTF-8 text: '\\ud800'\n"
+    )
+    assert server.requests == [] and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -430,6 +476,21 @@ def test_solve_bad_endpoint_exits_3(tmp_path, capsys):
     )
     code = main(["solve", "q", "--config", str(config)])
     assert code == EXIT_BACKEND
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [(["caf\udce9"], "question"), (["q", "--image", "caf\udce9"], "--image")],
+    ids=["question", "image"],
+)
+def test_solve_argument_not_utf8_exits_2_before_any_call(tmp_path, capsys, monkeypatch, args, name):
+    # An argument of bytes that are not UTF-8 reaches Python with surrogate escapes.
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    trace = tmp_path / "trace.jsonl"
+    assert main(["solve", *args, "--trace", str(trace)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {name} is not valid UTF-8 text: 'caf\\udce9'\n"
+    assert calls == [] and not trace.exists()
 
 
 def test_solve_config_error_exits_2(capsys):

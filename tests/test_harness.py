@@ -233,6 +233,16 @@ def test_run_benchmark_bad_config_raises_before_any_call_or_file(tmp_path):
     assert not out_dir.exists()
 
 
+def test_run_benchmark_parallelism_below_one_raises_before_any_call_or_file(tmp_path):
+    sim = _perfect_sim()
+    generator = CountingGenerator(sim)
+    out_dir = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"^parallelism must be >= 1$"):
+        run_benchmark(make_sim_items(2), SearchConfig(), generator, sim, out_dir=out_dir, parallelism=0)
+    assert generator.calls == 0
+    assert not out_dir.exists()
+
+
 def test_scaling_experiment_bad_cell_raises_before_any_cell_runs(tmp_path):
     sim = _perfect_sim()
     generator = CountingGenerator(sim)

@@ -773,6 +773,29 @@ def test_swires_cutoff_strictly_greater():
     assert result.ledger.generator_calls == 27  # never accepted
 
 
+def test_swires_pass_ending_before_its_pool_stage_clears_none():
+    # Every caption of pass 0 fails to parse, so that pass scores no reasoning:
+    # its retrace reports 0 cleared, though any reasoning would have cleared.
+    sim = _world()
+    cfg = SearchConfig(stats=CalibrationStats(-100.0, 0.0))
+
+    class BrokenFirstCaptions(Generator):
+        captions = 0
+
+        def generate(self, request):
+            if request.target_stages == (StageKind.CAPTION,):
+                self.captions += 1
+                if self.captions <= cfg.candidates_per_stage:
+                    return "</CAPTION> broken"
+            return sim.generate(request)
+
+    events = swires("q", cfg, BrokenFirstCaptions(), sim, run_seed=0).trace.events
+    assert [(e["pass"], e["cleared"]) for e in events if e["event"] == "retrace"] == [(0, 0)]
+    kept = [e for e in events if e["event"] == "select" and e["stage"] == "reasoning"][-1]
+    assert kept["pass"] == 1 and {birth[0] for birth in kept["kept"]} == {1}
+    assert events[-1]["event"] == "answer"
+
+
 def test_swires_main_text_semantics_pass_budget():
     sim = _world()
     cfg = SearchConfig(
@@ -781,6 +804,15 @@ def test_swires_main_text_semantics_pass_budget():
     result = swires("q", cfg, sim, sim, run_seed=0)
     # Initial pass + one retrace: 1 + 2*(M+M) + N at defaults.
     assert result.ledger.generator_calls == 1 + 2 * 8 + 2
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_search_parallelism_below_one_raises_before_any_call(strategy):
+    sim = _world()
+    gen, rew = CountingGenerator(sim), CountingScorer(sim)
+    with pytest.raises(ConfigError, match=r"^parallelism must be >= 1$"):
+        run_strategy("q", SearchConfig(strategy=strategy), gen, rew, parallelism=0)
+    assert gen.calls == rew.calls == 0
 
 
 def test_searches_share_one_signature():
@@ -902,18 +934,6 @@ def _encoded_header(trace):
     return search._TRACE_ENCODER.encode({"record": "header", **trace.header})
 
 
-def test_trace_header_built_by_hand_is_encoded_whole():
-    config = {"beam_width": 2, "pipeline": ["caption"], "z": float("nan")}
-    for header in [
-        {},
-        {"strategy": "swires", "config": config},
-        {"strategy": "swires", "question_digest": "d", "run_seed": 1, "config": config},
-        {"config": config, "record": "mine", "a": [1.0, -0.0, float("-inf")], "\u00e9": "\ud800"},
-    ]:
-        trace = SearchTrace(header)
-        assert trace.to_jsonl() == search._TRACE_ENCODER.encode({"record": "header", **header})
-
-
 def test_trace_headers_of_configs_differing_in_one_field_stay_apart():
     # Equal configs can encode apart (1 and 1.0), so neither may write the other's JSON.
     sim = _world()
@@ -971,19 +991,20 @@ def test_trace_header_is_a_decoded_copy_of_its_line():
         "strategy-none", "header-key-removed", "header-key-added",
     ],
 )
-def test_trace_header_edited_is_written_only_by_a_trace_built_from_it(change):
-    # Editing the decoded copy leaves the made trace as it was; a trace built by
-    # hand from the edited copy writes the edit, even where it compares equal.
+def test_trace_header_edited_leaves_the_made_trace_unchanged(change):
+    # Editing the decoded copy leaves the made trace as it was.
     sim = _world()
     cfg = SearchConfig(stats=CalibrationStats(0.5, 0.0), cutoff_zscore=1)
     trace = run_strategy("q", cfg, sim, sim, run_seed=5).trace
     made = _header_line(trace)
     header = trace.header
-    assert SearchTrace(header).to_jsonl() == made
     change(header)
     assert _header_line(trace) == made == _encoded_header(trace)
-    built = SearchTrace(header)
-    assert built.to_jsonl() == search._TRACE_ENCODER.encode({"record": "header", **header}) != made
+
+
+def test_trace_takes_its_header_as_a_line_not_a_dict():
+    with pytest.raises(TypeError, match="header line as a str, got dict"):
+        SearchTrace({"strategy": "swires"})
 
 
 def test_trace_round_trips_through_file(tmp_path):
@@ -1073,7 +1094,7 @@ def test_trace_read_names_file_and_line_of_a_bad_line(tmp_path, bad_line):
 
 
 def _trace_of(events: int) -> SearchTrace:
-    trace = SearchTrace({"strategy": "swires", "run_seed": events})
+    trace = search._make_trace(SearchConfig(), "d", events)
     for i in range(events):
         trace.log("generate", {"stage": "caption", "text": "é" * 40 + str(i)})
     return trace
