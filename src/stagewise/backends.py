@@ -219,18 +219,20 @@ class EndpointConfig:
     """Connection settings for one HTTP endpoint.
 
     The auth token is read from the environment variable named by
-    ``token_env``, never from configuration files. Retries back off at
-    ``backoff_s`` seconds, quadrupling per attempt (1 s then 4 s at the
-    defaults). A retried reply with ``Retry-After`` in whole seconds waits
-    that long instead, at most ``RETRY_AFTER_CAP_S``. The timeout and the
-    longest backoff wait are at most ``MAX_WAIT_S``. A ``base_url`` host the
-    IDNA codec refuses, which ``socket`` and ``ssl`` would refuse, one that
-    after IDNA encoding is neither an IP literal nor made of letters, digits,
-    ``-``, ``_`` and ``.``, which no name lookup finds, one in brackets that is
-    not an IP address (an IPvFuture such as ``[v1.x]``), or port 0, which no
-    connection reaches, is a ValueError. So is a user name or password in
-    ``base_url``, which the client would not send: the message leaves the
-    URL out, so the password is not printed.
+    ``token_env``, never from configuration files, and only when the config is
+    made: changing the variable later does not change the config. A token that
+    is not printable ASCII, which cannot go in a header, is a ValueError.
+    Retries back off at ``backoff_s`` seconds, quadrupling per attempt (1 s
+    then 4 s at the defaults). A retried reply with ``Retry-After`` in whole
+    seconds waits that long instead, at most ``RETRY_AFTER_CAP_S``. The
+    timeout and the longest backoff wait are at most ``MAX_WAIT_S``. A
+    ``base_url`` host the IDNA codec refuses, which ``socket`` and ``ssl``
+    would refuse, one that after IDNA encoding is neither an IP literal nor
+    made of letters, digits, ``-``, ``_`` and ``.``, which no name lookup
+    finds, one in brackets that is not an IP address (an IPvFuture such as
+    ``[v1.x]``), or port 0, which no connection reaches, is a ValueError. So
+    is a user name or password in ``base_url``, which the client would not
+    send: the message leaves the URL out, so the password is not printed.
     """
 
     base_url: str
@@ -266,15 +268,20 @@ class EndpointConfig:
             raise ValueError(
                 f"base_url path and query must be ASCII without spaces or control characters: {self.base_url!r}"
             )
+        token = os.environ.get(self.token_env, "")
+        if not (token.isascii() and token.isprintable()):
+            raise ValueError(f"the token in {self.token_env} is not printable ASCII")
         # What the client sends, kept out of the fields and so out of ==, hash and repr:
-        # the address, TLS or not, and http.client's request head up to the body's length.
+        # the address, TLS or not, and http.client's request head before and after the body's length.
         field = f"[{host}]" if ":" in host else host  # an IPv6 address in brackets
         field += "" if port == default_port else f":{port}"
         path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         head = f"POST {path} HTTP/1.1\r\nHost: {field}\r\nAccept-Encoding: identity\r\nContent-Length: "
+        auth = f"Authorization: Bearer {token}\r\n" if token else ""
         object.__setattr__(self, "_address", (host, port))
         object.__setattr__(self, "_tls", default_port == 443)
         object.__setattr__(self, "_head", head)
+        object.__setattr__(self, "_tail", f"\r\nContent-Type: application/json\r\n{auth}\r\n")
         if not 0 < self.timeout_s <= MAX_WAIT_S:
             raise ValueError(f"timeout_s must be above 0 and at most {MAX_WAIT_S}, got {self.timeout_s!r}")
         if not 0 <= self.backoff_s <= MAX_WAIT_S:
@@ -313,8 +320,8 @@ class _HttpClient:
 
     def __init__(self, config: EndpointConfig):
         self.config = config
-        # The request head runs up to the body's length; ``_post`` writes the rest.
-        self._address, self._head, self._tls = config._address, config._head, None
+        # The request head, split at the body's length, which ``_post`` writes between.
+        self._address, self._head, self._tail, self._tls = config._address, config._head, config._tail, None
         if config._tls:
             # The TLS stack loads with the first https client, so sim-only runs skip it.
             import ssl
@@ -397,13 +404,7 @@ class _HttpClient:
             raise TransportError(
                 f"request body for {config.base_url} is not valid JSON: {exc}"
             ) from exc
-        token = os.environ.get(config.token_env, "")
-        if not (token.isascii() and token.isprintable()):
-            raise TransportError(f"the token in {config.token_env} is not printable ASCII")
-        auth = f"Authorization: Bearer {token}\r\n" if token else ""
-        request = (
-            f"{self._head}{len(data)}\r\nContent-Type: application/json\r\n{auth}\r\n"
-        ).encode("ascii") + data
+        request = f"{self._head}{len(data)}{self._tail}".encode("ascii") + data
         last_error: Optional[Exception] = None
         wait: Optional[int] = None
         for attempt in range(config.retries + 1):

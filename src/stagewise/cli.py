@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional
@@ -256,6 +257,15 @@ def _read_input(loader, path):
         raise ConfigError(str(exc)) from exc
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError in the block into ConfigError("cannot write PATH: ..."), exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _check_writable(path) -> None:
     """Raise ConfigError unless the file at ``path`` can be written, before any backend call.
 
@@ -265,12 +275,10 @@ def _check_writable(path) -> None:
     if path is None:
         return
     existed = os.path.lexists(path)
-    try:
+    with _writing(path):
         os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666))
         if not existed:
             os.unlink(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _corpus_record(data: dict) -> tuple[str, StagedResponse]:
@@ -316,12 +324,13 @@ def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
         collect_trace=args.trace is not None,
         parallelism=cfg.parallelism,
     )
+    if args.trace:
+        with _writing(args.trace):
+            result.trace.write(args.trace)
     for block in result.answer.blocks:
         print(f"[{block.kind.name}]")
         print(block.text)
     print(f"ANSWER: {result.final_text}")
-    if args.trace:
-        result.trace.write(args.trace)
     print(f"wall_time_s={result.ledger.wall_time_s:.3f}", file=sys.stderr)
     _summary(
         {
@@ -392,7 +401,7 @@ def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
         "sample_count": stats.sample_count,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             json.dump(fitted, fh)
     _summary({"command": "calibrate", **fitted})
     return EXIT_OK
@@ -509,8 +518,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = apply_flags(load_config(args.config), args)
-        if cfg.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -39,6 +39,7 @@ from .search import (
     SearchConfig,
     SearchError,
     Strategy,
+    check_parallelism,
     run_strategy,
     stage_wise_beam,
 )
@@ -212,8 +213,7 @@ def run_benchmark(
     a record names only a trace that was written.
     """
     cfg.validate()
-    if parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
+    check_parallelism(parallelism)
     selected = filter_items(items, categories)
     if not selected:
         raise EmptyBenchmarkError("no benchmark items to run")
@@ -367,7 +367,8 @@ def scaling_experiment(
 
     With ``zero_wall_time`` the wall-time column is written as 0.000 so that
     repeated runs under the same seeds produce byte-identical tables. Every
-    cell's config is validated before the first cell runs.
+    cell's config is validated before the first cell runs. An ``out_csv``
+    that cannot be written after the cells raises ConfigError.
     """
     cells = list(grid) if grid is not None else default_grid()
     if not cells:
@@ -400,7 +401,10 @@ def scaling_experiment(
             )
         )
     if out_csv is not None:
-        write_curve_csv(points, out_csv)
+        try:
+            write_curve_csv(points, out_csv)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_csv}: {exc}") from exc
     return points
 
 

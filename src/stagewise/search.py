@@ -541,6 +541,12 @@ def _rank(c: Candidate) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def check_parallelism(parallelism: int) -> None:
+    """Raise ConfigError for a cap on backend calls in flight below 1."""
+    if parallelism < 1:
+        raise ConfigError("parallelism must be >= 1")
+
+
 class _Engine:
     """Shared per-search state: seeds, births, ledger, trace, concurrency.
 
@@ -563,8 +569,7 @@ class _Engine:
         parallelism: int,
     ):
         cfg.validate()
-        if parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
+        check_parallelism(parallelism)
         self.started = time.perf_counter()
         self.question = question
         self.cfg = cfg

@@ -299,8 +299,12 @@ def _endpoint(url, retries=0, backoff=0.01):
 
 
 def test_http_generator_wire_format(stub_server):
+    # A chat reply, then a completions-style one, whose text is read when there is no message.
     server = stub_server(
-        [(200, {"choices": [{"message": {"content": "<SUMMARY>hi</SUMMARY> extra"}}]})]
+        [
+            (200, {"choices": [{"message": {"content": "<SUMMARY>hi</SUMMARY> extra"}}]}),
+            (200, {"choices": [{"text": "<SUMMARY>hi</SUMMARY> extra"}]}),
+        ]
     )
     gen = HttpGenerator(_endpoint(server.url))
     prior = StagedResponse((StageBlock(StageKind.SUMMARY, "s"),))
@@ -313,9 +317,10 @@ def test_http_generator_wire_format(stub_server):
         sampling=SamplingParams(temperature=0.7, max_new_tokens=64, stop="</SUMMARY>"),
         seed=123,
     )
-    out = gen.generate(req)
-    assert out == "<SUMMARY>hi"  # truncated at stop, stop stripped
+    outs = [gen.generate(req), gen.generate(req)]
+    assert outs == ["<SUMMARY>hi", "<SUMMARY>hi"]  # truncated at stop, stop stripped
 
+    assert server.requests[0]["body"] == server.requests[1]["body"]
     body = server.requests[0]["body"]
     assert body["model"] == "test-model"
     assert body["temperature"] == 0.7
@@ -827,13 +832,31 @@ def test_http_request_over_ipv6_loopback(raw_server):
 
 
 def test_http_token_that_cannot_go_in_a_header_sends_nothing(raw_server, monkeypatch):
+    # The token is read when the config is made, so the config refuses it and no client is built.
     server = raw_server([_BOTH_REPLY])
-    gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=5))
     for token in ("tok\r\nX-Injected: 1", "tök"):
         monkeypatch.setenv("STAGEWISE_API_KEY", token)
-        with pytest.raises(TransportError, match="not printable ASCII"):
-            _ask(gen, "q")
+        with pytest.raises(ValueError, match=r"^the token in STAGEWISE_API_KEY is not printable ASCII$"):
+            _endpoint(server.url, retries=2, backoff=5)
     assert server.requests == []
+
+
+def test_http_token_is_read_once_when_the_config_is_made(raw_server, monkeypatch):
+    monkeypatch.setenv("STAGEWISE_API_KEY", "first")
+    server = raw_server([_BOTH_REPLY, _BOTH_REPLY])
+    config = _endpoint(server.url)
+    assert "first" not in repr(config)
+    gen = HttpGenerator(config)
+    try:
+        # A later value, even one the config would refuse, or none, changes nothing.
+        monkeypatch.setenv("STAGEWISE_API_KEY", "tök")
+        assert _ask(gen, "q") == "ok"
+        monkeypatch.delenv("STAGEWISE_API_KEY")
+        assert _ask(gen, "q") == "ok"
+    finally:
+        gen.close()
+    heads = [_head_and_body(r["raw"])[0] for r in server.requests]
+    assert [b"\r\nAuthorization: Bearer first\r\n\r\n" in head for head in heads] == [True, True]
 
 
 def test_endpoint_path_must_be_plain_ascii():

@@ -2,6 +2,7 @@ import argparse
 import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 from enum import Enum
@@ -429,6 +430,21 @@ def test_endpoint_string_setting_not_utf8_exits_2_before_any_request(tmp_path, c
     assert server.requests == [] and not out.exists()
 
 
+def test_token_that_is_not_printable_ascii_exits_2_at_load(tmp_path, capsys, monkeypatch, stub_server):
+    # Read at each request, after the call was tallied, it made bench exit 0 with two error records.
+    monkeypatch.setenv("STAGEWISE_API_KEY", "tök")
+    server = stub_server([(200, {"score": 1.0})])
+    endpoint = {"base_url": server.url, "retries": 0}
+    path = _write_config(tmp_path, {"backend": "http", "generator": endpoint, "reward": endpoint})
+    out = tmp_path / "out"
+    argv = ["bench", "--items", str(_write_items(tmp_path, 2)), "--out", str(out), "--config", str(path)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: invalid config value: the token in STAGEWISE_API_KEY is not printable ASCII\n"
+    )
+    assert server.requests == [] and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -796,19 +812,20 @@ def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("command", sorted(_NON_SEARCH_ARGV))
 def test_command_that_never_searches_ignores_an_invalid_search_section(tmp_path, capsys, monkeypatch, command):
-    # beam_width 2 does not divide 3, which only a search would check.
+    # beam_width 2 does not divide 3, and parallelism caps a search's calls: only a search checks either.
     monkeypatch.chdir(tmp_path)
     _non_search_inputs(tmp_path)
     argv = _NON_SEARCH_ARGV[command]
     expected = main(argv)
     assert expected != EXIT_CONFIG
     expected_out = capsys.readouterr().out
-    (tmp_path / "generated.jsonl").unlink(missing_ok=True)
-    config = _write_config(tmp_path, {"search": {"candidates_per_stage": 3}})
-    assert main([*argv, "--config", str(config)]) == expected
-    captured = capsys.readouterr()
-    assert captured.out == expected_out
-    assert captured.err == ""
+    for data in ({"search": {"candidates_per_stage": 3}}, {"parallelism": 0}):
+        (tmp_path / "generated.jsonl").unlink(missing_ok=True)
+        config = _write_config(tmp_path, data)
+        assert main([*argv, "--config", str(config)]) == expected
+        captured = capsys.readouterr()
+        assert captured.out == expected_out
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize(
@@ -834,6 +851,56 @@ def test_searching_command_still_checks_the_search_section_first(
     assert capsys.readouterr().err == "config error: beam_width must divide candidates_per_stage\n"
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "q", "--trace", "trace.jsonl"],
+        ["bench", "--items", "ITEMS", "--out", "runs", "--save-traces"],
+        ["scale", "--items", "ITEMS", "--out", "curve.csv", "--log-dir", "logs"],
+    ],
+    ids=["solve", "bench", "scale"],
+)
+def test_searching_command_refuses_parallelism_0_before_any_call_or_output(tmp_path, capsys, monkeypatch, argv):
+    # The engine refuses it for solve; run_benchmark for bench and scale's first cell, before out_dir is made.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ITEMS").write_text(json.dumps({"id": "a", "question": "q"}) + "\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    assert main([*argv, "--parallelism", "0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: parallelism must be >= 1\n"
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--corpus", "CORPUS", "--out", "gone/stats.json"],
+        ["scale", "--items", "ITEMS", "--out", "gone/curve.csv"],
+        ["solve", "q", "--trace", "gone/trace.jsonl"],
+    ],
+    ids=["calibrate", "scale", "solve"],
+)
+def test_output_written_after_the_calls_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # Its directory goes while the calls run: the write raised FileNotFoundError, a traceback with exit 1.
+    monkeypatch.chdir(tmp_path)
+    _non_search_inputs(tmp_path)
+    (tmp_path / "ITEMS").write_text(json.dumps({"id": "a", "question": "q"}) + "\n")
+    (tmp_path / "gone").mkdir()
+    score = SimWorld.score
+
+    def score_after_removing_the_directory(self, request):
+        shutil.rmtree(tmp_path / "gone", ignore_errors=True)
+        return score(self, request)
+
+    monkeypatch.setattr(SimWorld, "score", score_after_removing_the_directory)
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith(f"config error: cannot write {argv[-1]}: [Errno {errno.ENOENT}] ")
+    assert out == ""  # no answer or summary beside the config error
 
 
 _GOOD_RESPONSE = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONING>"
