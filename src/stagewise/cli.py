@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional
@@ -45,7 +44,9 @@ from .search import (
     SearchConfig,
     SearchExhaustedError,
     calibrate,
+    reading,
     run_strategy,
+    writing,
 )
 from .stages import StagedResponse, parse_staged
 
@@ -243,29 +244,6 @@ def make_reward(cfg: AppConfig) -> RewardScorer:
     return HttpRewardScorer(cfg.reward)
 
 
-def _read_input(loader, path):
-    """Run a file loader; a missing or malformed file becomes a ConfigError.
-
-    The loaders name the file and line of a malformed record in their
-    ValueError, which passes through as the message.
-    """
-    try:
-        return loader(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-@contextmanager
-def _writing(path):
-    """Turn an OSError in the block into ConfigError("cannot write PATH: ..."), exit 2."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
 def _check_writable(path) -> None:
     """Raise ConfigError unless the file at ``path`` can be written, before any backend call.
 
@@ -275,7 +253,7 @@ def _check_writable(path) -> None:
     if path is None:
         return
     existed = os.path.lexists(path)
-    with _writing(path):
+    with writing(path):
         os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666))
         if not existed:
             os.unlink(path)
@@ -325,7 +303,7 @@ def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
         parallelism=cfg.parallelism,
     )
     if args.trace:
-        with _writing(args.trace):
+        with writing(args.trace):
             result.trace.write(args.trace)
     for block in result.answer.blocks:
         print(f"[{block.kind.name}]")
@@ -346,7 +324,8 @@ def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
 def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
     if args.save_traces and args.out is None:
         raise ConfigError("--save-traces needs --out")
-    items = _read_input(load_items, args.items)
+    with reading(args.items):
+        items = load_items(args.items)
     categories = args.categories.split(",") if args.categories else None
     result = run_benchmark(
         items,
@@ -373,7 +352,8 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
-    items = _read_input(load_items, args.items)
+    with reading(args.items):
+        items = load_items(args.items)
     _check_writable(args.out)
     points = scaling_experiment(
         items,
@@ -392,7 +372,8 @@ def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
-    corpus = _read_input(_load_corpus, args.corpus)
+    with reading(args.corpus):
+        corpus = _load_corpus(args.corpus)
     _check_writable(args.out)
     stats = calibrate(make_reward(cfg), corpus)
     fitted = {
@@ -401,7 +382,7 @@ def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
         "sample_count": stats.sample_count,
     }
     if args.out:
-        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
+        with writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             json.dump(fitted, fh)
     _summary({"command": "calibrate", **fitted})
     return EXIT_OK
@@ -413,7 +394,8 @@ def cmd_datagen(cfg: AppConfig, args: argparse.Namespace) -> int:
         judge = HttpGenerator(cfg.judge)
     else:
         judge = generator  # same endpoint serves both roles; sim judges via its oracle
-    sources = _read_input(load_sources, args.sources)
+    with reading(args.sources):
+        sources = load_sources(args.sources)
     counts = run_pipeline(sources, generator, judge, args.out)
     _summary({"command": "datagen", **counts})
     return EXIT_OK

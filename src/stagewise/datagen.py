@@ -24,7 +24,7 @@ from .backends import (
     stable_u64,
 )
 from .jsonl import append_record, id_field, open_append, read_jsonl, string_field
-from .search import ConfigError
+from .search import reading, writing
 from .stages import CANONICAL_ORDER, StageFormatError, parse_staged
 
 log = logging.getLogger(__name__)
@@ -192,22 +192,17 @@ def run_pipeline(
     run left unterminated; the ids are then read as the inputs are, by
     ``id_field``. A file that cannot be opened to append or read, or a line
     that is not a record with an id, raises ConfigError before any backend
-    call.
+    call. An append that fails later raises ConfigError too, keeping the
+    records before it, which the next run skips.
     """
     counts = dict.fromkeys(
         (STATUS_VALID, STATUS_FORMAT_INVALID, STATUS_JUDGED_INVALID, STATUS_RETRYABLE, "skipped"), 0
     )
-    try:
+    with writing(output_path):
         out = open_append(output_path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {output_path}: {exc}") from exc
     with out:
-        try:
+        with reading(output_path):
             existing = set(read_jsonl(output_path, "output record", id_field))
-        except OSError as exc:
-            raise ConfigError(f"cannot read {output_path}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         for record in flatten_sources(sources):
             if record.id in existing:
                 counts["skipped"] += 1
@@ -218,8 +213,9 @@ def run_pipeline(
                 log.warning("backend failed for %s; the next run retries it: %s", record.id, exc)
                 counts[STATUS_RETRYABLE] += 1
                 continue
+            with writing(output_path):
+                append_record(out, generated.__dict__)
             counts[generated.status] += 1
-            append_record(out, generated.__dict__)
             existing.add(record.id)
     return counts
 

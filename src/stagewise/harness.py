@@ -42,6 +42,7 @@ from .search import (
     check_parallelism,
     run_strategy,
     stage_wise_beam,
+    writing,
 )
 from .stages import CANONICAL_ORDER, StagedResponse, StageKind
 
@@ -210,7 +211,7 @@ def run_benchmark(
     ConfigError before any backend call.
     A trace or record that cannot be written later raises ConfigError too,
     keeping the records appended before it; that item gets no record, since
-    a record names only a trace that was written.
+    a record names only a trace that was written (``search.writing``).
     """
     cfg.validate()
     check_parallelism(parallelism)
@@ -221,11 +222,9 @@ def run_benchmark(
     records_file = None
     if out_path is not None:
         records_path = out_path / "run_records.jsonl"
-        try:
+        with writing(out_dir):
             out_path.mkdir(parents=True, exist_ok=True)
             records_file = open_append(records_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
 
     # A trace is built only to be written.
     collect_trace = collect_traces and out_path is not None
@@ -274,15 +273,13 @@ def run_benchmark(
                 except UngradableError:
                     record.ungradable = True
             records.append(record)
-            try:
-                if result is not None and result.trace is not None:
-                    path = record.trace_file = trace_dir + _trace_file_name(item.id)
+            if result is not None and result.trace is not None:
+                path = record.trace_file = trace_dir + _trace_file_name(item.id)
+                with writing(path):
                     result.trace.write(path)
-                if records_file is not None:
-                    path = records_path
+            if records_file is not None:
+                with writing(records_path):
                     append_record(records_file, record.__dict__)
-            except OSError as exc:
-                raise ConfigError(f"cannot write {path}: {exc}") from exc
 
     return BenchmarkResult(sum(1 for r in records if r.correct) / len(records), totals, records)
 
@@ -368,7 +365,7 @@ def scaling_experiment(
     With ``zero_wall_time`` the wall-time column is written as 0.000 so that
     repeated runs under the same seeds produce byte-identical tables. Every
     cell's config is validated before the first cell runs. An ``out_csv``
-    that cannot be written after the cells raises ConfigError.
+    that cannot be written after the cells raises ConfigError (``search.writing``).
     """
     cells = list(grid) if grid is not None else default_grid()
     if not cells:
@@ -401,10 +398,8 @@ def scaling_experiment(
             )
         )
     if out_csv is not None:
-        try:
+        with writing(out_csv):
             write_curve_csv(points, out_csv)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out_csv}: {exc}") from exc
     return points
 
 

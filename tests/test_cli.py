@@ -1214,6 +1214,40 @@ def test_bench_record_that_cannot_be_appended_mid_run_exits_2(tmp_path, capsys, 
     assert [json.loads(line)["item_id"] for line in records.read_text().splitlines()] == ["i0"]
 
 
+def test_datagen_record_that_cannot_be_appended_mid_run_exits_2_and_the_next_run_resumes(
+    tmp_path, capsys, monkeypatch
+):
+    from stagewise import datagen
+
+    appended = []
+
+    def append_record(fh, record):
+        appended.append(record["id"])
+        if len(appended) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_append_record(fh, record)
+
+    real_append_record = datagen.append_record
+    sources = tmp_path / "sources.jsonl"
+    sources.write_text("".join(json.dumps({"id": f"s{k}", "question": f"q{k}", "gold_answer": "B"}) + "\n"
+                               for k in range(3)))
+    out = tmp_path / "generated.jsonl"
+    argv = ["datagen", "--sources", str(sources), "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(datagen, "append_record", append_record)
+        assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert "Traceback" not in err
+    assert appended == ["s0", "s1"]
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["s0"]
+    # Unpatched, the next run keeps s0 and writes the two sources that have no record.
+    assert main(argv) == EXIT_OK
+    summary, _ = _last_json_line(capsys)
+    assert summary["skipped"] == 1 and summary["valid"] == 2
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["s0", "s1", "s2"]
+
+
 @pytest.mark.parametrize("existing", [True, False], ids=["existing-file", "new-file"])
 def test_output_check_leaves_no_trace_of_itself_when_the_run_fails(tmp_path, capsys, existing):
     # The corpus reply carries no sim mark, so scoring it is a backend failure.

@@ -4,8 +4,13 @@ Endpoint sections go through ``load_config``: each loads, and then an HTTP
 client builds from it without a network call, or raises ConfigError. The
 ``search`` section and ``parallelism`` go through ``solve`` on the sim: each
 run exits 0, 2 or 4, and exit 2 comes before any backend call or trace file.
-The examples are derandomized and their counts fixed, so every run of the
-suite draws the same ones.
+Items, sources and corpus files go through ``bench``, ``datagen`` and
+``calibrate`` on the sim: each run exits 0 or 2, and exit 2 comes before any
+backend call or output. Reply bodies from a generator and a reward endpoint
+go through ``bench``: each run exits 0, every item fails only as a malformed
+reply or an exhausted search, and the records count every request the
+endpoints saw. The examples are derandomized and their counts fixed, so every
+run of the suite draws the same ones.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 import os
 import re
 import socket
+import tempfile
 from enum import Enum
 from unittest import mock
 from urllib.parse import urlsplit
@@ -25,7 +31,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stagewise.backends import HttpGenerator, SimWorld
+from conftest import StubServer
+from stagewise.backends import CORRECT_MARK, INCORRECT_MARK, HttpGenerator, SimWorld
 from stagewise.cli import (
     _SEARCH_SETTINGS,
     EXIT_CONFIG,
@@ -41,6 +48,12 @@ _EXAMPLES = settings(derandomize=True, max_examples=200, deadline=None, database
 
 # Values of the wrong kind or past any range, for every setting.
 _JUNK = st.sampled_from([True, False, None, "", "4", "inf", [], {}, math.inf, -math.inf, math.nan, 10**400])
+_NESTED = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+_SURROGATES = st.sampled_from(["\ud800", "a\udfff", "\udc80b"])
 
 
 def _mostly(good, bad):
@@ -184,3 +197,189 @@ def test_search_settings_through_solve_exit_0_2_or_4_and_2_before_any_call(confi
     if code == EXIT_CONFIG:
         assert err.getvalue().startswith("config error: ")
         assert calls == [] and not trace.exists()
+
+
+# ---------------------------------------------------------------------------
+# Items, sources and corpus files, through bench, datagen and calibrate
+# ---------------------------------------------------------------------------
+
+_BAD_VALUES = _SURROGATES | _JUNK | _NESTED
+_TEXTS = _mostly(st.text(max_size=8), _BAD_VALUES)
+_IDS = _mostly(st.text(min_size=1, max_size=3) | st.integers(-2, 20), _BAD_VALUES)
+_OPTIONAL_TEXTS = _mostly(st.none() | st.text(max_size=8), _BAD_VALUES)
+# Corpus responses: stage blocks whose last one carries the sim's mark, which the sim scores, or junk.
+_RESPONSES = _mostly(
+    st.sampled_from([
+        f"<SUMMARY>s {CORRECT_MARK}</SUMMARY>",
+        f"<SUMMARY>s</SUMMARY>\n<CAPTION>c</CAPTION>\n<REASONING>r {INCORRECT_MARK}</REASONING>",
+        f"<CONCLUSION>B {CORRECT_MARK}</CONCLUSION>",
+    ]),
+    st.text(max_size=8) | st.sampled_from(["<SUMMARY>", "</CAPTION> s", "<SUMMARY>s</CAPTION>"]) | _SURROGATES | _JUNK,
+)
+
+
+def _record(required, optional):
+    """An object of the keys a record builder reads: mostly with every required
+    key, else with any of them missing."""
+    return _mostly(
+        st.fixed_dictionaries(required, optional=optional),
+        st.fixed_dictionaries({}, optional={**required, **optional}),
+    )
+
+
+_ITEM = _record(
+    {"id": _IDS, "question": _TEXTS},
+    {
+        "kind": _mostly(st.sampled_from(["free_form", "multiple_choice"]), st.just("essay") | _JUNK),
+        "options": _mostly(st.dictionaries(st.sampled_from("ABCab"), st.text(max_size=4), max_size=3),
+                           st.dictionaries(st.sampled_from("AB"), _JUNK, max_size=2) | _JUNK | _NESTED),
+        "gold": _mostly(st.sampled_from(["A", "b", "C", "B"]), _TEXTS),
+        "image_ref": _OPTIONAL_TEXTS,
+        "category": _OPTIONAL_TEXTS,
+    },
+)
+_TURN = _record({"question": _TEXTS, "gold_answer": _TEXTS}, {})
+_SOURCE = _record(
+    {"id": _IDS, "question": _TEXTS, "gold_answer": _TEXTS},
+    {"image_ref": _OPTIONAL_TEXTS, "turns": _mostly(st.lists(_TURN, max_size=2), _JUNK | _NESTED)},
+)
+_CORPUS_RECORD = _record({"question": _TEXTS, "response": _RESPONSES}, {})
+
+# Lines no record builder takes: blank, not an object, not JSON, not UTF-8, a repeated key.
+_BAD_LINES = st.sampled_from(
+    [b"", b"  \t", b"[1]", b'"x"', b"5", b"null", b"{", b"{}}", b"\xff\xfe", b"\xed\xa0\x80", b'{"id": 1, "id": 2}']
+)
+
+
+def _lines(record):
+    # ensure_ascii=False writes a lone surrogate as raw bytes, which are not UTF-8.
+    encoded = st.tuples(record, st.booleans()).map(
+        lambda drawn: json.dumps(drawn[0], ensure_ascii=drawn[1]).encode("utf-8", "surrogatepass")
+    )
+    return st.lists(_mostly(encoded, _BAD_LINES), max_size=3)
+
+
+_INPUT_FILES = {
+    "bench": ("--items", _lines(_ITEM), "out"),
+    "datagen": ("--sources", _lines(_SOURCE), "generated.jsonl"),
+    "calibrate": ("--corpus", _lines(_CORPUS_RECORD), "stats.json"),
+}
+
+
+@_EXAMPLES
+@given(st.sampled_from(sorted(_INPUT_FILES)), st.data())
+def test_input_file_exits_0_or_2_and_2_before_any_call_or_output(command, data):
+    flag, lines, out_name = _INPUT_FILES[command]
+    body = data.draw(lines)
+    end = data.draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    calls = []
+    generate, score = SimWorld.generate, SimWorld.score
+
+    def counting_generate(self, request):
+        calls.append(request)
+        return generate(self, request)
+
+    def counting_score(self, request):
+        calls.append(request)
+        return score(self, request)
+
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch, \
+            mock.patch.object(SimWorld, "generate", counting_generate), \
+            mock.patch.object(SimWorld, "score", counting_score), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        source = os.path.join(scratch, "input.jsonl")
+        with open(source, "wb") as fh:
+            fh.write(b"".join(line + end for line in body))
+        out = os.path.join(scratch, out_name)
+        code = main([command, flag, source, "--out", out])
+        written = os.path.lexists(out)
+    assert code in (EXIT_OK, EXIT_CONFIG), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("config error: ")
+        assert calls == [] and not written
+
+
+# ---------------------------------------------------------------------------
+# Reply bodies, through bench over HTTP
+# ---------------------------------------------------------------------------
+
+# A tag-free text parses as the block of whichever stage was asked for.
+_CONTENTS = _mostly(st.sampled_from(["s", "the answer is B", "  B  "]),
+                    st.sampled_from(["</CAPTION> x", "<SUMMARY>"]) | _BAD_VALUES)
+_GENERATOR_BODIES = _mostly(
+    st.builds(lambda content: {"choices": [{"message": {"content": content}}]}, _CONTENTS),
+    st.sampled_from([{}, {"choices": []}, {"choices": [{}]}, {"choices": None}, {"choices": [{"message": {}}]}])
+    | st.builds(lambda junk: {"choices": junk}, _JUNK) | _JUNK | _NESTED,
+)
+_REWARD_BODIES = _mostly(
+    st.builds(lambda score: {"score": score}, st.floats(-3, 3) | st.integers(-3, 3)),
+    st.builds(lambda junk: {"score": junk}, _JUNK | _SURROGATES | st.just("0.5"))
+    | st.sampled_from([{}, {"scores": 1.0}]) | _JUNK | _NESTED,
+)
+
+
+@pytest.fixture(scope="module")
+def endpoints(tmp_path_factory):
+    """A generator and a reward stub, a scratch directory with two items, and a
+    config that points at the stubs; each example sets the bodies the stubs serve."""
+    servers = StubServer([]), StubServer([])
+    scratch = tmp_path_factory.mktemp("replies")
+    items = scratch / "items.jsonl"
+    items.write_text("".join(json.dumps({"id": i, "question": "q"}) + "\n" for i in "ab"))
+    config = {
+        "backend": "http",
+        "generator": {"base_url": servers[0].url, "retries": 0},
+        "reward": {"base_url": servers[1].url, "retries": 0},
+        "search": {"candidates_per_stage": 2, "beam_width": 1, "retrace_limit": 1},
+    }
+    yield servers, scratch, str(items), config
+    for server in servers:
+        server.close()
+
+
+def _with_hand_replies(test):
+    """``test`` run on each junk reply listed by hand, besides the drawn ones: a draw
+    reaches a given junk value only now and then, since an item stops at its first."""
+    good_generator, good_reward = {"choices": [{"message": {"content": "s"}}]}, {"score": 1.0}
+    test = example([good_generator], [good_reward])(test)
+    for content in (None, 5, "\ud800", "</CAPTION> x"):
+        test = example([{"choices": [{"message": {"content": content}}]}], [good_reward])(test)
+    for body in ({}, None, "0.5", {"choices": "x"}):
+        test = example([body], [good_reward])(test)
+    for body in [{}] + [{"score": score} for score in (None, True, "0.5", math.nan, 10**400, "\ud800")]:
+        test = example([good_generator], [body])(test)
+    return test
+
+
+# Fewer examples: each one runs two benches over loopback HTTP.
+@settings(_EXAMPLES, max_examples=25)
+@given(st.lists(_GENERATOR_BODIES, min_size=1, max_size=6), st.lists(_REWARD_BODIES, min_size=1, max_size=6))
+@_with_hand_replies
+def test_reply_bodies_through_bench_fail_items_only_as_malformed_or_exhausted(
+    endpoints, generator_bodies, reward_bodies
+):
+    servers, scratch, items, config = endpoints
+    for parallelism in (1, 2):
+        # Served in request order, the last repeating.
+        for server, bodies in zip(servers, (generator_bodies, reward_bodies)):
+            server.server.script = [(200, body) for body in bodies]
+            server.requests.clear()
+        path = _write(scratch / "config.json", {**config, "parallelism": parallelism})
+        out = tempfile.mkdtemp(dir=scratch)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["bench", "--items", items, "--config", path, "--out", out])
+        assert code == EXIT_OK, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        with open(os.path.join(out, "run_records.jsonl"), encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        assert [record["item_id"] for record in records] == ["a", "b"]
+        for record in records:
+            assert record["error"] is None or record["error"].startswith(
+                ("MalformedReplyError:", "SearchExhaustedError:")
+            ), record["error"]
+        generator, reward = servers
+        assert sum(record["generator_calls"] for record in records) == len(generator.requests)
+        assert sum(record["reward_calls"] for record in records) == len(reward.requests)
