@@ -259,6 +259,18 @@ def _check_writable(path) -> None:
             os.unlink(path)
 
 
+def _check_not_input(args: argparse.Namespace, out_flag: str, *input_flags: str) -> None:
+    """Raise ConfigError if the output ``out_flag`` names, when it exists, is the
+    file of ``--config`` or of an input flag, before any backend call or write."""
+    out = getattr(args, out_flag[2:])
+    if out is None or not os.path.exists(out):
+        return
+    for flag in ("--config", *input_flags):
+        path = getattr(args, flag[2:])
+        if path is not None and os.path.exists(path) and os.path.samefile(out, path):
+            raise ConfigError(f"{out_flag} and {flag} name the same file: {out}")
+
+
 def _corpus_record(data: dict) -> tuple[str, StagedResponse]:
     question = string_field(data, "question")
     response = parse_staged(string_field(data, "response"))
@@ -291,6 +303,7 @@ def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
         string_field({"--image": args.image}, "--image", optional=True)
     except ValueError as exc:  # an argument's bytes that are not UTF-8
         raise ConfigError(str(exc)) from None
+    _check_not_input(args, "--trace")
     _check_writable(args.trace)
     result = run_strategy(
         args.question,
@@ -326,7 +339,11 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
         raise ConfigError("--save-traces needs --out")
     with reading(args.items):
         items = load_items(args.items)
-    categories = args.categories.split(",") if args.categories else None
+    if args.categories is not None:
+        names = {name.strip().casefold() for name in args.categories.split(",")}
+        if "" in names:  # so an item without a category matches no name
+            raise ConfigError(f"--categories holds an empty name: {args.categories!r}")
+        items = [item for item in items if (item.category or "").casefold() in names]
     result = run_benchmark(
         items,
         cfg.search,
@@ -335,7 +352,6 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
         out_dir=args.out,
         grader=_grader_for(cfg),
         run_seed=cfg.run_seed,
-        categories=categories,
         collect_traces=args.save_traces,
         parallelism=cfg.parallelism,
     )
@@ -352,6 +368,7 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
+    _check_not_input(args, "--out", "--items")
     with reading(args.items):
         items = load_items(args.items)
     _check_writable(args.out)
@@ -372,6 +389,7 @@ def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
+    _check_not_input(args, "--out", "--corpus")
     with reading(args.corpus):
         corpus = _load_corpus(args.corpus)
     _check_writable(args.out)
@@ -389,6 +407,7 @@ def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_datagen(cfg: AppConfig, args: argparse.Namespace) -> int:
+    _check_not_input(args, "--out", "--sources")
     generator = make_generator(cfg)
     if cfg.backend == "http" and cfg.judge is not None:
         judge = HttpGenerator(cfg.judge)

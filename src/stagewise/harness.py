@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Optional, Sequence
+from typing import BinaryIO, Callable, Optional, Sequence
 
 from .backends import (
     BackendError,
@@ -175,15 +175,6 @@ class BenchmarkResult:
     records: list[RunRecord]
 
 
-def filter_items(
-    items: Sequence[BenchmarkItem], categories: Optional[Iterable[str]]
-) -> list[BenchmarkItem]:
-    if categories is None:
-        return list(items)
-    wanted = {c.casefold() for c in categories}
-    return [i for i in items if (i.category or "").casefold() in wanted]
-
-
 def run_benchmark(
     items: Sequence[BenchmarkItem],
     cfg: SearchConfig,
@@ -193,12 +184,11 @@ def run_benchmark(
     out_dir=None,
     grader: GraderFn = grade,
     run_seed: int = 0,
-    categories: Optional[Iterable[str]] = None,
     collect_traces: bool = False,
     parallelism: int = 1,
     param: Optional[float] = None,
 ) -> BenchmarkResult:
-    """Run every item under one strategy configuration and grade the answers.
+    """Run the items given, in order, under one strategy configuration and grade the answers.
 
     Per-item seeds derive from (run seed, item id), so results do not depend
     on execution order. Backend and search failures are recorded per item
@@ -206,17 +196,17 @@ def run_benchmark(
     in the record and the totals; the run continues. Each record is appended
     to ``out_dir/run_records.jsonl`` by ``jsonl.append_record`` as its item
     finishes. A bad ``cfg``, or a ``parallelism`` below 1, raises its
-    ConfigError before anything else is done, and an ``out_dir`` that cannot
-    be made, or whose records file ``jsonl.open_append`` cannot open, raises
-    ConfigError before any backend call.
+    ConfigError before anything else is done; no items raises
+    EmptyBenchmarkError, and an ``out_dir`` that cannot be made, or whose
+    records file ``jsonl.open_append`` cannot open, raises ConfigError,
+    before any backend call.
     A trace or record that cannot be written later raises ConfigError too,
     keeping the records appended before it; that item gets no record, since
     a record names only a trace that was written (``search.writing``).
     """
     cfg.validate()
     check_parallelism(parallelism)
-    selected = filter_items(items, categories)
-    if not selected:
+    if not items:
         raise EmptyBenchmarkError("no benchmark items to run")
     out_path = Path(out_dir) if out_dir is not None else None
     records_file = None
@@ -235,7 +225,7 @@ def run_benchmark(
     totals = BudgetLedger()
     records: list[RunRecord] = []
     with records_file or nullcontext():
-        for item in selected:
+        for item in items:
             record = RunRecord(
                 item_id=item.id,
                 strategy=cfg.strategy.value,

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import stagewise
-from stagewise.backends import CORRECT_MARK, SimWorld
+from stagewise.backends import CORRECT_MARK, INCORRECT_MARK, SimWorld
 from stagewise.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -593,6 +593,44 @@ def test_bench_save_traces_of_ids_too_long_for_a_file_name(tmp_path, capsys):
         assert header["strategy"] == "swires" and events
 
 
+def _write_categorized_items(tmp_path):
+    # Item c has no category, so only an empty name could select it.
+    items = tmp_path / "items.jsonl"
+    rows = [{"id": "a", "question": "q", "category": "math"}, {"id": "b", "question": "q", "category": "Science"},
+            {"id": "c", "question": "q"}]
+    items.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return items
+
+
+@pytest.mark.parametrize(
+    "names, selected",
+    [("math", "a"), (" MATH ", "a"), ("math, science", "ab"), ("science ,math", "ab"), ("None,null,math", "a")],
+)
+def test_bench_categories_selects_the_items_whose_category_is_a_trimmed_name_ignoring_case(
+    tmp_path, capsys, names, selected
+):
+    out = tmp_path / "out"
+    assert main(["bench", "--items", str(_write_categorized_items(tmp_path)), "--out", str(out),
+                 "--categories", names]) == EXIT_OK
+    with open(out / "run_records.jsonl", encoding="utf-8") as fh:
+        assert "".join(json.loads(line)["item_id"] for line in fh) == selected
+
+
+@pytest.mark.parametrize("names", ["math,", ",", "", "math, ,science"])
+def test_bench_categories_with_an_empty_name_exits_2_before_any_call_or_output(
+    tmp_path, capsys, monkeypatch, names
+):
+    items = _write_categorized_items(tmp_path)
+    calls = []
+    monkeypatch.setattr(SimWorld, "generate", lambda self, request: calls.append(request))
+    out = tmp_path / "out"
+    assert main(["bench", "--items", str(items), "--out", str(out), "--categories", names]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --categories holds an empty name: {names!r}\n"
+    assert captured.out == ""
+    assert calls == [] and not out.exists()
+
+
 def test_scale_default_grid_row_count(tmp_path, capsys):
     items = _write_items(tmp_path, 2)
     table = tmp_path / "curve.csv"
@@ -1172,6 +1210,43 @@ def test_output_path_that_cannot_be_written_exits_2_before_any_call(tmp_path, ca
     assert "Traceback" not in err
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["datagen", "--config", "c.json", "--sources", "s.jsonl", "--out", "c.json"], ("--out", "--config")),
+        (["datagen", "--sources", "s.jsonl", "--out", "s.jsonl"], ("--out", "--sources")),
+        (["scale", "--items", "i.jsonl", "--out", "i.jsonl"], ("--out", "--items")),
+        (["calibrate", "--corpus", "k.jsonl", "--out", "k.jsonl"], ("--out", "--corpus")),
+        (["solve", "q", "--config", "c.json", "--trace", "c.json"], ("--trace", "--config")),
+    ],
+    ids=["datagen-out-is-config", "datagen-out-is-sources", "scale-out-is-items", "calibrate-out-is-corpus",
+         "solve-trace-is-config"],
+)
+def test_output_path_that_is_an_input_file_exits_2_leaving_it_unchanged(tmp_path, capsys, monkeypatch, argv, flags):
+    # json.dump leaves the config, and a killed run may leave the sources, without a
+    # final newline: open_append would cut that line before appending to the file.
+    monkeypatch.chdir(tmp_path)
+    with open("c.json", "w", encoding="utf-8") as fh:
+        json.dump({"backend": "sim"}, fh)
+    Path("s.jsonl").write_text(json.dumps({"id": "s", "question": "q", "gold_answer": "B"}))
+    Path("i.jsonl").write_text(json.dumps({"id": "a", "question": "q"}) + "\n")
+    Path("k.jsonl").write_text("".join(
+        json.dumps({"question": "q", "response": f"<SUMMARY>s {mark}</SUMMARY>"}) + "\n"
+        for mark in (CORRECT_MARK, INCORRECT_MARK)
+    ))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    calls = []
+    for name in ("generate", "score"):
+        call = getattr(SimWorld, name)
+        monkeypatch.setattr(SimWorld, name, lambda self, request, call=call: calls.append(request) or call(self, request))
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {flags[0]} and {flags[1]} name the same file: {argv[-1]}\n"
+    assert captured.out == ""
+    assert calls == []
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_bench_trace_that_cannot_be_written_mid_run_exits_2_keeping_earlier_records(tmp_path, capsys):

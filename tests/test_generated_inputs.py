@@ -9,8 +9,12 @@ Items, sources and corpus files go through ``bench``, ``datagen`` and
 backend call or output. Reply bodies from a generator and a reward endpoint
 go through ``bench``: each run exits 0, every item fails only as a malformed
 reply or an exhausted search, and the records count every request the
-endpoints saw. The examples are derandomized and their counts fixed, so every
-run of the suite draws the same ones.
+endpoints saw; replies of other statuses than 200 may fail an item as a
+transport error too. Judge replies go through ``datagen``: each run exits 0
+with one record per verdict or generated text that does not parse, and a
+rerun generates again each source whose call failed. The examples are
+derandomized and their counts fixed, so every run of the suite draws the
+same ones.
 """
 
 from __future__ import annotations
@@ -308,11 +312,17 @@ def test_input_file_exits_0_or_2_and_2_before_any_call_or_output(command, data):
 # A tag-free text parses as the block of whichever stage was asked for.
 _CONTENTS = _mostly(st.sampled_from(["s", "the answer is B", "  B  "]),
                     st.sampled_from(["</CAPTION> x", "<SUMMARY>"]) | _BAD_VALUES)
-_GENERATOR_BODIES = _mostly(
-    st.builds(lambda content: {"choices": [{"message": {"content": content}}]}, _CONTENTS),
+_JUNK_CHOICES = (
     st.sampled_from([{}, {"choices": []}, {"choices": [{}]}, {"choices": None}, {"choices": [{"message": {}}]}])
-    | st.builds(lambda junk: {"choices": junk}, _JUNK) | _JUNK | _NESTED,
+    | st.builds(lambda junk: {"choices": junk}, _JUNK) | _JUNK | _NESTED
 )
+
+
+def _choice(content):
+    return {"choices": [{"message": {"content": content}}]}
+
+
+_GENERATOR_BODIES = _mostly(st.builds(_choice, _CONTENTS), _JUNK_CHOICES)
 _REWARD_BODIES = _mostly(
     st.builds(lambda score: {"score": score}, st.floats(-3, 3) | st.integers(-3, 3)),
     st.builds(lambda junk: {"score": junk}, _JUNK | _SURROGATES | st.just("0.5"))
@@ -383,3 +393,138 @@ def test_reply_bodies_through_bench_fail_items_only_as_malformed_or_exhausted(
         generator, reward = servers
         assert sum(record["generator_calls"] for record in records) == len(generator.requests)
         assert sum(record["reward_calls"] for record in records) == len(reward.requests)
+
+
+_STATUSES = (201, 204, 301, 400, 404, 408, 429, 500, 503)
+_RETRY_AFTER = st.sampled_from([{}, {"Retry-After": "0"}, {"Retry-After": "2"}, {"Retry-After": "120"},
+                                {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, {"Retry-After": "x"}])
+
+
+def _replies(bodies):
+    """Mostly status 200, else another status with or without ``Retry-After``, each with a well-formed body."""
+    return _mostly(st.tuples(st.just(200), bodies, st.just({})),
+                   st.tuples(st.sampled_from(_STATUSES), bodies, _RETRY_AFTER))
+
+
+def _with_hand_statuses(test):
+    """``test`` run with each status other than 200 as the first generator reply,
+    and two as the first reward reply, besides the drawn replies."""
+    good_generator, good_reward = (200, _choice("s"), {}), (200, {"score": 1.0}, {})
+    for k, status in enumerate(_STATUSES):
+        headers = {"Retry-After": "1"} if k % 2 else {}
+        test = example([(status, _choice("s"), headers), good_generator], [good_reward])(test)
+    for status in (429, 503):
+        test = example([good_generator], [(status, {"score": 1.0}, {"Retry-After": "1"}), good_reward])(test)
+    return test
+
+
+# At retries 0 no Retry-After wait is taken: a status that is not 2xx fails its call at once.
+@settings(_EXAMPLES, max_examples=25)
+@given(st.lists(_replies(st.builds(_choice, st.sampled_from(["s", "the answer is B", "  B  "]))), min_size=1, max_size=6),
+       st.lists(_replies(st.builds(lambda score: {"score": score}, st.floats(-3, 3))), min_size=1, max_size=6))
+@_with_hand_statuses
+def test_reply_statuses_through_bench_fail_items_only_as_transport_malformed_or_exhausted(
+    endpoints, generator_replies, reward_replies
+):
+    servers, scratch, items, config = endpoints
+    for parallelism in (1, 2):
+        for server, replies in zip(servers, (generator_replies, reward_replies)):
+            server.server.script = replies
+            server.requests.clear()
+        path = _write(scratch / "config.json", {**config, "parallelism": parallelism})
+        out = tempfile.mkdtemp(dir=scratch)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["bench", "--items", items, "--config", path, "--out", out])
+        assert code == EXIT_OK, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        with open(os.path.join(out, "run_records.jsonl"), encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        assert [record["item_id"] for record in records] == ["a", "b"]
+        for record in records:
+            assert record["error"] is None or record["error"].startswith(
+                ("TransportError:", "MalformedReplyError:", "SearchExhaustedError:")
+            ), record["error"]
+        generator, reward = servers
+        assert sum(record["generator_calls"] for record in records) == len(generator.requests)
+        assert sum(record["reward_calls"] for record in records) == len(reward.requests)
+
+
+# ---------------------------------------------------------------------------
+# Judge replies, through datagen over HTTP
+# ---------------------------------------------------------------------------
+
+_FOUR_STAGES = "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION><REASONING>r</REASONING><CONCLUSION>{}</CONCLUSION>"
+# Complete four-stage texts, which go on to the judge, and texts that do not parse as one.
+_GENERATED_TEXTS = _mostly(st.sampled_from([_FOUR_STAGES.format("B"), _FOUR_STAGES.format("the answer is C")]),
+                           st.sampled_from(["", "B", "<SUMMARY>s</SUMMARY>", "<CONCLUSION>B", _FOUR_STAGES.format("B") + " x"]))
+_VERDICTS = st.sampled_from(["valid", "Valid.", " valid, it matches", "invalid", "not valid", ""]) | st.text(max_size=6)
+_JUDGE_BODIES = _mostly(st.builds(_choice, _VERDICTS), st.builds(_choice, _BAD_VALUES) | _JUNK_CHOICES)
+_DATAGEN_COUNTS = ("valid", "format_invalid", "judged_invalid")
+
+
+@pytest.fixture(scope="module")
+def judge_endpoints(tmp_path_factory):
+    """A generator and a judge stub, three sources, and a config that points at
+    the stubs; each example sets the replies the stubs serve."""
+    servers = StubServer([]), StubServer([])
+    scratch = tmp_path_factory.mktemp("judge")
+    sources = scratch / "sources.jsonl"
+    sources.write_text("".join(json.dumps({"id": f"s{k}", "question": "q", "gold_answer": "B"}) + "\n"
+                               for k in range(3)))
+    config = {
+        "backend": "http",
+        "generator": {"base_url": servers[0].url, "retries": 0},
+        "judge": {"base_url": servers[1].url, "retries": 0},
+    }
+    path = _write(scratch / "config.json", config)
+    yield servers, scratch, str(sources), path
+    for server in servers:
+        server.close()
+
+
+def _datagen(sources, config, out):
+    err, summary = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(summary), contextlib.redirect_stderr(err):
+        code = main(["datagen", "--sources", sources, "--config", config, "--out", out])
+    assert code == EXIT_OK, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    return json.loads(summary.getvalue())
+
+
+def _with_hand_verdicts(test):
+    """``test`` run on each junk judge reply listed by hand, besides the drawn ones."""
+    for body in ({}, None, "0.5", [], {"choices": "x"}, {"choices": []}, {"choices": [{}]},
+                 _choice(None), _choice(5), _choice(["valid"]), _choice("\ud800"), _choice("valid \udfff")):
+        test = example([_FOUR_STAGES.format("B")], [body])(test)
+    return test
+
+
+@settings(_EXAMPLES, max_examples=25)
+@given(st.lists(_GENERATED_TEXTS, min_size=1, max_size=4), st.lists(_JUDGE_BODIES, min_size=1, max_size=4))
+@_with_hand_verdicts
+def test_judge_replies_through_datagen_give_one_record_per_verdict_and_retry_the_rest(
+    judge_endpoints, generated, judge_bodies
+):
+    (generator, judge), scratch, sources, config = judge_endpoints
+    generator.server.script = [(200, _choice(text)) for text in generated]
+    judge.server.script = [(200, body) for body in judge_bodies]
+    generator.requests.clear()
+    judge.requests.clear()
+    out = os.path.join(tempfile.mkdtemp(dir=scratch), "generated.jsonl")
+    counts = _datagen(sources, config, out)
+    assert sum(counts[key] for key in (*_DATAGEN_COUNTS, "retryable")) == 3 and counts["skipped"] == 0
+    with open(out, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert sorted(record["status"] for record in records) == sorted(
+        status for status in _DATAGEN_COUNTS for _ in range(counts[status])
+    )
+    assert len({record["id"] for record in records}) == len(records)
+    assert len(generator.requests) == 3
+    assert len(judge.requests) == counts["valid"] + counts["judged_invalid"] + counts["retryable"]
+
+    # A rerun skips every record and generates each retryable source again.
+    judge.server.script = [(200, _choice("valid"))]
+    rerun = _datagen(sources, config, out)
+    assert rerun["skipped"] == len(records) and rerun["retryable"] == 0
+    assert len(generator.requests) == 3 + counts["retryable"]

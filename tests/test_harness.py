@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -35,7 +36,6 @@ from stagewise.harness import (
     UngradableError,
     default_grid,
     exact_accuracy,
-    filter_items,
     grade,
     load_items,
     make_sim_items,
@@ -262,15 +262,13 @@ def test_scaling_experiment_empty_grid_raises_before_any_call(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
-def test_run_benchmark_category_filter_and_empty():
-    items = [
-        BenchmarkItem(id="a", question="q", category="math"),
-        BenchmarkItem(id="b", question="q", category="coarse perception"),
-    ]
-    assert [i.id for i in filter_items(items, ["math"])] == ["a"]
+def test_run_benchmark_without_items_raises_before_any_call(tmp_path):
     sim = _perfect_sim()
-    with pytest.raises(EmptyBenchmarkError):
-        run_benchmark(items, SearchConfig(), sim, sim, categories=["nope"])
+    generator = CountingGenerator(sim)
+    with pytest.raises(EmptyBenchmarkError, match="no benchmark items to run"):
+        run_benchmark([], SearchConfig(), generator, sim, out_dir=tmp_path / "runs")
+    assert generator.calls == 0
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_benchmark_backend_failure_counts_incorrect():
@@ -967,6 +965,26 @@ def test_monte_carlo_failure_in_the_callers_range_kills_and_reaps_children(monke
     assert time.monotonic() - started < 20
     assert len(forks) == 2
     _assert_no_child_left()
+
+
+@needs_fork
+def test_map_forked_fork_that_fails_raises_its_error_and_reaps_the_child_forked_before(monkeypatch, forks):
+    counting_fork = os.fork
+
+    def fork_once():
+        if forks:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    fd_dir = "/proc/self/fd"
+    open_fds = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+    with pytest.raises(OSError, match="fork refused"):
+        harness._map_forked(lambda start, stop: stop - start, range(41), 3)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    if open_fds is not None:  # the queue and both ends of the failed fork's reply pipe are closed
+        assert len(os.listdir(fd_dir)) == open_fds
 
 
 @needs_fork
