@@ -30,6 +30,7 @@ from .backends import (
 )
 from .datagen import load_sources, run_pipeline
 from .harness import (
+    RECORDS_FILE,
     default_grid,
     grade,
     load_items,
@@ -37,6 +38,8 @@ from .harness import (
     run_benchmark,
     run_simcheck,
     scaling_experiment,
+    trace_file_name,
+    write_curve_csv,
 )
 from .jsonl import RepeatedKeyError, decode, read_jsonl, string_field
 from .search import (
@@ -244,31 +247,39 @@ def make_reward(cfg: AppConfig) -> RewardScorer:
     return HttpRewardScorer(cfg.reward)
 
 
-def _check_writable(path) -> None:
-    """Raise ConfigError unless the file at ``path`` can be written, before any backend call.
+def _same_file(path: str, given: str) -> bool:
+    """One existing file, by any link, or one path once links are resolved."""
+    if os.path.exists(path) and os.path.exists(given):
+        return os.path.samefile(path, given)
+    return os.path.realpath(path) == os.path.realpath(given)
 
-    For outputs written after the calls: the file is opened to append, which
-    leaves one already there unchanged, and removed again if that made it.
+
+def _check_output(args: argparse.Namespace, out_flag: str, *input_flags: str, names=None) -> None:
+    """Raise ConfigError, before any backend call or write, if the output that
+    ``out_flag`` names is the file of ``--config`` or of an input flag, or
+    cannot be written.
+
+    An output must not be an input file (``_same_file``, whose resolved
+    paths catch another output that is not made yet). It is then opened to
+    append, which leaves one already there unchanged, and removed again if
+    that made it. With ``names``, ``out_flag`` names a directory and the
+    outputs are the files of those names in it; they are checked against the
+    inputs alone, since the run makes the directory and opens them itself.
     """
-    if path is None:
+    out = getattr(args, out_flag[2:].replace("-", "_"))
+    if out is None:
         return
-    existed = os.path.lexists(path)
-    with writing(path):
-        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666))
-        if not existed:
-            os.unlink(path)
-
-
-def _check_not_input(args: argparse.Namespace, out_flag: str, *input_flags: str) -> None:
-    """Raise ConfigError if the output ``out_flag`` names, when it exists, is the
-    file of ``--config`` or of an input flag, before any backend call or write."""
-    out = getattr(args, out_flag[2:])
-    if out is None or not os.path.exists(out):
-        return
-    for flag in ("--config", *input_flags):
-        path = getattr(args, flag[2:])
-        if path is not None and os.path.exists(path) and os.path.samefile(out, path):
-            raise ConfigError(f"{out_flag} and {flag} name the same file: {out}")
+    for path in [out] if names is None else [os.path.join(out, name) for name in names]:
+        for flag in ("--config", *input_flags):
+            given = getattr(args, flag[2:].replace("-", "_"))
+            if given is not None and _same_file(path, given):
+                raise ConfigError(f"{out_flag} and {flag} name the same file: {path}")
+    if names is None:
+        existed = os.path.lexists(out)
+        with writing(out):
+            os.close(os.open(out, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666))
+            if not existed:
+                os.unlink(out)
 
 
 def _corpus_record(data: dict) -> tuple[str, StagedResponse]:
@@ -303,8 +314,7 @@ def cmd_solve(cfg: AppConfig, args: argparse.Namespace) -> int:
         string_field({"--image": args.image}, "--image", optional=True)
     except ValueError as exc:  # an argument's bytes that are not UTF-8
         raise ConfigError(str(exc)) from None
-    _check_not_input(args, "--trace")
-    _check_writable(args.trace)
+    _check_output(args, "--trace")
     result = run_strategy(
         args.question,
         cfg.search,
@@ -344,6 +354,8 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
         if "" in names:  # so an item without a category matches no name
             raise ConfigError(f"--categories holds an empty name: {args.categories!r}")
         items = [item for item in items if (item.category or "").casefold() in names]
+    outputs = [RECORDS_FILE, *(trace_file_name(item.id) for item in items if args.save_traces)]
+    _check_output(args, "--out", "--items", names=outputs)
     result = run_benchmark(
         items,
         cfg.search,
@@ -368,31 +380,32 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_scale(cfg: AppConfig, args: argparse.Namespace) -> int:
-    _check_not_input(args, "--out", "--items")
+    _check_output(args, "--out", "--items")
     with reading(args.items):
         items = load_items(args.items)
-    _check_writable(args.out)
+    # --out too: the table, written after the last cell, would replace the records.
+    _check_output(args, "--log-dir", "--items", "--out", names=[RECORDS_FILE])
     points = scaling_experiment(
         items,
         make_generator(cfg),
         make_reward(cfg),
         grid=default_grid(cfg.search),
-        out_csv=args.out,
         out_dir=args.log_dir,
         grader=_grader_for(cfg),
         run_seed=cfg.run_seed,
         zero_wall_time=args.zero_wall_time,
         parallelism=cfg.parallelism,
     )
+    with writing(args.out):
+        write_curve_csv(points, args.out)
     _summary({"command": "scale", "rows": len(points), "table": str(args.out)})
     return EXIT_OK
 
 
 def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
-    _check_not_input(args, "--out", "--corpus")
+    _check_output(args, "--out", "--corpus")
     with reading(args.corpus):
         corpus = _load_corpus(args.corpus)
-    _check_writable(args.out)
     stats = calibrate(make_reward(cfg), corpus)
     fitted = {
         "reward_mean": stats.reward_mean,
@@ -407,7 +420,7 @@ def cmd_calibrate(cfg: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_datagen(cfg: AppConfig, args: argparse.Namespace) -> int:
-    _check_not_input(args, "--out", "--sources")
+    _check_output(args, "--out", "--sources")
     generator = make_generator(cfg)
     if cfg.backend == "http" and cfg.judge is not None:
         judge = HttpGenerator(cfg.judge)

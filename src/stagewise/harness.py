@@ -116,7 +116,10 @@ _NAME_MAX = 255  # bytes in one file name on common file systems
 _NON_WORD = re.compile(r"[^\w\s]")
 
 
-def _trace_file_name(item_id: str) -> str:
+RECORDS_FILE = "run_records.jsonl"  # a run's records in its out_dir, beside its trace files
+
+
+def trace_file_name(item_id: str) -> str:
     """``trace-<id>.jsonl``; past ``_NAME_MAX`` bytes the id is cut on a character
     boundary and ``-<text_digest(id)>`` keeps distinct ids apart."""
     stem, suffix = "trace-" + item_id.translate(_FILE_NAME_ESCAPES), ".jsonl"
@@ -211,7 +214,7 @@ def run_benchmark(
     out_path = Path(out_dir) if out_dir is not None else None
     records_file = None
     if out_path is not None:
-        records_path = out_path / "run_records.jsonl"
+        records_path = out_path / RECORDS_FILE
         with writing(out_dir):
             out_path.mkdir(parents=True, exist_ok=True)
             records_file = open_append(records_path)
@@ -264,7 +267,7 @@ def run_benchmark(
                     record.ungradable = True
             records.append(record)
             if result is not None and result.trace is not None:
-                path = record.trace_file = trace_dir + _trace_file_name(item.id)
+                path = record.trace_file = trace_dir + trace_file_name(item.id)
                 with writing(path):
                     result.trace.write(path)
             if records_file is not None:
@@ -343,7 +346,6 @@ def scaling_experiment(
     reward: RewardScorer,
     grid: Optional[Sequence[GridCell]] = None,
     *,
-    out_csv=None,
     out_dir=None,
     grader: GraderFn = grade,
     run_seed: int = 0,
@@ -352,10 +354,10 @@ def scaling_experiment(
 ) -> list[ScalingPoint]:
     """Run every grid cell over the items and emit one curve point per cell.
 
-    With ``zero_wall_time`` the wall-time column is written as 0.000 so that
-    repeated runs under the same seeds produce byte-identical tables. Every
-    cell's config is validated before the first cell runs. An ``out_csv``
-    that cannot be written after the cells raises ConfigError (``search.writing``).
+    With ``zero_wall_time`` each point's wall time is 0, so that the tables
+    ``write_curve_csv`` makes of repeated runs under the same seeds are
+    byte-identical. Every cell's config is validated before the first cell
+    runs.
     """
     cells = list(grid) if grid is not None else default_grid()
     if not cells:
@@ -387,9 +389,6 @@ def scaling_experiment(
                 wall_time_s=elapsed,
             )
         )
-    if out_csv is not None:
-        with writing(out_csv):
-            write_curve_csv(points, out_csv)
     return points
 
 

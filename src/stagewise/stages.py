@@ -230,17 +230,15 @@ def parse_stage_continuation(raw: str, kind: StageKind) -> StageBlock:
     Accepts text with or without the leading open tag and rejects any other
     embedded tag, reusing the full parser's error surface: a body holding no
     tag is the block's text as it stands, and any other body goes to
-    ``parse_staged`` wrapped in the stage's tags.
+    ``parse_staged`` wrapped in the stage's tags for its error: with a third
+    tag between that pair, it raises for every such text.
     """
     body = raw.strip()
     open_tag = _OPEN[kind]
     inner = body[len(open_tag) :] if body.startswith(open_tag) else body
-    if _SCANNER.search(inner) is None:
-        return StageBlock(kind, inner.strip())
-    resp = parse_staged(
-        open_tag + inner + _CLOSE[kind], require_complete=True, expected_order=(kind,)
-    )
-    return resp.blocks[0]
+    if _SCANNER.search(inner) is not None:
+        parse_staged(open_tag + inner + _CLOSE[kind], require_complete=True, expected_order=(kind,))
+    return StageBlock(kind, inner.strip())
 
 
 # Pipeline -> the pattern that splits its complete continuation in one pass:

@@ -1213,6 +1213,23 @@ def test_output_path_that_cannot_be_written_exits_2_before_any_call(tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["scale", "--items", "BAD", "--out", "missing/curve.csv"],
+        ["calibrate", "--corpus", "BAD", "--out", "missing/stats.json"],
+        ["datagen", "--sources", "BAD", "--out", "missing/generated.jsonl"],
+    ],
+    ids=["scale", "calibrate", "datagen"],
+)
+def test_output_is_checked_before_the_input_is_read(tmp_path, capsys, monkeypatch, argv):
+    # Both are bad: the output's error comes first, since each command checks its outputs first.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BAD").write_text("{not json\n")
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {argv[-1]}: [Errno {errno.ENOENT}] ")
+
+
+@pytest.mark.parametrize(
     "argv, flags",
     [
         (["datagen", "--config", "c.json", "--sources", "s.jsonl", "--out", "c.json"], ("--out", "--config")),

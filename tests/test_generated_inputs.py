@@ -6,15 +6,17 @@ client builds from it without a network call, or raises ConfigError. The
 run exits 0, 2 or 4, and exit 2 comes before any backend call or trace file.
 Items, sources and corpus files go through ``bench``, ``datagen`` and
 ``calibrate`` on the sim: each run exits 0 or 2, and exit 2 comes before any
-backend call or output. Reply bodies from a generator and a reward endpoint
-go through ``bench``: each run exits 0, every item fails only as a malformed
-reply or an exhausted search, and the records count every request the
-endpoints saw; replies of other statuses than 200 may fail an item as a
-transport error too. Judge replies go through ``datagen``: each run exits 0
-with one record per verdict or generated text that does not parse, and a
-rerun generates again each source whose call failed. The examples are
-derandomized and their counts fixed, so every run of the suite draws the
-same ones.
+backend call or output. An input file that sits where ``bench`` or
+``scale`` would write in its output directory, the run records or an item's
+trace, exits 2 before any backend call or write. Reply bodies from a
+generator and a reward endpoint go through ``bench``: each run exits 0, every
+item fails only as a malformed reply or an exhausted search, and the records
+count every request the endpoints saw; replies of other statuses than 200
+may fail an item as a transport error too. Judge replies go through
+``datagen``: each run exits 0 with one record per verdict or generated text
+that does not parse, and a rerun generates again each source whose call
+failed. The examples are derandomized and their counts fixed, so every run
+of the suite draws the same ones.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import re
 import socket
 import tempfile
 from enum import Enum
+from pathlib import Path
 from unittest import mock
 from urllib.parse import urlsplit
 
@@ -46,6 +49,7 @@ from stagewise.cli import (
     load_config,
     main,
 )
+from stagewise.harness import RECORDS_FILE, trace_file_name
 from stagewise.search import ConfigError
 
 _EXAMPLES = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -303,6 +307,137 @@ def test_input_file_exits_0_or_2_and_2_before_any_call_or_output(command, data):
     if code == EXIT_CONFIG:
         assert err.getvalue().startswith("config error: ")
         assert calls == [] and not written
+
+
+# ---------------------------------------------------------------------------
+# Output directories that hold an input file
+# ---------------------------------------------------------------------------
+
+# Ids that a trace file name escapes ("/", "%") or cuts to 255 bytes, among drawn ones.
+_DIR_IDS = st.lists(
+    st.text(st.characters(codec="utf-8"), min_size=1, max_size=4)
+    | st.sampled_from(["a/b", "/", "50%", "%2F", "..", "x" * 300, "é" * 200]),
+    min_size=1, max_size=4, unique=True,
+)
+# Command -> its argv, the flag naming the directory it writes, and the flags naming files it reads.
+_DIR_COMMANDS = {
+    "bench": (["bench"], "--out", ("--items", "--config")),
+    "bench --save-traces": (["bench", "--save-traces"], "--out", ("--items", "--config")),
+    "scale": (["scale"], "--log-dir", ("--items", "--config", "--out")),
+}
+
+
+@st.composite
+def _collisions(draw):
+    """A command, its item ids, the input flag whose file sits where the run
+    writes in its directory, that file (None for the records, else the index of
+    the item whose trace it is), and how the flag names it."""
+    command = draw(st.sampled_from(sorted(_DIR_COMMANDS)))
+    ids = draw(_DIR_IDS)
+    flag = draw(st.sampled_from(_DIR_COMMANDS[command][2]))
+    at = draw(st.none() | st.integers(0, len(ids) - 1)) if command == "bench --save-traces" else None
+    # The table is an output too: it collides when it is not made yet.
+    vias = ["path", "symlink", "hard link"] + (["absent path", "absent symlink"] if flag == "--out" else [])
+    return command, ids, flag, at, draw(st.sampled_from(vias))
+
+
+def _dir_argv(scratch, command, ids, flag, name, via="path", category=None, spelling="runs") -> list:
+    """Write the items, a config and an old table under ``scratch``, with the
+    file of ``flag`` at ``runs/name`` and named by ``via`` (an "absent" table
+    is not written): ``command``'s argv."""
+    argv, dir_flag, _ = _DIR_COMMANDS[command]
+    runs = os.path.join(scratch, "runs")
+    os.mkdir(runs)
+    items = [json.dumps({"id": item_id, "question": "q", "category": f"c{k % 2}"}) for k, item_id in enumerate(ids)]
+    contents = {  # none ends in a line end, which open_append would cut
+        "--items": "\n".join(items).encode("utf-8"),
+        "--config": json.dumps({"backend": "sim"}).encode("utf-8"),
+        "--out": b"strategy,param",
+    }
+    paths = {key: os.path.join(scratch, key[2:]) for key in contents}
+    for key in ("--items", "--config"):
+        with open(paths[key], "wb") as fh:
+            fh.write(contents[key])
+    inside = os.path.join(runs, name)
+    if flag != "--out":
+        os.replace(paths[flag], inside)
+    elif not via.startswith("absent"):
+        with open(inside, "wb") as fh:
+            fh.write(contents[flag])
+    if via.endswith("path"):
+        paths[flag] = inside
+    else:
+        (os.symlink if via.endswith("symlink") else os.link)(inside, paths[flag])
+    argv = [*argv, "--items", paths["--items"], "--config", paths["--config"], dir_flag, os.path.join(scratch, spelling)]
+    if command == "scale":
+        argv += ["--out", paths["--out"]]
+    return argv if category is None else [*argv, "--categories", category]
+
+
+def _tree(root) -> dict:
+    """Each path under ``root``, with a file's bytes or a link's target."""
+    found = {}
+    for parent, dirs, files in os.walk(root):
+        found.update((os.path.join(parent, name), None) for name in dirs)
+        for name in files:
+            path = os.path.join(parent, name)
+            found[path] = os.readlink(path) if os.path.islink(path) else Path(path).read_bytes()
+    return found
+
+
+def _run_counting_calls(argv):
+    """``main(argv)``'s exit code, stderr, and the sim calls it made."""
+    calls, err = [], io.StringIO()
+    generate, score = SimWorld.generate, SimWorld.score
+    with mock.patch.object(SimWorld, "generate", lambda self, request: calls.append(request) or generate(self, request)), \
+            mock.patch.object(SimWorld, "score", lambda self, request: calls.append(request) or score(self, request)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue(), calls
+
+
+@settings(_EXAMPLES, max_examples=50)
+@given(_collisions(), st.booleans(), st.sampled_from(["runs", "runs/", "./runs/../runs"]))
+@example(("bench", ["a"], "--items", None, "path"), False, "runs")
+@example(("scale", ["a"], "--items", None, "path"), False, "runs")
+@example(("bench --save-traces", ["a"], "--items", 0, "path"), False, "runs")
+@example(("scale", ["a"], "--out", None, "path"), False, "runs")
+@example(("scale", ["a"], "--out", None, "absent path"), False, "runs")
+def test_output_directory_file_that_is_an_input_exits_2_before_any_call_or_write(case, filtered, spelling):
+    command, ids, flag, at, via = case
+    name = RECORDS_FILE if at is None else trace_file_name(ids[at])
+    # bench --categories keeps the category of the trace's item, or of the first item, and drops the other.
+    category = f"c{(at or 0) % 2}" if filtered and command != "scale" else None
+    with tempfile.TemporaryDirectory() as scratch:
+        argv = _dir_argv(scratch, command, ids, flag, name, via, category, spelling)
+        before = _tree(scratch)
+        code, err, calls = _run_counting_calls(argv)
+        after = _tree(scratch)
+    dir_flag = _DIR_COMMANDS[command][1]
+    assert code == EXIT_CONFIG, err
+    assert err == f"config error: {dir_flag} and {flag} name the same file: {os.path.join(scratch, spelling, name)}\n"
+    assert calls == []
+    assert after == before
+
+
+@pytest.mark.parametrize(
+    "command, name, category",
+    [
+        ("bench", "items.jsonl", None),
+        ("bench --save-traces", "items.jsonl", None),
+        ("scale", "items.jsonl", None),
+        # The run keeps only item a, so b's trace is no output of it.
+        ("bench --save-traces", "trace-b.jsonl", "c0"),
+    ],
+)
+def test_output_directory_holding_an_input_under_another_name_runs(tmp_path, command, name, category):
+    argv = _dir_argv(str(tmp_path), command, ["a", "b"], "--items", name, category=category)
+    items = (tmp_path / "runs" / name).read_bytes()
+    code, err, calls = _run_counting_calls(argv)
+    assert code == EXIT_OK, err
+    assert calls
+    assert (tmp_path / "runs" / name).read_bytes() == items
+    assert (tmp_path / "runs" / RECORDS_FILE).is_file()
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from stagewise.harness import (
     sample_calibration_corpus,
     scaling_experiment,
     standard_error,
+    write_curve_csv,
 )
 from stagewise.search import (
     CalibrationStats,
@@ -491,7 +492,7 @@ def test_run_benchmark_trace_file_is_the_joined_path(tmp_path, monkeypatch, out_
     result = run_benchmark(
         items, SearchConfig(), sim, sim, out_dir=out_dir, grader=oracle_grade, collect_traces=True
     )
-    expected = [str(Path(out_dir) / harness._trace_file_name(item.id)) for item in items]
+    expected = [str(Path(out_dir) / harness.trace_file_name(item.id)) for item in items]
     assert [record.trace_file for record in result.records] == expected
     lines = (Path(out_dir) / "run_records.jsonl").read_text().splitlines()
     assert [json.loads(line)["trace_file"] for line in lines] == expected
@@ -548,9 +549,8 @@ def test_scaling_single_cell_calls_equal_items(tmp_path):
     sim = _perfect_sim()
     items = make_sim_items(5)
     cell = default_grid()[0]  # best_of_n, n=1
-    points = scaling_experiment(
-        items, sim, sim, [cell], out_csv=tmp_path / "curve.csv", grader=oracle_grade
-    )
+    points = scaling_experiment(items, sim, sim, [cell], grader=oracle_grade)
+    write_curve_csv(points, tmp_path / "curve.csv")
     assert len(points) == 1
     assert points[0].generator_calls == len(items)
     table = (tmp_path / "curve.csv").read_text().splitlines()
@@ -562,10 +562,9 @@ def test_scaling_full_grid_rows_and_determinism(tmp_path):
     sim = SimWorld(SimWorldConfig(success=0.8, noise_std=0.5, rng_seed=4))
     items = make_sim_items(3)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    scaling_experiment(items, sim, sim, out_csv=a, grader=oracle_grade,
-                       run_seed=3, zero_wall_time=True)
-    scaling_experiment(items, sim, sim, out_csv=b, grader=oracle_grade,
-                       run_seed=3, zero_wall_time=True)
+    for path in (a, b):
+        points = scaling_experiment(items, sim, sim, grader=oracle_grade, run_seed=3, zero_wall_time=True)
+        write_curve_csv(points, path)
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().strip().splitlines()
     assert len(lines) == 1 + 11

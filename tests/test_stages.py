@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stagewise import stages
 from stagewise.stages import (
@@ -434,6 +436,37 @@ def test_stage_continuation_matches_reference_and_reaches_both_paths(monkeypatch
             outcomes.add(want[0])
     assert all(seen == {"shortcut", "fallback"} for seen in paths.values()), paths
     assert outcomes == {"ok", StrayTextError, UnbalancedTagError, OutOfOrderError}
+
+
+# Text around a tag: pieces that may make a second tag, a half-tag, or whitespace alone.
+_AROUND = st.lists(st.sampled_from(_BODY_PIECES + _TAGS + _STRAY), max_size=3).map("".join)
+_UNTAGGED = st.lists(st.sampled_from(_BODY_PIECES + _STRAY), max_size=3).map("".join).filter(
+    lambda text: not any(tag in text for tag in _TAGS)
+)
+_STAGE_TEXT = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+
+@_STAGE_TEXT
+@given(st.sampled_from(CANONICAL_ORDER), st.booleans(), _AROUND, st.sampled_from(_TAGS), _AROUND)
+def test_stage_continuation_body_holding_a_tag_raises_what_parse_staged_raises(kind, opened, before, tag, after):
+    open_tag, close_tag = DEFAULT_SCHEMA.open(kind), DEFAULT_SCHEMA.close(kind)
+    raw = (open_tag if opened else "") + before + tag + after
+    # The body after the optional open tag: it holds a tag unless the drawn one was that open tag.
+    body = raw.strip()
+    inner = body[len(open_tag):] if body.startswith(open_tag) else body
+    assume(any(other in inner for other in _TAGS))
+    with pytest.raises(StageFormatError) as want:
+        parse_staged(open_tag + inner + close_tag, require_complete=True, expected_order=(kind,))
+    with pytest.raises(StageFormatError) as got:
+        parse_stage_continuation(raw, kind)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+@_STAGE_TEXT
+@given(st.sampled_from(CANONICAL_ORDER), st.booleans(), _UNTAGGED)
+def test_stage_continuation_body_holding_no_tag_is_its_stripped_text(kind, opened, text):
+    raw = (DEFAULT_SCHEMA.open(kind) if opened else "") + text
+    assert parse_stage_continuation(raw, kind) == StageBlock(kind, text.strip())
 
 
 def test_complete_continuation_matches_reference_and_reaches_both_paths(monkeypatch):
