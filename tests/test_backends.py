@@ -393,6 +393,15 @@ def test_http_generator_client_error_is_not_retried(stub_server):
     assert len(server.requests) == 1
 
 
+def test_http_generator_status_499_is_not_retried(stub_server):
+    # The highest client error, one below the server errors that are retried.
+    server = stub_server([(499, {"error": "client closed request"})])
+    gen = HttpGenerator(_endpoint(server.url, retries=2, backoff=5))
+    with pytest.raises(TransportError, match="HTTP 499"):
+        gen.generate(GeneratorRequest(question="q", target_stages=(StageKind.SUMMARY,)))
+    assert len(server.requests) == 1
+
+
 def _record_sleeps(monkeypatch):
     sleeps = []
     monkeypatch.setattr("stagewise.backends.time.sleep", sleeps.append)

@@ -4,19 +4,22 @@ Endpoint sections go through ``load_config``: each loads, and then an HTTP
 client builds from it without a network call, or raises ConfigError. The
 ``search`` section and ``parallelism`` go through ``solve`` on the sim: each
 run exits 0, 2 or 4, and exit 2 comes before any backend call or trace file.
-Items, sources and corpus files go through ``bench``, ``datagen`` and
-``calibrate`` on the sim: each run exits 0 or 2, and exit 2 comes before any
-backend call or output. An input file that sits where ``bench`` or
-``scale`` would write in its output directory, the run records or an item's
-trace, exits 2 before any backend call or write. Reply bodies from a
-generator and a reward endpoint go through ``bench``: each run exits 0, every
-item fails only as a malformed reply or an exhausted search, and the records
-count every request the endpoints saw; replies of other statuses than 200
-may fail an item as a transport error too. Judge replies go through
-``datagen``: each run exits 0 with one record per verdict or generated text
-that does not parse, and a rerun generates again each source whose call
-failed. The examples are derandomized and their counts fixed, so every run
-of the suite draws the same ones.
+Config files found bad by hand are rows of one table, ``_BAD_CONFIGS``, run
+through ``solve``, ``bench`` or ``calibrate``: each exits 2 with its one
+``config error:`` line, before any backend call or stub request, and writes no
+file; endpoint settings at their bounds load. Items, sources and corpus files
+go through ``bench``, ``datagen`` and ``calibrate`` on the sim: each run exits
+0 or 2, and exit 2 comes before any backend call or output. An input file that
+sits where ``bench`` or ``scale`` would write in its output directory, the run
+records or an item's trace, exits 2 before any backend call or write. Reply
+bodies from a generator and a reward endpoint go through ``bench``: each run
+exits 0, every item fails only as a malformed reply or an exhausted search,
+and the records count every request the endpoints saw; replies of other
+statuses than 200 may fail an item as a transport error too. Judge replies go
+through ``datagen``: each run exits 0 with one record per verdict or generated
+text that does not parse, and a rerun generates again each source whose call
+failed. The examples are derandomized and their counts fixed, so every run of
+the suite draws the same ones.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import StubServer
-from stagewise.backends import CORRECT_MARK, INCORRECT_MARK, HttpGenerator, SimWorld
+from stagewise.backends import CORRECT_MARK, INCORRECT_MARK, MAX_WAIT_S, HttpGenerator, SimWorld
 from stagewise.cli import (
     _SEARCH_SETTINGS,
     EXIT_CONFIG,
@@ -205,6 +208,194 @@ def test_search_settings_through_solve_exit_0_2_or_4_and_2_before_any_call(confi
     if code == EXIT_CONFIG:
         assert err.getvalue().startswith("config error: ")
         assert calls == [] and not trace.exists()
+
+
+# ---------------------------------------------------------------------------
+# Config files found bad by hand, through solve, bench and calibrate
+# ---------------------------------------------------------------------------
+
+_NO_FILE, _DIRECTORY = object(), object()
+_STUB = {"base_url": "{url}", "retries": 0}
+_COMMANDS = {
+    "solve": ["solve", "q", "--trace", "trace.jsonl"],
+    "bench": ["bench", "--items", "items.jsonl", "--out", "runs", "--save-traces"],
+    "calibrate": ["calibrate", "--corpus", "corpus.jsonl", "--out", "stats.json"],
+}
+
+
+def _at_stub(backend="http", **sections):
+    """A config whose generator and reward endpoints are the stub server, with ``sections`` merged in."""
+    data = {"backend": backend, "generator": dict(_STUB), "reward": dict(_STUB)}
+    for name, setting in sections.items():
+        data[name] = {**data.get(name, {}), **setting}
+    return data
+
+
+def _row(row_id, config, stderr, command="solve", flags=(), token=""):
+    return pytest.param(command, config, list(flags), token, stderr, id=row_id)
+
+
+_VALUE = "invalid config value: "
+_HOST = _VALUE + "base_url host must be an IP literal or letters, digits, '-', '_' and '.': "
+_BACKOFF = _VALUE + "backoff_s must be from 0 to 9000000000, got "
+_TIMEOUT = _VALUE + "timeout_s must be above 0 and at most 9000000000, got "
+_HUGE = " must fit a float, got an integer of 401 digits"
+# Each row: the config (a JSON value, raw bytes, _NO_FILE, _DIRECTORY, or None for no --config), the
+# message after "config error: " (a "..." ends a prefix whose tail Python or the OS words), and the
+# command, extra flags and STAGEWISE_API_KEY where they are not solve, none and empty.
+_BAD_CONFIGS = [
+    # No config: a file that cannot be read or decoded, or that is not an object of known keys.
+    _row("missing-file", _NO_FILE, "cannot read config config.json: [Errno 2] ..."),
+    _row("directory", _DIRECTORY, "cannot read config config.json: [Errno 21] ..."),
+    _row("truncated", b'{"search": {', "config config.json is not valid JSON: ..."),
+    _row("integer-past-the-digit-limit", b'{"search": {"cutoff_zscore": 1' + b"0" * 5000 + b"}}",
+         "config config.json is not valid JSON: ..."),
+    _row("not-utf-8", b'{"search": {}}\xff', "config config.json is not valid JSON: ..."),
+    _row("nested-past-the-recursion-limit", b'{"search": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         "config config.json is not valid JSON: ..."),
+    _row("root-not-an-object", [1], "config root must be a JSON object"),
+    _row("unknown-backend", {"backend": "grpc"}, "backend must be 'sim' or 'http', got 'grpc'"),
+    _row("unknown-top-level-key", {"wat": 1}, "unknown top-level config keys: ['wat']"),
+    _row("unknown-search-key", {"search": {"beem_width": 2}}, "unknown search config keys: ['beem_width']"),
+    # json.loads kept the last of the two: the first config ran width 1 and exited 0.
+    _row("search-key", b'{"search": {"beam_width": 2, "beam_width": 1}}',
+         "config key 'beam_width' appears twice in one object"),
+    _row("stage-in-a-success-map", b'{"sim": {"success": {"caption": 0.2, "caption": 0.9}}}',
+         "config key 'caption' appears twice in one object"),
+    _row("top-level-key", b'{"run_seed": 1, "backend": "sim", "run_seed": 2}',
+         "config key 'run_seed' appears twice in one object"),
+    _row("later-key-twice", b'{"run_seed": 1, "backend": "sim", "backend": "http"}',
+         "config key 'backend' appears twice in one object"),
+    # Search settings and their flags.
+    _row("string-int", {"search": {"candidates_per_stage": "4"}}, "candidates_per_stage must be an integer, got '4'"),
+    _row("float-int", {"search": {"retrace_limit": 1.5}}, "retrace_limit must be an integer, got 1.5"),
+    _row("bool-int", {"search": {"beam_width": True}}, "beam_width must be an integer, got True"),
+    _row("string-real", {"search": {"reward_mean": "0.5"}}, "reward_mean must be a number, got '0.5'"),
+    _row("nan-real", {"search": {"cutoff_zscore": math.nan}}, "cutoff_zscore must be a number, got nan"),
+    _row("alias", {"search": {"strategy": "bon"}}, "unknown strategy: 'bon'"),
+    _row("search-list", {"search": []}, "search config must be a JSON object"),
+    _row("infinite-cutoff", {"search": {"cutoff_zscore": math.inf}}, "cutoff_zscore must be finite, got inf"),
+    _row("infinite-temperature", {"search": {"temperature": math.inf}}, "temperature must be finite, got inf"),
+    # The request body could not be JSON.
+    _row("infinite-temperature-over-http", _at_stub(search={"temperature": math.inf}),
+         "temperature must be finite, got inf", "bench"),
+    # float() and math.isnan raised OverflowError: a traceback, exit 1.
+    _row("huge-int-cutoff", {"search": {"cutoff_zscore": 10**400}}, "cutoff_zscore" + _HUGE),
+    _row("huge-int-beam-width", {"search": {"beam_width": 10**400}}, "beam_width" + _HUGE),
+    _row("huge-negative-int-beam-width", {"search": {"beam_width": -(10**400)}}, "beam_width" + _HUGE),
+    _row("huge-int-parallelism", {"parallelism": 10**400}, "parallelism" + _HUGE),
+    _row("parallelism-0", {"parallelism": 0}, "parallelism must be >= 1"),
+    _row("parallelism-flag-0", None, "parallelism must be >= 1", flags=["--parallelism", "0"]),
+    _row("nan-flag", None, "reward_mean must be a number, got nan", flags=["--reward-mean", "nan"]),
+    _row("infinite-z-flag", None, "cutoff_zscore must be finite, got inf", flags=["--z", "inf"]),
+    _row("infinite-reward-mean-flag", None, "reward_mean must be finite, got inf", flags=["--reward-mean", "inf"]),
+    _row("nan-cutoff-flags", None, "cutoff_zscore must be finite, got inf", flags=["--z", "inf", "--reward-std", "0"]),
+    _row("negative-reward-std-flag", None, "invalid reward stats: reward_std must be >= 0",
+         flags=["--reward-std", "-1"]),
+    _row("beam-wider-than-candidates", None, "beam_width must divide candidates_per_stage",
+         flags=["--m", "4", "--n", "3"]),
+    # Sim settings.
+    _row("sim-float-int", {"sim": {"rng_seed": 1.5}}, "sim.rng_seed must be an integer, got 1.5"),
+    _row("sim-string-real", {"sim": {"success": "0.5"}}, "sim.success must be a number, got '0.5'"),
+    _row("sim-string-stage-map", {"sim": {"success": {"caption": "0.5"}}},
+         "sim.success.caption must be a number, got '0.5'"),
+    _row("sim-bool-real", {"sim": {"noise_std": True}}, "sim.noise_std must be a number, got True"),
+    _row("huge-int-noise", {"sim": {"noise_std": 10**400}}, "sim.noise_std" + _HUGE),
+    _row("huge-int-success", {"sim": {"success": {"caption": 10**400}}}, "sim.success.caption" + _HUGE),
+    _row("stage-named-twice", {"sim": {"success": {"caption": 0.2, "Caption": 0.9}}},
+         _VALUE + "stage 'caption' is named twice in one stage map"),
+    # Python's JSON writer and reader carry Infinity; the config load must refuse it.
+    _row("infinite-noise", _at_stub("sim", sim={"noise_std": math.inf}), _VALUE + "noise_std must be finite, got inf"),
+    _row("infinite-mean-correct", _at_stub("sim", sim={"mean_correct": math.inf}),
+         _VALUE + "mean_correct must be finite, got inf"),
+    _row("infinite-mean-incorrect", _at_stub("sim", sim={"mean_incorrect": -math.inf}),
+         _VALUE + "mean_incorrect must be finite, got -inf"),
+    # Endpoint sections of the wrong type, or missing.
+    _row("generator-string", {"generator": "x"}, "generator config must be a JSON object"),
+    _row("endpoint-string-int", {"generator": {"base_url": "http://x", "retries": "2"}},
+         "generator.retries must be an integer, got '2'"),
+    _row("endpoint-int-string", {"generator": {"base_url": "http://x", "model": 1}},
+         "generator.model must be a string, got 1"),
+    _row("http-backend-without-endpoints", None, "http backend requires a generator endpoint config",
+         flags=["--backend", "http"]),
+    _row("calibrate-http-without-a-reward-endpoint", {"backend": "http", "generator": {"base_url": "{url}"}},
+         "http backend requires a reward endpoint config", "calibrate"),
+    # Endpoint settings that would fail mid-run, at the first connection, retry or request.
+    _row("negative-backoff", _at_stub(generator={"backoff_s": -1.0, "retries": 1}), _BACKOFF + "-1.0"),
+    _row("infinite-timeout", _at_stub(generator={"timeout_s": math.inf}), _TIMEOUT + "inf"),
+    _row("infinite-backoff", _at_stub(reward={"backoff_s": math.inf}), _BACKOFF + "inf"),
+    # Past what socket timeouts and time.sleep take: OverflowError at the first connection or retry.
+    _row("timeout-past-the-platform", _at_stub(generator={"timeout_s": 1e10}), _TIMEOUT + "10000000000.0"),
+    _row("backoff-past-the-platform", _at_stub(reward={"backoff_s": 1e10, "retries": 1}), _BACKOFF + "10000000000.0"),
+    _row("retries-whose-last-backoff-is-past-the-platform", _at_stub(generator={"retries": 600, "backoff_s": 1e-9}),
+         _VALUE + "backoff_s 1e-09 with retries 600 waits longer than 9000000000 s"),
+    # Hosts the IDNA codec refuses: UnicodeError at the first request, or as the client was made.
+    _row("host-with-an-empty-label", _at_stub(generator={"base_url": "http://a..b/v1"}),
+         _VALUE + "base_url host is not a valid IDNA name (..."),
+    _row("host-with-a-64-byte-label", _at_stub(reward={"base_url": f"http://{'a' * 64}.example/v1"}),
+         _VALUE + "base_url host is not a valid IDNA name (..."),
+    _row("host-with-a-lone-surrogate", _at_stub(generator={"base_url": "http://\ud800x/v1"}),
+         _VALUE + "generator.base_url is not valid UTF-8 text: 'http://\\ud800x/v1'"),
+    # Port 0: every connection is refused, after every backoff at the default retries.
+    _row("port-0", _at_stub(reward={"base_url": "http://127.0.0.1:0/v1"}),
+         _VALUE + "base_url port must not be 0, which no connection can reach: 'http://127.0.0.1:0/v1'"),
+    # Hosts IDNA takes but no name lookup finds: every call fails to resolve.
+    _row("host-with-a-space", _at_stub(generator={"base_url": "http://a b/v1"}), _HOST + "'http://a b/v1'"),
+    _row("host-with-a-semicolon", _at_stub(generator={"base_url": "http://a;b/v1"}), _HOST + "'http://a;b/v1'"),
+    _row("host-with-a-quote", _at_stub(reward={"base_url": 'http://a"b/v1'}), _HOST + "'http://a\"b/v1'"),
+    _row("host-with-a-comma", _at_stub(reward={"base_url": "http://a,b/v1"}), _HOST + "'http://a,b/v1'"),
+    _row("host-with-a-percent-escape", _at_stub(generator={"base_url": "http://a%20b/v1"}),
+         _HOST + "'http://a%20b/v1'"),
+    _row("host-with-a-delete", _at_stub(reward={"base_url": "http://a\x7f/v1"}), _HOST + "'http://a\\x7f/v1'"),
+    _row("host-with-a-nul", _at_stub(generator={"base_url": "http://a\u0000b/v1"}), _HOST + "'http://a\\x00b/v1'"),
+    # The client would drop them and print the URL, password and all, in each failure.
+    _row("user-and-password", _at_stub(generator={"base_url": "http://user:pw@127.0.0.1/v1"}),
+         _VALUE + "base_url must hold no user name or password; the token comes from token_env"),
+    # os.environ.get raised UnicodeEncodeError on the name at the first request.
+    _row("token-env-not-utf-8", _at_stub(generator={"token_env": "\ud800"}),
+         _VALUE + "generator.token_env is not valid UTF-8 text: '\\ud800'"),
+    _row("token-env-not-utf-8-bench", _at_stub(generator={"token_env": "\ud800"}),
+         _VALUE + "generator.token_env is not valid UTF-8 text: '\\ud800'", "bench"),
+    # Read at each request, after the call was tallied, it made bench exit 0 with two error records.
+    _row("token-not-printable-ascii", _at_stub(),
+         _VALUE + "the token in STAGEWISE_API_KEY is not printable ASCII", "bench", token="tök"),
+]
+
+
+@pytest.mark.parametrize("command, config, flags, token, stderr", _BAD_CONFIGS)
+def test_config_found_bad_by_hand_exits_2_before_any_call_or_output(
+    tmp_path, monkeypatch, stub_server, command, config, flags, token, stderr
+):
+    server = stub_server([(200, {"score": 1.0})])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("STAGEWISE_API_KEY", token)
+    Path("items.jsonl").write_text('{"id": "a", "question": "q"}\n{"id": "b", "question": "q"}\n')
+    Path("corpus.jsonl").write_text('{"question": "q", "response": "<SUMMARY>s</SUMMARY>"}\n')
+    if isinstance(config, bytes):
+        Path("config.json").write_bytes(config)
+    elif config is _DIRECTORY:
+        os.mkdir("config.json")
+    elif config not in (None, _NO_FILE):
+        Path("config.json").write_text(json.dumps(config).replace("{url}", server.url))
+    before = _tree(tmp_path)
+    argv = _COMMANDS[command] + ([] if config is None else ["--config", "config.json"]) + flags
+    code, err, calls = _run_counting_calls(argv)
+    assert code == EXIT_CONFIG, err
+    head, tail = (stderr[:-3], r"[^\n]+") if stderr.endswith("...") else (stderr, "")
+    assert re.fullmatch(re.escape(f"config error: {head}") + tail + "\n", err), err
+    assert calls == [] and server.requests == []
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"backoff_s": MAX_WAIT_S, "retries": 1}, {"timeout_s": MAX_WAIT_S}, {"backoff_s": 0}],
+    ids=["longest-backoff", "longest-timeout", "no-backoff"],
+)
+def test_endpoint_setting_at_its_bound_loads(config_path, setting):
+    # One retry waits backoff_s: a wait of exactly MAX_WAIT_S is in range.
+    cfg = load_config(_write(config_path, {"generator": {"base_url": "http://127.0.0.1/v1", **setting}}))
+    assert {key: getattr(cfg.generator, key) for key in setting} == setting
 
 
 # ---------------------------------------------------------------------------

@@ -178,3 +178,33 @@ def test_reader_agrees_with_http_client_on_seeded_replies():
         if not _explained(reply, ours, reference, mutated):
             unexplained.append((reply, ours, reference))
     assert unexplained == [], f"{len(unexplained)} of {len(cases)} replies read apart"
+
+
+_HI = b"Content-Length: 2\r\n\r\nhi"
+_LONGEST_LINE = b"X: " + b"a" * (65536 - 5) + b"\r\n"  # http.client's and the reader's limit, with its line end
+
+
+@pytest.mark.parametrize(
+    "reply, want, same",
+    [
+        pytest.param(b"HTTP/1.1 200\r\n" + _HI, (200, b"hi"), True, id="no-reason-phrase"),
+        pytest.param(b"HTTP/1.1 099 X\r\n\r\nHTTP/1.1 200 OK\r\n" + _HI, None, True, id="status-099"),
+        # http.client returns the 199 as the reply (see the module docstring).
+        pytest.param(b"HTTP/1.1 199 X\r\n\r\nHTTP/1.1 200 OK\r\n" + _HI, (200, b"hi"), False, id="interim-199"),
+        pytest.param(b"HTTP/1.1 200 OK\r\n" + _LONGEST_LINE + _HI, (200, b"hi"), True, id="longest-line"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nX" + _LONGEST_LINE + _HI, None, True, id="line-one-byte-too-long"),
+        # A bare CR, which http.client reads as white space.
+        pytest.param(b"\rHTTP/1.1 200 OK\r\n" + _HI, None, False, id="cr-at-the-start-of-a-line"),
+        pytest.param(b"HTTP/1.1 200 OK\nContent-Length: 2\n\nhi", (200, b"hi"), True, id="bare-lf-line-ends"),
+    ],
+)
+def test_reply_at_the_edge_of_a_check_reads_as_fixed(reply, want, same):
+    assert _ours(reply) == want
+    assert (_reference(reply) == want) is same
+
+
+def test_line_that_fills_the_limit_without_its_line_end_is_refused_before_another_read():
+    # Its line end, not yet read, would take it past the limit, so the server's close after it is never read.
+    conn = _Connection(_ReplySocket(b"HTTP/1.1 200 OK\r\n" + b"X" * 65536))
+    with pytest.raises(_ProtocolError, match="reply line longer than 65536 bytes"):
+        conn.read_head()

@@ -470,6 +470,17 @@ def test_search_calls_in_flight_stay_within_parallelism(parallelism):
     assert result.ledger.counts_dict() == want.ledger.counts_dict()
 
 
+@pytest.mark.parametrize("strategy", [best_of_n, stage_wise_beam, swires, run_strategy], ids=lambda f: f.__name__)
+def test_search_defaults_to_run_seed_0_and_one_call_at_a_time(strategy):
+    sim = _world()
+    tap = _InFlightTap(sim)
+    result = strategy("q", SearchConfig(), tap, tap)
+    want = strategy("q", SearchConfig(), sim, sim, run_seed=0, parallelism=1)
+    assert result.trace.to_jsonl() == want.trace.to_jsonl()
+    assert result.ledger.counts_dict() == want.ledger.counts_dict()
+    assert tap.peak == 1 and tap.threads == {threading.current_thread().name}
+
+
 def _engine(parallelism):
     sim = _world()
     return search._Engine("q", SearchConfig(), sim, sim, None, 0, False, parallelism)
