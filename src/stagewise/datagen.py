@@ -100,15 +100,15 @@ class GeneratedRecord:
 
 
 def _source(data: dict) -> SourceRecord:
+    turns = data.get("turns", [])
+    if not isinstance(turns, list) or not all(isinstance(turn, dict) for turn in turns):
+        raise TypeError(f"turns must be a JSON array of objects, got {turns!r}")
     return SourceRecord(
         id=id_field(data),
         question=string_field(data, "question"),
         gold_answer=string_field(data, "gold_answer"),
         image_ref=string_field(data, "image_ref", optional=True),
-        turns=tuple(
-            (string_field(turn, "question"), string_field(turn, "gold_answer"))
-            for turn in data.get("turns", [])
-        ),
+        turns=tuple((string_field(turn, "question"), string_field(turn, "gold_answer")) for turn in turns),
     )
 
 

@@ -48,7 +48,8 @@ def read_jsonl(path, what: str, build: Callable[[dict], object]) -> list:
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; blank lines are skipped. A line
     that is not UTF-8, not JSON (as ``decode`` reads it) or not an object, or
     whose object ``build`` rejects with KeyError, TypeError or ValueError, raises
-    ``ValueError("FILE:LINE: bad <what>: <reason>")``.
+    ``ValueError("FILE:LINE: bad <what>: <reason>")``; a KeyError's reason is
+    ``missing key '<key>'``.
     """
     built = []
     # Bytes that are not UTF-8 are carried as lone surrogates until their
@@ -65,7 +66,9 @@ def read_jsonl(path, what: str, build: Callable[[dict], object]) -> list:
                 if not isinstance(obj, dict):
                     raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
                 built.append(build(obj))
-            except (KeyError, TypeError, ValueError) as exc:
+            except KeyError as exc:  # each builder reads a required key as data[key]
+                raise ValueError(f"{path}:{lineno}: bad {what}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
     return built
 

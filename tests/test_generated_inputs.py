@@ -9,7 +9,12 @@ through ``solve``, ``bench`` or ``calibrate``: each exits 2 with its one
 ``config error:`` line, before any backend call or stub request, and writes no
 file; endpoint settings at their bounds load. Items, sources and corpus files
 go through ``bench``, ``datagen`` and ``calibrate`` on the sim: each run exits
-0 or 2, and exit 2 comes before any backend call or output. An input file that
+0 or 2, and exit 2 comes before any backend call or output, with one ``config
+error:`` line naming the file, line and reason. Input files found bad by hand,
+datagen output files among them, are rows of one table, ``_BAD_INPUT_FILES``,
+run through ``bench``, ``scale``, ``calibrate`` or ``datagen``: each exits 2
+with its one ``config error:`` line, before any backend call, and changes no
+file but the datagen output it is to cut. An input file that
 sits where ``bench`` or ``scale`` would write in its output directory, the run
 records or an item's trace, exits 2 before any backend call or write. Reply
 bodies from a generator and a reward endpoint go through ``bench``: each run
@@ -219,7 +224,9 @@ _STUB = {"base_url": "{url}", "retries": 0}
 _COMMANDS = {
     "solve": ["solve", "q", "--trace", "trace.jsonl"],
     "bench": ["bench", "--items", "items.jsonl", "--out", "runs", "--save-traces"],
+    "scale": ["scale", "--items", "items.jsonl", "--out", "curve.csv"],
     "calibrate": ["calibrate", "--corpus", "corpus.jsonl", "--out", "stats.json"],
+    "datagen": ["datagen", "--sources", "sources.jsonl", "--out", "generated.jsonl"],
 }
 
 
@@ -380,11 +387,17 @@ def test_config_found_bad_by_hand_exits_2_before_any_call_or_output(
     before = _tree(tmp_path)
     argv = _COMMANDS[command] + ([] if config is None else ["--config", "config.json"]) + flags
     code, err, calls = _run_counting_calls(argv)
-    assert code == EXIT_CONFIG, err
-    head, tail = (stderr[:-3], r"[^\n]+") if stderr.endswith("...") else (stderr, "")
-    assert re.fullmatch(re.escape(f"config error: {head}") + tail + "\n", err), err
+    _assert_config_error(code, err, stderr)
     assert calls == [] and server.requests == []
     assert _tree(tmp_path) == before
+
+
+def _assert_config_error(code, err, expected):
+    """Exit 2 with ``err`` the one line ``config error: <expected>``, where a
+    "..." ending ``expected`` stands for a tail that Python or the OS words."""
+    assert code == EXIT_CONFIG, err
+    head, tail = (expected[:-3], r"[^\n]+") if expected.endswith("...") else (expected, "")
+    assert re.fullmatch(re.escape(f"config error: {head}") + tail + "\n", err), err
 
 
 @pytest.mark.parametrize(
@@ -399,7 +412,7 @@ def test_endpoint_setting_at_its_bound_loads(config_path, setting):
 
 
 # ---------------------------------------------------------------------------
-# Items, sources and corpus files, through bench, datagen and calibrate
+# Items, sources and corpus files, through bench, scale, datagen and calibrate
 # ---------------------------------------------------------------------------
 
 _BAD_VALUES = _SURROGATES | _JUNK | _NESTED
@@ -459,45 +472,203 @@ def _lines(record):
 
 
 _INPUT_FILES = {
-    "bench": ("--items", _lines(_ITEM), "out"),
-    "datagen": ("--sources", _lines(_SOURCE), "generated.jsonl"),
-    "calibrate": ("--corpus", _lines(_CORPUS_RECORD), "stats.json"),
+    "bench": ("--items", _lines(_ITEM), "out", "benchmark item"),
+    "datagen": ("--sources", _lines(_SOURCE), "generated.jsonl", "source record"),
+    "calibrate": ("--corpus", _lines(_CORPUS_RECORD), "stats.json", "corpus record"),
 }
 
 
 @_EXAMPLES
-@given(st.sampled_from(sorted(_INPUT_FILES)), st.data())
-def test_input_file_exits_0_or_2_and_2_before_any_call_or_output(command, data):
-    flag, lines, out_name = _INPUT_FILES[command]
-    body = data.draw(lines)
-    end = data.draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
-    calls = []
-    generate, score = SimWorld.generate, SimWorld.score
-
-    def counting_generate(self, request):
-        calls.append(request)
-        return generate(self, request)
-
-    def counting_score(self, request):
-        calls.append(request)
-        return score(self, request)
-
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as scratch, \
-            mock.patch.object(SimWorld, "generate", counting_generate), \
-            mock.patch.object(SimWorld, "score", counting_score), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+@given(st.sampled_from(sorted(_INPUT_FILES)).flatmap(lambda name: st.tuples(st.just(name), _INPUT_FILES[name][1])),
+       st.sampled_from([b"\n", b"\r\n", b"\r"]))
+@example(("datagen", [b'{"id": "s", "question": "q", "gold_answer": "B", "turns": true}']), b"\n")
+def test_input_file_exits_0_or_2_and_2_before_any_call_or_output(drawn, end):
+    command, body = drawn
+    flag, _, out_name, what = _INPUT_FILES[command]
+    with tempfile.TemporaryDirectory() as scratch:
         source = os.path.join(scratch, "input.jsonl")
         with open(source, "wb") as fh:
             fh.write(b"".join(line + end for line in body))
         out = os.path.join(scratch, out_name)
-        code = main([command, flag, source, "--out", out])
+        code, err, calls = _run_counting_calls([command, flag, source, "--out", out])
         written = os.path.lexists(out)
-    assert code in (EXIT_OK, EXIT_CONFIG), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG), err
+    assert "Traceback" not in err
     if code == EXIT_CONFIG:
-        assert err.getvalue().startswith("config error: ")
+        nothing_to_run = "no benchmark items to run|calibration corpus is empty"
+        line = re.fullmatch(rf"config error: (?:{re.escape(source)}:\d+: bad {what}: (.+)|{nothing_to_run})\n", err)
+        assert line, err
+        # A reason names what is wrong: not KeyError's bare key, nor Python's words for a value of the wrong type.
+        assert not re.fullmatch(r"'\w+'|.*(object is not|string indices must be).*", line[1] or ""), err
         assert calls == [] and not written
+
+
+def _item_line(**fields):
+    return json.dumps({"id": "a", "question": "q", **fields})
+
+
+def _source_line(**fields):
+    return json.dumps({"id": "s", "question": "q", "gold_answer": "B", **fields})
+
+
+def _corpus_line(**fields):
+    return json.dumps({"question": "q", "response": "<SUMMARY>s</SUMMARY><CAPTION>c</CAPTION>", **fields})
+
+
+def _input_row(row_id, command, lines, stderr, flags=(), output=None, output_after=None):
+    output_after = output if output_after is None else output_after
+    return pytest.param(command, lines, list(flags), output, output_after, stderr, id=row_id)
+
+
+_NESTED_ARRAY = "[" * 100_000 + "]" * 100_000
+_BAD_ITEM = "{in}:1: bad benchmark item: "
+_BAD_SOURCE = "{in}:1: bad source record: "
+_BAD_CORPUS = "{in}:1: bad corpus record: "
+_BAD_OUTPUT = "{out}:1: bad output record: "
+_BAD_ID = "id must be a string or an integer, got "
+# Each row: the command (as in _COMMANDS), the input file (its lines, each then ended by "\n", raw
+# bytes, or _NO_FILE), the message after "config error: " with {in} and {out} for the input and
+# output paths (a "..." ends a prefix whose tail Python or the OS words), any extra flags, and for
+# datagen the output file's bytes before the run and, where the run cuts them, after it.
+_BAD_INPUT_FILES = [
+    # A file that cannot be read, or lines that are not UTF-8 JSON objects.
+    _input_row("bench-missing-file", "bench", _NO_FILE, "cannot read {in}: [Errno 2] ..."),
+    _input_row("datagen-missing-file", "datagen", _NO_FILE, "cannot read {in}: [Errno 2] ..."),
+    _input_row("bench-not-json", "bench", [_item_line(), "{not json"], "{in}:2: bad benchmark item: ..."),
+    _input_row("calibrate-not-json-after-a-blank-line", "calibrate", ["", "{not json"], "{in}:2: bad corpus record: ..."),
+    # Line 1 is UTF-8 and ends in \r\n, line 2 is blank and ends in \r, line 3 holds 0xff.
+    *(_input_row(f"{command}-not-utf-8", command, line.replace('"q"', '"q é"').encode("utf-8") + b"\r\n\r"
+                 + line.replace('"q"', '"q \xff"').encode("latin-1") + b"\n",
+                 bad.replace(":1:", ":3:") + "'utf-8' codec can't decode byte 0xff ...")
+      for command, line, bad in (("bench", _item_line(), _BAD_ITEM), ("datagen", _source_line(), _BAD_SOURCE),
+                                 ("calibrate", _corpus_line(), _BAD_CORPUS))),
+    # Nested past the recursion limit: json.loads raised RecursionError, a traceback with exit 1.
+    _input_row("bench-nested-past-the-recursion-limit", "bench",
+               [_item_line(), '{"id": "b", "question": "q", "options": ' + _NESTED_ARRAY + "}"],
+               "{in}:2: bad benchmark item: maximum recursion depth exceeded ..."),
+    _input_row("calibrate-nested-past-the-recursion-limit", "calibrate",
+               ['{"question": "q", "response": ' + _NESTED_ARRAY + "}"],
+               _BAD_CORPUS + "maximum recursion depth exceeded ..."),
+    _input_row("datagen-nested-past-the-recursion-limit", "datagen",
+               [_source_line()[:-1] + ', "turns": ' + '{"t": ' * 100_000 + "1" + "}" * 100_000 + "}"],
+               _BAD_SOURCE + "maximum recursion depth exceeded ..."),
+    # A key named twice: json.loads kept the last, so the item ran "q2" and bench exited 0.
+    _input_row("bench-key-twice", "bench", ['{"id": "a", "question": "q1", "question": "q2"}'],
+               _BAD_ITEM + "key 'question' appears twice in one object"),
+    _input_row("calibrate-key-twice", "calibrate", [_corpus_line()[:-1] + ', "question": "q2"}'],
+               _BAD_CORPUS + "key 'question' appears twice in one object"),
+    _input_row("datagen-turn-key-twice", "datagen",
+               [_source_line()[:-1] + ', "turns": [{"question": "t", "gold_answer": "C", "gold_answer": "D"}]}'],
+               _BAD_SOURCE + "key 'gold_answer' appears twice in one object"),
+    # Nothing to run.
+    _input_row("bench-empty", "bench", [""], "no benchmark items to run"),
+    _input_row("bench-no-category", "bench", [_item_line()], "no benchmark items to run", flags=["--categories", "nope"]),
+    _input_row("scale-empty", "scale", [""], "no benchmark items to run"),
+    _input_row("calibrate-empty", "calibrate", [""], "calibration corpus is empty"),
+    # Benchmark items.
+    _input_row("scale-missing-id", "scale", ['{"question": "q"}'], _BAD_ITEM + "missing key 'id'"),
+    *(_input_row(f"bench-{kind}-id", "bench", [_item_line(id=value)], _BAD_ITEM + _BAD_ID + repr(value))
+      for kind, value in (("null", None), ("bool", True), ("float", 5.0), ("list", ["a"]), ("object", {"a": 1}))),
+    _input_row("bench-int-and-string-ids-collide", "bench", [_item_line(id=5), _item_line(id="5")],
+               "{in}:2: bad benchmark item: id '5' repeats an earlier item's id"),
+    _input_row("bench-repeated-id", "bench", [_item_line(question="q1"), _item_line(question="q2")],
+               "{in}:2: bad benchmark item: id 'a' repeats an earlier item's id"),
+    _input_row("bench-int-question", "bench", [_item_line(question=5)], _BAD_ITEM + "question must be a string, got 5"),
+    _input_row("bench-lone-surrogate", "bench", [_item_line(question="q \ud800")],
+               _BAD_ITEM + "question is not valid UTF-8 text: 'q \\ud800'"),
+    _input_row("bench-int-category", "bench", [_item_line(category=5)], _BAD_ITEM + "category must be a string, got 5"),
+    _input_row("bench-int-image-ref", "bench", [_item_line(image_ref=7)], _BAD_ITEM + "image_ref must be a string, got 7"),
+    _input_row("bench-null-gold", "bench", [_item_line(gold=None)], _BAD_ITEM + "gold must be a string, got None"),
+    _input_row("bench-int-gold", "bench", [_item_line(gold=5)], _BAD_ITEM + "gold must be a string, got 5"),
+    *(_input_row(f"bench-options-{kind}", "bench", [_item_line(kind="multiple_choice", options=options, gold="A")],
+                 _BAD_ITEM + f"options must be a JSON object of string texts, got {options!r}")
+      for kind, options in (("list", ["AB", "CD"]), ("int-text", {"A": 5, "B": "y"}), ("string", "AB"), ("null", None))),
+    _input_row("bench-option-letters-repeat-ignoring-case", "bench",
+               [_item_line(kind="multiple_choice", options={"A": "x", "a": "y"}, gold="A")],
+               _BAD_ITEM + "option letters repeat when case is ignored: ['A', 'a']"),
+    # Calibration corpus records.
+    _input_row("calibrate-missing-question", "calibrate", [json.dumps({"response": "<SUMMARY>s</SUMMARY>"})],
+               _BAD_CORPUS + "missing key 'question'"),
+    _input_row("calibrate-int-question", "calibrate", [_corpus_line(question=7)],
+               _BAD_CORPUS + "question must be a string, got 7"),
+    _input_row("calibrate-lone-surrogate", "calibrate", [_corpus_line(question="q \ud800")],
+               _BAD_CORPUS + "question is not valid UTF-8 text: 'q \\ud800'"),
+    *(_input_row(f"calibrate-{kind}-response", "calibrate", [_corpus_line(response=response)], _BAD_CORPUS + reason)
+      for kind, response, reason in (("empty", "", "response holds no stage block"),
+                                     ("blank", "   ", "response holds no stage block"),
+                                     ("int", 5, "response must be a string, got 5"),
+                                     ("null", None, "response must be a string, got None"))),
+    # Datagen sources and their turns.
+    _input_row("datagen-missing-gold-answer", "datagen", ['{"id": "s", "question": "q"}'],
+               _BAD_SOURCE + "missing key 'gold_answer'"),
+    _input_row("datagen-turn-missing-gold-answer", "datagen", [_source_line(turns=[{"question": "t"}])],
+               _BAD_SOURCE + "missing key 'gold_answer'"),
+    _input_row("datagen-null-id", "datagen", [_source_line(id=None)], _BAD_SOURCE + _BAD_ID + "None"),
+    _input_row("datagen-empty-id", "datagen", [_source_line(id="")], _BAD_SOURCE + "source id must be non-empty"),
+    _input_row("datagen-repeated-id", "datagen", [_source_line(id="None", question=q) for q in ("q1", "q2")],
+               "{in}:2: bad source record: id 'None' repeats an earlier source's id"),
+    _input_row("datagen-int-and-string-ids-collide", "datagen", [_source_line(id=5), _source_line(id="5")],
+               "{in}:2: bad source record: id '5' repeats an earlier source's id"),
+    _input_row("datagen-id-of-an-earlier-turn", "datagen",
+               [_source_line(turns=[{"question": "t", "gold_answer": "C"}]), _source_line(id="s#turn1")],
+               "{in}:2: bad source record: id 's#turn1' repeats an earlier source's id"),
+    _input_row("datagen-list-question", "datagen", [_source_line(question=["x"])],
+               _BAD_SOURCE + "question must be a string, got ['x']"),
+    _input_row("datagen-empty-question", "datagen", [_source_line(question="")],
+               _BAD_SOURCE + "source question must be non-empty"),
+    _input_row("datagen-lone-surrogate", "datagen", [_source_line(question="\ud800")],
+               _BAD_SOURCE + "question is not valid UTF-8 text: '\\ud800'"),
+    _input_row("datagen-int-image-ref", "datagen", [_source_line(image_ref=5)],
+               _BAD_SOURCE + "image_ref must be a string, got 5"),
+    _input_row("datagen-null-gold-answer", "datagen", [_source_line(gold_answer=None)],
+               _BAD_SOURCE + "gold_answer must be a string, got None"),
+    _input_row("datagen-int-turn-question", "datagen", [_source_line(turns=[{"question": 3, "gold_answer": "C"}])],
+               _BAD_SOURCE + "question must be a string, got 3"),
+    _input_row("datagen-null-turn-gold-answer", "datagen", [_source_line(turns=[{"question": "t", "gold_answer": None}])],
+               _BAD_SOURCE + "gold_answer must be a string, got None"),
+    # Python's own words, which change between versions: string indices, or an int or bool not iterable.
+    *(_input_row(f"datagen-turns-{kind}", "datagen", [_source_line(turns=turns)],
+                 _BAD_SOURCE + f"turns must be a JSON array of objects, got {turns!r}")
+      for kind, turns in (("string", "ab"), ("object", {"question": "t"}), ("int", 5), ("list-of-int", [5]),
+                          ("bool", True))),
+    # Datagen output: a complete line that is not a record with an id, after any cut-short tail is cut.
+    _input_row("output-not-json-before-a-record", "datagen", [_source_line(id="s0")], _BAD_OUTPUT + "...",
+               output=b'{"id":"s0"\n{"id": "s1"}\n'),
+    _input_row("output-missing-id", "datagen", [_source_line(id="s0")], _BAD_OUTPUT + "missing key 'id'",
+               output=b'{"question": "q"}\n{"id": "s1"}\n'),
+    _input_row("output-not-json-between-records", "datagen", [_source_line(id="s0")],
+               "{out}:2: bad output record: ...", output=b'{"id": "s0"}\n{"id": "s1"\n{"id": "s2"}\n'),
+    _input_row("output-not-json-before-a-cut-short-tail", "datagen", [_source_line(id="s0")],
+               "{out}:2: bad output record: ...", output=b'{"id": "s0"}\n{"id": "s1"\n{"id": "s2", "quest',
+               output_after=b'{"id": "s0"}\n{"id": "s1"\n'),
+    # With no LF in the file, the cut falls after the last bare CR, not at the start, and keeps the records before it.
+    _input_row("output-bare-cr-before-a-cut-short-tail", "datagen", [_source_line(id="s0")], _BAD_OUTPUT + _BAD_ID + "5.0",
+               output=b'{"id": 5.0}\r{"id": "s', output_after=b'{"id": 5.0}\r'),
+    _input_row("output-cr-after-the-last-lf", "datagen", [_source_line(id="s0")], _BAD_OUTPUT + _BAD_ID + "5.0",
+               output=b'{"id": 5.0}\n\r'),
+]
+
+
+@pytest.mark.parametrize("command, lines, flags, output, output_after, stderr", _BAD_INPUT_FILES)
+def test_input_file_found_bad_by_hand_exits_2_before_any_call_or_output(
+    tmp_path, monkeypatch, command, lines, flags, output, output_after, stderr
+):
+    monkeypatch.chdir(tmp_path)
+    argv = _COMMANDS[command] + flags
+    source, out = argv[2], argv[4]
+    if isinstance(lines, bytes):
+        Path(source).write_bytes(lines)
+    elif lines is not _NO_FILE:
+        Path(source).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    if output is not None:
+        Path(out).write_bytes(output)
+    before = _tree(tmp_path)
+    code, err, calls = _run_counting_calls(argv)
+    _assert_config_error(code, err, stderr.replace("{in}", source).replace("{out}", out))
+    assert calls == []
+    if output is not None:
+        before[os.path.join(tmp_path, out)] = output_after
+    assert _tree(tmp_path) == before
 
 
 # ---------------------------------------------------------------------------
